@@ -18,7 +18,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DTU_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
   concurrency_test util_test maintenance_test fault_injection_test \
-  error_recovery_test query_pipeline_test batch_drain_test obs_test \
+  error_recovery_test wal_test query_pipeline_test batch_drain_test obs_test \
   integrity_test rollup_test server_test
 
 # halt_on_error: make the first race fail the test instead of just logging.

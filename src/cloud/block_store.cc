@@ -18,8 +18,9 @@ namespace {
 
 class PosixWritableFile : public WritableFile {
  public:
-  PosixWritableFile(BlockStore* store, std::string fname, int fd)
-      : store_(store), fname_(std::move(fname)), fd_(fd) {}
+  PosixWritableFile(BlockStore* store, std::string fname, int fd,
+                    uint64_t size)
+      : store_(store), fname_(std::move(fname)), fd_(fd), size_(size) {}
 
   ~PosixWritableFile() override {
     if (fd_ >= 0) ::close(fd_);
@@ -109,7 +110,7 @@ class PosixWritableFile : public WritableFile {
   BlockStore* store_;
   std::string fname_;
   int fd_;
-  uint64_t size_ = 0;
+  uint64_t size_;
   Status sync_poison_;  // first Sync failure; latched, never retried
 };
 
@@ -184,7 +185,31 @@ Status BlockStore::NewWritableFile(const std::string& fname,
   if (fd < 0) {
     return Status::IOError("open " + path + ": " + strerror(errno));
   }
-  out->reset(new PosixWritableFile(this, fname, fd));
+  out->reset(new PosixWritableFile(this, fname, fd, 0));
+  return Status::OK();
+}
+
+Status BlockStore::NewAppendableFile(const std::string& fname,
+                                     std::unique_ptr<WritableFile>* out) {
+  if (fault() != nullptr) {
+    Status injected = fault()->Intercept(FaultOp::kOpen, fname);
+    if (!injected.ok()) {
+      CountFault();
+      return injected;
+    }
+  }
+  const std::string path = FullPath(fname);
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  if (fd < 0) {
+    return Status::IOError("open " + path + ": " + strerror(errno));
+  }
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IOError("fstat " + path + ": " + strerror(errno));
+  }
+  out->reset(new PosixWritableFile(this, fname, fd,
+                                   static_cast<uint64_t>(st.st_size)));
   return Status::OK();
 }
 

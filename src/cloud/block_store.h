@@ -45,6 +45,10 @@ class BlockStore {
 
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* out);
+  /// Opens `fname` for appending after its current contents (creating it
+  /// when missing) — for logs that outlive one writer.
+  Status NewAppendableFile(const std::string& fname,
+                           std::unique_ptr<WritableFile>* out);
   Status NewRandomAccessFile(const std::string& fname,
                              std::unique_ptr<RandomAccessFile>* out);
 

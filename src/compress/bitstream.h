@@ -37,23 +37,32 @@ class BitWriter {
     ++bit_pos_;
   }
 
-  /// Writes the low `nbits` bits of `value`, MSB-first. Byte-granular:
-  /// up to 8 bits land per store (this is the per-sample hot path).
+  /// Writes the low `nbits` bits of `value`, MSB-first (this is the
+  /// per-sample hot path). Tops up the partial byte, then stores whole
+  /// bytes; it never touches a byte past the last bit written, and every
+  /// byte it starts is cleared of stale bits first.
   void WriteBits(uint64_t value, unsigned nbits) {
     assert(nbits <= 64);
     assert(bit_pos_ + nbits <= capacity_bits_);
-    while (nbits > 0) {
-      const size_t byte = bit_pos_ >> 3;
-      const unsigned bit_in_byte = bit_pos_ & 7;
-      if (bit_in_byte == 0) buf_[byte] = 0;
-      const unsigned space = 8 - bit_in_byte;
-      const unsigned n = space < nbits ? space : nbits;
-      const uint64_t chunk =
-          (value >> (nbits - n)) & ((1ull << n) - 1);
-      buf_[byte] |= static_cast<uint8_t>(chunk << (space - n));
-      bit_pos_ += n;
-      nbits -= n;
+    if (nbits == 0) return;
+    if (nbits < 64) value &= (uint64_t{1} << nbits) - 1;
+    uint8_t* p = buf_ + (bit_pos_ >> 3);
+    const unsigned used = bit_pos_ & 7;
+    bit_pos_ += nbits;
+    if (used != 0) {
+      const unsigned space = 8 - used;
+      if (nbits <= space) {
+        *p |= static_cast<uint8_t>(value << (space - nbits));
+        return;
+      }
+      nbits -= space;
+      *p++ |= static_cast<uint8_t>(value >> nbits);
     }
+    while (nbits >= 8) {
+      nbits -= 8;
+      *p++ = static_cast<uint8_t>(value >> nbits);
+    }
+    if (nbits > 0) *p = static_cast<uint8_t>(value << (8 - nbits));
   }
 
  private:

@@ -1,8 +1,9 @@
-// MaintenanceWorker: the paper's background workers (§3.3) — "a background
-// worker will periodically check for old time partitions outside the
-// retention time watermark" and "a background worker will purge those
-// stale log records periodically" — plus the §3.2 swap-out hint for the
-// mmap'ed structures. One thread, fixed tick, injectable clock for tests.
+// MaintenanceWorker: the paper's background worker (§3.3) that "will
+// periodically check for old time partitions outside the retention time
+// watermark", plus the §3.2 swap-out hint for the mmap'ed structures.
+// (Stale log records need no periodic purge: flush marks retire whole WAL
+// segments as they arrive, see core/wal.h.) One thread, fixed tick,
+// injectable clock for tests.
 #pragma once
 
 #include <atomic>

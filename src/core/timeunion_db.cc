@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <regex>
 #include <sstream>
 
@@ -34,6 +33,53 @@ int64_t SteadyNowMs() {
   return static_cast<int64_t>(obs::MonotonicUs() / 1000);
 }
 
+/// The WAL's directory on the fast tier.
+constexpr char kWalDir[] = "wal";
+
+/// Segment size under a live-log budget: the full segment, or a quarter of
+/// the budget when that is smaller, so the budget always spans several
+/// segments and forcing a flush can retire one.
+uint64_t WalSegmentBytes(uint64_t budget) {
+  return std::clamp<uint64_t>(budget / 4, 256, WalWriter::kSegmentBytes);
+}
+
+/// Splits the rows one series took from a ref-run into kSampleRun records:
+/// consecutive rows whose head seqs are contiguous share one record.
+class SeqRunLogger {
+ public:
+  SeqRunLogger(WalBatch* wal, uint64_t id, const int64_t* ts,
+               const double* values)
+      : wal_(wal), id_(id), ts_(ts), values_(values) {}
+  ~SeqRunLogger() { Finish(); }
+
+  /// Row `k` (an index into ts/values) was appended with head seq `seq`.
+  void Add(size_t k, uint64_t seq) {
+    if (len_ > 0 && k == begin_ + len_ && seq == seq_ + len_) {
+      ++len_;
+      return;
+    }
+    Finish();
+    begin_ = k;
+    seq_ = seq;
+    len_ = 1;
+  }
+
+  void Finish() {
+    if (len_ == 0) return;
+    wal_->AddSampleRun(id_, seq_, ts_ + begin_, values_ + begin_, len_);
+    len_ = 0;
+  }
+
+ private:
+  WalBatch* wal_;
+  uint64_t id_;
+  const int64_t* ts_;
+  const double* values_;
+  size_t begin_ = 0;
+  uint64_t seq_ = 0;
+  size_t len_ = 0;
+};
+
 core::BgErrorScope ScopeForLsmWork(lsm::BgWorkKind kind) {
   switch (kind) {
     case lsm::BgWorkKind::kFlush: return BgErrorScope::kFlush;
@@ -60,6 +106,11 @@ Status DBOptions::Validate() const {
   }
   if (retention_ms < 0) {
     return Status::InvalidArgument("DBOptions::retention_ms must be >= 0");
+  }
+  if (enable_wal && wal_purge_bytes == 0) {
+    return Status::InvalidArgument(
+        "DBOptions::wal_purge_bytes must be greater than 0 when the WAL is "
+        "enabled");
   }
   if (scrub.enabled && backend == Backend::kLeveled) {
     return Status::InvalidArgument(
@@ -165,6 +216,7 @@ Status TimeUnionDB::Init() {
     sample_cells_ = std::make_unique<StripeCell[]>(append_locks_.stripes());
     c_rows_ = metrics_->counter("ingest.rows");
     c_wal_appends_ = metrics_->counter("wal.appends");
+    c_wal_forced_flushes_ = metrics_->counter("wal.forced_flushes");
     c_chunk_flushes_ = metrics_->counter("flush.chunks");
   }
   env_ = std::make_unique<cloud::TieredEnv>(options_.workspace,
@@ -227,38 +279,15 @@ Status TimeUnionDB::Init() {
   }
   if (options_.enable_wal) {
     lsm_options.persist_manifest = true;
-    lsm_options.on_flush = [this](const Slice& user_key, const Slice& value) {
-      // §3.3: when a KV reaches level 0, log a flush mark with the chunk's
-      // embedded sequence id so earlier WAL records become purgeable.
-      uint64_t chunk_seq = 0;
-      Slice payload = lsm::ChunkValuePayload(value);
-      if (GetVarint64(&payload, &chunk_seq)) {
-        WalRecord mark;
-        mark.type = WalRecordType::kFlushMark;
-        mark.id = lsm::ChunkKeyId(user_key);
-        mark.seq = chunk_seq;
-        // wal_ is detached during WAL replay (RecoverFromWal), and replayed
-        // samples can fill a memtable and flush from right here. Skipping
-        // the mark is safe: the records stay replayable and a re-replay of
-        // already-flushed samples is idempotent under chunk-seq dedup.
-        if (wal_) wal_->Append(mark);
-      }
+    lsm_options.on_flush = [this](const SeqMarks& id_seqs) {
+      OnMemTableFlushed(id_seqs);
     };
   }
   auto time_lsm = std::make_unique<lsm::TimePartitionedLsm>(
       env_.get(), "lsm", lsm_options, block_cache_.get());
   time_lsm_ = time_lsm.get();
   lsm_ = std::move(time_lsm);
-  Status open_status;
-  if (options_.enable_wal) {
-    wal_ = std::make_unique<WalWriter>(&env_->fast(), "WAL");
-    TU_RETURN_IF_ERROR(wal_->Open());
-    TU_RETURN_IF_ERROR(lsm_->Open());
-    open_status = RecoverFromWal();
-  } else {
-    open_status = lsm_->Open();
-  }
-  TU_RETURN_IF_ERROR(open_status);
+  TU_RETURN_IF_ERROR(options_.enable_wal ? OpenWal() : lsm_->Open());
   // The scrubber exists whenever the backend supports it — ScrubNow()
   // drills work even when the background tick is disabled.
   scrubber_ = std::make_unique<Scrubber>(time_lsm_, env_.get(),
@@ -295,7 +324,6 @@ Status TimeUnionDB::StartMaintenance() {
         // Budgeted integrity increment: verify a slice of the table set,
         // resuming at the persisted cursor (DBOptions::scrub).
         if (scrubber_ && options_.scrub.enabled) scrubber_->Tick();
-        if (wal_) wal_->Purge();
         AdviseMemoryRelease();
         if (options_.metrics.enabled && options_.metrics.emit_jsonl) {
           EmitMetricsLine();
@@ -305,184 +333,300 @@ Status TimeUnionDB::StartMaintenance() {
   return Status::OK();
 }
 
-Status TimeUnionDB::MaybeLog(const WalRecord& record) {
+Status TimeUnionDB::LogRegistration(const WalRecord& record) {
   if (!wal_) return Status::OK();
-  if (c_wal_appends_ != nullptr) c_wal_appends_->Add();
-  // The WAL is the one serialized append point of the write path; the
-  // writer's internal mutex orders records, so inserts hold no DB-wide
-  // lock here. Latency is sampled 1-in-64 to keep clock reads off the
-  // common path.
-  const bool timed = h_wal_append_ != nullptr && obs::SampleOneIn<6>();
-  const uint64_t append_start_us = timed ? obs::MonotonicUs() : 0;
-  Status append_status = wal_->Append(record);
-  if (!append_status.ok()) {
+  Status s = wal_->AppendRegistration(record);
+  if (!s.ok()) {
     // Background-class even though it fires on a foreground thread: the
     // log is poisoned and every write will fail until the resume probe
     // rotates it — classify, quiesce, auto-resume.
-    error_handler_.OnBackgroundError(BgErrorScope::kWalAppend, append_status,
+    error_handler_.OnBackgroundError(BgErrorScope::kWalAppend, s,
                                      SteadyNowMs());
-    return append_status;
   }
-  if (timed) h_wal_append_->Observe(obs::MonotonicUs() - append_start_us);
-  // Inline purge with hysteresis: a purge can only drop records whose
-  // chunks already reached level 0, so when most of the log is still
-  // live, purging at a fixed size threshold degenerates into rewriting
-  // the whole log on every append. Only purge once the log has doubled
-  // past the last purge's result; try_lock skips if a purge is running.
-  const uint64_t written = wal_->bytes_written();
-  if (written > options_.wal_purge_bytes &&
-      written > 2 * wal_post_purge_bytes_.load(std::memory_order_relaxed)) {
-    std::unique_lock<std::mutex> purge_lock(wal_purge_mu_, std::try_to_lock);
-    if (purge_lock.owns_lock()) {
-      TU_RETURN_IF_ERROR(wal_->Purge());
-      wal_post_purge_bytes_.store(wal_->bytes_written(),
-                                  std::memory_order_relaxed);
-    }
-  }
-  return Status::OK();
+  return s;
 }
 
-Status TimeUnionDB::RecoverFromWal() {
-  recovery_report_ = RecoveryReport{};
-  // Pass 1: newest flush mark per id — samples at or below it are already
-  // safe in the (manifest-recovered) LSM.
-  std::map<uint64_t, uint64_t> flushed;
-  TU_RETURN_IF_ERROR(
-      ReplayWal(&env_->fast(), "WAL", [&](const WalRecord& r) -> Status {
-        if (r.type == WalRecordType::kFlushMark) {
-          flushed[r.id] = std::max(flushed[r.id], r.seq);
-        }
-        return Status::OK();
-      }));
+void TimeUnionDB::NoteTooOldChunk(uint64_t id, uint64_t chunk_seq,
+                                  uint64_t open_first_seq) {
+  std::lock_guard<std::mutex> lock(marks_mu_);
+  mark_clamps_[id].emplace_back(chunk_seq, open_first_seq - 1);
+}
 
-  // Pass 2: rebuild registries, heads and unflushed samples. WAL logging
-  // is suppressed during replay by temporarily detaching the writer.
-  // Replay is single-threaded (maintenance has not started), but takes the
-  // normal locks so the code stays valid under any future overlap.
-  auto saved_wal = std::move(wal_);
-  WalReplayStats replay_stats;
-  Status replay_status =
-      ReplayWal(&env_->fast(), "WAL", [&](const WalRecord& r) -> Status {
-        switch (r.type) {
-          case WalRecordType::kRegisterSeries: {
-            std::lock_guard<std::mutex> reg_lock(reg_mu_);
-            const std::string key = index::LabelsKey(r.labels);
-            uint64_t existing = 0;
-            if (LookupSeriesRef(key, &existing)) return Status::OK();
-            uint64_t tag_offset = 0;
-            TU_RETURN_IF_ERROR(tag_store_->Append(r.labels, &tag_offset));
-            TU_RETURN_IF_ERROR(index_->Add(r.id, r.labels));
-            SeriesEntry entry;
-            entry.head = std::make_unique<mem::SeriesHead>(
-                r.id, tag_offset, series_chunks_.get(),
-                options_.samples_per_chunk);
-            entry.labels = r.labels;
-            {
-              EntryShard& es = EntryShardFor(r.id);
-              std::unique_lock<std::shared_mutex> lock(es.mu);
-              es.series.emplace(r.id, std::move(entry));
-            }
-            {
-              KeyShard& ks = KeyShardFor(key);
-              std::unique_lock<std::shared_mutex> lock(ks.mu);
-              ks.series_by_key[key] = r.id;
-            }
-            next_id_ = std::max(next_id_, r.id + 1);
-            return Status::OK();
-          }
-          case WalRecordType::kRegisterGroup: {
-            std::lock_guard<std::mutex> reg_lock(reg_mu_);
-            const std::string key = index::LabelsKey(r.labels);
-            uint64_t existing = 0;
-            if (LookupGroupRef(key, &existing)) return Status::OK();
-            uint64_t tag_offset = 0;
-            TU_RETURN_IF_ERROR(tag_store_->Append(r.labels, &tag_offset));
-            TU_RETURN_IF_ERROR(index_->Add(r.id, r.labels));
-            GroupEntry entry;
-            entry.head = std::make_unique<mem::GroupHead>(
-                r.id, tag_offset, group_ts_chunks_.get(),
-                group_val_chunks_.get(), options_.samples_per_chunk);
-            entry.group_labels = r.labels;
-            {
-              EntryShard& es = EntryShardFor(r.id);
-              std::unique_lock<std::shared_mutex> lock(es.mu);
-              es.groups.emplace(r.id, std::move(entry));
-            }
-            {
-              KeyShard& ks = KeyShardFor(key);
-              std::unique_lock<std::shared_mutex> lock(ks.mu);
-              ks.group_by_key[key] = r.id;
-            }
-            next_id_ = std::max(next_id_, r.id + 1);
-            return Status::OK();
-          }
-          case WalRecordType::kRegisterMember: {
-            std::lock_guard<std::mutex> reg_lock(reg_mu_);
-            EntryShard& es = EntryShardFor(r.id);
-            std::shared_lock<std::shared_mutex> shard_lock(es.mu);
-            auto it = es.groups.find(r.id);
-            if (it == es.groups.end()) {
-              return Status::Corruption("wal member before group");
-            }
-            GroupEntry& entry = it->second;
-            std::lock_guard<std::mutex> entry_lock(append_locks_.For(r.id));
-            const std::string key = index::LabelsKey(r.labels);
-            if (entry.head->FindMember(key) >= 0) return Status::OK();
-            uint64_t tag_offset = 0;
-            TU_RETURN_IF_ERROR(tag_store_->Append(r.labels, &tag_offset));
-            TU_RETURN_IF_ERROR(index_->Add(r.id, r.labels));
-            uint32_t slot = 0;
-            TU_RETURN_IF_ERROR(entry.head->AddMember(tag_offset, key, &slot));
-            entry.member_labels.resize(
-                std::max<size_t>(entry.member_labels.size(), slot + 1));
-            entry.member_labels[slot] = r.labels;
-            return Status::OK();
-          }
-          case WalRecordType::kSample: {
-            auto it = flushed.find(r.id);
-            if (it != flushed.end() && r.seq <= it->second) return Status::OK();
-            EntryShard& es = EntryShardFor(r.id);
-            std::shared_lock<std::shared_mutex> shard_lock(es.mu);
-            auto found = es.series.find(r.id);
-            if (found == es.series.end()) {
-              return Status::Corruption("wal sample before register");
-            }
-            std::lock_guard<std::mutex> entry_lock(append_locks_.For(r.id));
-            return AppendToSeries(&found->second, r.ts, r.value);
-          }
-          case WalRecordType::kGroupSample: {
-            auto it = flushed.find(r.id);
-            if (it != flushed.end() && r.seq <= it->second) return Status::OK();
-            EntryShard& es = EntryShardFor(r.id);
-            std::shared_lock<std::shared_mutex> shard_lock(es.mu);
-            auto found = es.groups.find(r.id);
-            if (found == es.groups.end()) {
-              return Status::Corruption("wal group sample before register");
-            }
-            std::lock_guard<std::mutex> entry_lock(append_locks_.For(r.id));
-            return AppendRowToGroup(&found->second, r.slots, r.ts, r.values);
-          }
-          case WalRecordType::kFlushMark:
-            return Status::OK();
+void TimeUnionDB::OnMemTableFlushed(const SeqMarks& id_seqs) {
+  // §3.3: the memtable's chunks are durably in level 0, so every record at
+  // or below each id's newest chunk seq is obsolete — except where that
+  // chunk is a too-old single-sample chunk stamped while the open chunk
+  // held older, unflushed samples. Chunks of one id enter memtables in seq
+  // order and memtables flush oldest first, so only the newest chunk of
+  // each id in this memtable decides; every clamp at or below it is spent.
+  SeqMarks marks = id_seqs;
+  {
+    std::lock_guard<std::mutex> lock(marks_mu_);
+    if (!mark_clamps_.empty()) {
+      for (auto& [id, seq] : marks) {
+        auto it = mark_clamps_.find(id);
+        if (it == mark_clamps_.end()) continue;
+        SeqMarks& clamps = it->second;
+        size_t spent = 0;
+        uint64_t mark = seq;
+        for (; spent < clamps.size() && clamps[spent].first <= seq; ++spent) {
+          if (clamps[spent].first == seq) mark = clamps[spent].second;
         }
-        return Status::OK();
-      },
-      &replay_stats);
-  wal_ = std::move(saved_wal);
-  recovery_report_.wal = replay_stats;
+        seq = mark;
+        clamps.erase(clamps.begin(), clamps.begin() + spent);
+        if (clamps.empty()) mark_clamps_.erase(it);
+      }
+    }
+    if (replaying_) {
+      held_marks_.insert(held_marks_.end(), marks.begin(), marks.end());
+      return;
+    }
+  }
+  if (!wal_) return;
+  Status s = wal_->AppendMarks(marks);
+  if (!s.ok()) {
+    error_handler_.OnBackgroundError(BgErrorScope::kWalAppend, s,
+                                     SteadyNowMs());
+  }
+}
+
+void TimeUnionDB::MaybeForceWalFlush() {
+  if (wal_->live_bytes() <= options_.wal_purge_bytes) return;
+  if (forcing_wal_flush_.exchange(true, std::memory_order_acquire)) return;
+  Status s = ForceWalFlush();
+  forcing_wal_flush_.store(false, std::memory_order_release);
+  if (!s.ok()) {
+    error_handler_.OnBackgroundError(BgErrorScope::kFlush, s, SteadyNowMs());
+  }
+}
+
+Status TimeUnionDB::ForceWalFlush() {
+  uint64_t segment = 0;
+  const SeqMarks pinning = wal_->PinningIds(&segment);
+  // Once per oldest segment: when forcing did not retire it (the mark
+  // append failed, say), forcing again would not either.
+  if (pinning.empty() || segment <= forced_segment_) return Status::OK();
+  forced_segment_ = segment;
+  SeqMarks marks;
+  marks.reserve(pinning.size());
+  for (const auto& [id, pinned_seq] : pinning) {
+    EntryShard& es = EntryShardFor(id);
+    std::shared_lock<std::shared_mutex> shard_lock(es.mu);
+    std::lock_guard<std::mutex> entry_lock(append_locks_.For(id));
+    bool flushed = false;
+    // With its open chunk closed, every sample of the id up to the head's
+    // seq sits in a memtable; the FlushAll below puts it in level 0. An id
+    // retention retired has nothing left to flush: its records are dead.
+    uint64_t seq = pinned_seq;
+    if (auto it = es.series.find(id); it != es.series.end()) {
+      TU_RETURN_IF_ERROR(FlushSeriesChunk(it->second.head.get(), &flushed));
+      seq = it->second.head->seq_id();
+    } else if (auto git = es.groups.find(id); git != es.groups.end()) {
+      TU_RETURN_IF_ERROR(FlushGroupChunk(&git->second, &flushed));
+      seq = git->second.head->seq_id();
+    }
+    marks.emplace_back(id, seq);
+  }
+  TU_RETURN_IF_ERROR(lsm_->FlushAll());
+  if (c_wal_forced_flushes_ != nullptr) c_wal_forced_flushes_->Add();
+  if (options_.metrics.enabled) {
+    metrics_->trace().Record("wal.forced_flush",
+                             "segment=" + std::to_string(segment) +
+                                 " ids=" + std::to_string(marks.size()));
+  }
+  return wal_->AppendMarks(marks);
+}
+
+Status TimeUnionDB::OpenWal() {
+  recovery_report_ = RecoveryReport{};
+  WalLog log;
+  TU_RETURN_IF_ERROR(WalLog::Load(&env_->fast(), kWalDir, &log));
+  wal_ = std::make_unique<WalWriter>(
+      &env_->fast(), kWalDir, WalSegmentBytes(options_.wal_purge_bytes),
+      options_.metrics.enabled ? metrics_.get() : nullptr);
+  TU_RETURN_IF_ERROR(wal_->Open(log));
+  {
+    std::lock_guard<std::mutex> lock(marks_mu_);
+    replaying_ = true;
+  }
+  TU_RETURN_IF_ERROR(lsm_->Open());
+
+  // Registrations first (REGISTRY holds them all), then every sample and
+  // group row no mark covers, re-logged as it is applied. Replay is
+  // single-threaded (maintenance has not started) but takes the normal
+  // locks so the code stays valid under any future overlap.
+  for (const WalRecord& r : log.registrations()) {
+    TU_RETURN_IF_ERROR(ReplayRegistration(r, log));
+  }
+  constexpr size_t kRelogBytes = 1 << 20;
+  WalBatch relog;
+  Status s = log.ForEachRecord([&](const WalRecord& r) -> Status {
+    TU_RETURN_IF_ERROR(ReplayRecord(r, log.mark(r.id), &relog));
+    if (relog.data().size() < kRelogBytes) return Status::OK();
+    TU_RETURN_IF_ERROR(wal_->Append(relog));
+    relog.Clear();
+    return Status::OK();
+  });
+  if (s.ok()) s = wal_->Append(relog);
+  // The re-logged tail is durable before the segments it came from go.
+  if (s.ok()) s = wal_->Sync();
+  if (s.ok()) s = wal_->DropReplayedSegments();
+  SeqMarks held;
+  {
+    std::lock_guard<std::mutex> lock(marks_mu_);
+    replaying_ = false;
+    held.swap(held_marks_);
+  }
+  if (s.ok()) s = wal_->AppendMarks(held);
+
+  recovery_report_.wal = log.stats();
   if (time_lsm_ != nullptr) {
     recovery_report_.tables_quarantined =
         time_lsm_->stats().tables_quarantined.load(std::memory_order_relaxed);
     recovery_report_.orphans_swept =
         time_lsm_->stats().orphans_swept.load(std::memory_order_relaxed);
   }
-  if (!replay_stats.Clean() || recovery_report_.tables_quarantined > 0) {
+  if (!log.stats().Clean() || recovery_report_.tables_quarantined > 0) {
     std::fprintf(stderr, "[timeunion_db] recovery: wal %s, quarantined=%llu\n",
-                 replay_stats.ToString().c_str(),
+                 log.stats().ToString().c_str(),
                  static_cast<unsigned long long>(
                      recovery_report_.tables_quarantined));
   }
-  return replay_status;
+  return s;
+}
+
+Status TimeUnionDB::ReplayRegistration(const WalRecord& r, const WalLog& log) {
+  std::lock_guard<std::mutex> reg_lock(reg_mu_);
+  switch (r.type) {
+    case WalRecordType::kRegisterSeries: {
+      const std::string key = index::LabelsKey(r.labels);
+      uint64_t existing = 0;
+      if (LookupSeriesRef(key, &existing)) return Status::OK();
+      uint64_t tag_offset = 0;
+      TU_RETURN_IF_ERROR(tag_store_->Append(r.labels, &tag_offset));
+      TU_RETURN_IF_ERROR(index_->Add(r.id, r.labels));
+      SeriesEntry entry;
+      entry.head = std::make_unique<mem::SeriesHead>(
+          r.id, tag_offset, series_chunks_.get(), options_.samples_per_chunk);
+      // New samples (and the chunks and marks stamped from them) must sort
+      // after everything the log already holds for this id.
+      entry.head->AdvanceSeq(log.seq_floor(r.id));
+      entry.labels = r.labels;
+      {
+        EntryShard& es = EntryShardFor(r.id);
+        std::unique_lock<std::shared_mutex> lock(es.mu);
+        es.series.emplace(r.id, std::move(entry));
+      }
+      {
+        KeyShard& ks = KeyShardFor(key);
+        std::unique_lock<std::shared_mutex> lock(ks.mu);
+        ks.series_by_key[key] = r.id;
+      }
+      next_id_ = std::max(next_id_, r.id + 1);
+      return Status::OK();
+    }
+    case WalRecordType::kRegisterGroup: {
+      const std::string key = index::LabelsKey(r.labels);
+      uint64_t existing = 0;
+      if (LookupGroupRef(key, &existing)) return Status::OK();
+      uint64_t tag_offset = 0;
+      TU_RETURN_IF_ERROR(tag_store_->Append(r.labels, &tag_offset));
+      TU_RETURN_IF_ERROR(index_->Add(r.id, r.labels));
+      GroupEntry entry;
+      entry.head = std::make_unique<mem::GroupHead>(
+          r.id, tag_offset, group_ts_chunks_.get(), group_val_chunks_.get(),
+          options_.samples_per_chunk);
+      entry.head->AdvanceSeq(log.seq_floor(r.id));
+      entry.group_labels = r.labels;
+      {
+        EntryShard& es = EntryShardFor(r.id);
+        std::unique_lock<std::shared_mutex> lock(es.mu);
+        es.groups.emplace(r.id, std::move(entry));
+      }
+      {
+        KeyShard& ks = KeyShardFor(key);
+        std::unique_lock<std::shared_mutex> lock(ks.mu);
+        ks.group_by_key[key] = r.id;
+      }
+      next_id_ = std::max(next_id_, r.id + 1);
+      return Status::OK();
+    }
+    case WalRecordType::kRegisterMember: {
+      EntryShard& es = EntryShardFor(r.id);
+      std::shared_lock<std::shared_mutex> shard_lock(es.mu);
+      auto it = es.groups.find(r.id);
+      if (it == es.groups.end()) {
+        return Status::Corruption("wal member before group");
+      }
+      GroupEntry& entry = it->second;
+      std::lock_guard<std::mutex> entry_lock(append_locks_.For(r.id));
+      const std::string key = index::LabelsKey(r.labels);
+      if (entry.head->FindMember(key) >= 0) return Status::OK();
+      uint64_t tag_offset = 0;
+      TU_RETURN_IF_ERROR(tag_store_->Append(r.labels, &tag_offset));
+      TU_RETURN_IF_ERROR(index_->Add(r.id, r.labels));
+      uint32_t slot = 0;
+      TU_RETURN_IF_ERROR(entry.head->AddMember(tag_offset, key, &slot));
+      entry.member_labels.resize(
+          std::max<size_t>(entry.member_labels.size(), slot + 1));
+      entry.member_labels[slot] = r.labels;
+      return Status::OK();
+    }
+    default:
+      return Status::Corruption("wal registry holds a non-registration record");
+  }
+}
+
+Status TimeUnionDB::ReplayRecord(const WalRecord& r, uint64_t mark,
+                                 WalBatch* relog) {
+  switch (r.type) {
+    case WalRecordType::kSampleRun: {
+      // Sample k carries seq r.seq + k; those at or below the mark are in
+      // the LSM already.
+      const size_t n = r.timestamps.size();
+      const size_t skip =
+          mark >= r.seq ? static_cast<size_t>(
+                              std::min<uint64_t>(n, mark - r.seq + 1))
+                        : 0;
+      if (skip == n) return Status::OK();
+      EntryShard& es = EntryShardFor(r.id);
+      std::shared_lock<std::shared_mutex> shard_lock(es.mu);
+      auto found = es.series.find(r.id);
+      if (found == es.series.end()) {
+        return Status::Corruption("wal sample before register");
+      }
+      std::lock_guard<std::mutex> entry_lock(append_locks_.For(r.id));
+      SeqRunLogger logger(relog, r.id, r.timestamps.data(), r.values.data());
+      for (size_t k = skip; k < n; ++k) {
+        TU_RETURN_IF_ERROR(
+            AppendToSeries(&found->second, r.timestamps[k], r.values[k]));
+        logger.Add(k, found->second.head->seq_id());
+      }
+      return Status::OK();
+    }
+    case WalRecordType::kGroupRow: {
+      if (r.seq <= mark) return Status::OK();
+      EntryShard& es = EntryShardFor(r.id);
+      std::shared_lock<std::shared_mutex> shard_lock(es.mu);
+      auto found = es.groups.find(r.id);
+      if (found == es.groups.end()) {
+        return Status::Corruption("wal group sample before register");
+      }
+      std::lock_guard<std::mutex> entry_lock(append_locks_.For(r.id));
+      for (uint32_t slot : r.slots) {
+        if (slot >= found->second.head->num_members()) {
+          return Status::Corruption("wal group row before its member");
+        }
+      }
+      TU_RETURN_IF_ERROR(
+          AppendRowToGroup(&found->second, r.slots, r.ts, r.values));
+      relog->AddGroupRow(r.id, found->second.head->seq_id(), r.ts, r.slots,
+                         r.values);
+      return Status::OK();
+    }
+    default:
+      return Status::OK();  // marks were consumed by WalLog::Load
+  }
 }
 
 Status TimeUnionDB::SyncWal() {
@@ -594,7 +738,7 @@ Status TimeUnionDB::RegisterSeriesSlow(const Labels& sorted,
   reg.type = WalRecordType::kRegisterSeries;
   reg.id = id;
   reg.labels = sorted;
-  return MaybeLog(reg);
+  return LogRegistration(reg);
 }
 
 Status TimeUnionDB::RegisterGroupSlow(const Labels& sorted_group,
@@ -634,7 +778,7 @@ Status TimeUnionDB::RegisterGroupSlow(const Labels& sorted_group,
   reg.type = WalRecordType::kRegisterGroup;
   reg.id = id;
   reg.labels = sorted_group;
-  return MaybeLog(reg);
+  return LogRegistration(reg);
 }
 
 Status TimeUnionDB::RegisterSeries(const Labels& labels,
@@ -687,6 +831,9 @@ Status TimeUnionDB::AppendToSeries(SeriesEntry* entry, int64_t ts,
     if (too_old) {
       // §3.1 case 4: older than the open chunk — route straight to the
       // LSM as a single-sample chunk; the tree's time partitions place it.
+      if (wal_ && head->open_first_seq() != 0) {
+        NoteTooOldChunk(head->id(), head->seq_id(), head->open_first_seq());
+      }
       std::string payload;
       compress::EncodeSeriesChunk(head->seq_id(), {Sample{ts, value}},
                                   &payload);
@@ -771,8 +918,7 @@ void TimeUnionDB::RowReject(WriteResult* result, const Status& s) {
 }
 
 Status TimeUnionDB::AppendOneByRef(uint64_t series_ref, int64_t ts,
-                                   double value,
-                                   std::vector<WalRecord>* wal_out) {
+                                   double value, WalBatch* wal) {
   // Appends are counted exactly in a per-stripe cell (plain load+store
   // under the stripe lock — no locked RMW), and the same cell doubles as
   // the 1-in-64 latency sampling tick: the pre-lock read is racy, which
@@ -796,14 +942,8 @@ Status TimeUnionDB::AppendOneByRef(uint64_t series_ref, int64_t ts,
   std::lock_guard<std::mutex> entry_lock(append_locks_.MutexAt(stripe));
   if (sample_cells_ != nullptr) sample_cells_[stripe].Bump();
   TU_RETURN_IF_ERROR(AppendToSeries(&it->second, ts, value));
-  if (wal_out != nullptr) {
-    WalRecord rec;
-    rec.type = WalRecordType::kSample;
-    rec.id = series_ref;
-    rec.seq = it->second.head->seq_id();
-    rec.ts = ts;
-    rec.value = value;
-    wal_out->push_back(std::move(rec));
+  if (wal != nullptr) {
+    wal->AddSampleRun(series_ref, it->second.head->seq_id(), &ts, &value, 1);
   }
   if (timed) [[unlikely]] {
     h_ingest_append_->Observe(obs::MonotonicUs() - append_start_us);
@@ -812,7 +952,7 @@ Status TimeUnionDB::AppendOneByRef(uint64_t series_ref, int64_t ts,
 }
 
 void TimeUnionDB::WriteRefSamples(const WriteBatch& batch, WriteResult* result,
-                                  std::vector<WalRecord>* wal_out) {
+                                  WalBatch* wal) {
   const size_t n = batch.sample_refs.size();
   size_t i = 0;
   while (i < n) {
@@ -841,6 +981,9 @@ void TimeUnionDB::WriteRefSamples(const WriteBatch& batch, WriteResult* result,
     }
     {
       std::lock_guard<std::mutex> entry_lock(append_locks_.MutexAt(stripe));
+      // The run's log records come straight from the batch columns.
+      SeqRunLogger logger(wal, ref, batch.sample_ts.data(),
+                          batch.sample_values.data());
       for (size_t k = i; k < run_end; ++k) {
         if (sample_cells_ != nullptr) sample_cells_[stripe].Bump();
         Status s = AppendToSeries(&it->second, batch.sample_ts[k],
@@ -850,15 +993,7 @@ void TimeUnionDB::WriteRefSamples(const WriteBatch& batch, WriteResult* result,
           continue;
         }
         ++result->appended;
-        if (wal_out != nullptr) {
-          WalRecord rec;
-          rec.type = WalRecordType::kSample;
-          rec.id = ref;
-          rec.seq = it->second.head->seq_id();
-          rec.ts = batch.sample_ts[k];
-          rec.value = batch.sample_values[k];
-          wal_out->push_back(std::move(rec));
-        }
+        if (wal != nullptr) logger.Add(k, it->second.head->seq_id());
       }
     }
     if (timed) [[unlikely]] {
@@ -869,8 +1004,7 @@ void TimeUnionDB::WriteRefSamples(const WriteBatch& batch, WriteResult* result,
 }
 
 void TimeUnionDB::WriteLabeledSamples(const WriteBatch& batch,
-                                      WriteResult* result,
-                                      std::vector<WalRecord>* wal_out) {
+                                      WriteResult* result, WalBatch* wal) {
   if (batch.labeled_samples.empty()) return;
   result->resolved_refs.assign(batch.labeled_samples.size(), 0);
   for (size_t i = 0; i < batch.labeled_samples.size(); ++i) {
@@ -886,7 +1020,7 @@ void TimeUnionDB::WriteLabeledSamples(const WriteBatch& batch,
         s = RegisterSeriesSlow(sorted, key, &ref);
         if (!s.ok()) break;
       }
-      s = AppendOneByRef(ref, row.ts, row.value, wal_out);
+      s = AppendOneByRef(ref, row.ts, row.value, wal);
       // NotFound: retention retired the entry between lookup and append (it
       // removed the key mapping too) — re-register and retry once.
       if (!s.IsNotFound()) break;
@@ -924,49 +1058,39 @@ Status TimeUnionDB::Write(const WriteBatch& batch, WriteResult* result) {
     result->first_error = gate;
     return gate;
   }
-  // Sample records are deferred and appended in one WalWriter::AppendBatch
-  // call at the end (one WAL mutex + one file write per batch).
-  // Registration records still log immediately inside the resolve paths,
-  // preserving the register-before-first-sample order in the log.
-  std::vector<WalRecord> deferred;
-  std::vector<WalRecord>* wal_out = nullptr;
+  // The rows' log records are encoded columnar into a per-thread WalBatch
+  // and appended in one call at the end (one WAL mutex + one file write
+  // per batch). Registration records go to REGISTRY immediately inside the
+  // resolve paths; replay reads REGISTRY before any segment.
+  WalBatch* wal = nullptr;
   if (wal_) {
-    deferred.reserve(rows);
-    wal_out = &deferred;
+    static thread_local WalBatch tls_wal;
+    wal = &tls_wal;
+    wal->Clear();
   }
-  WriteRefSamples(batch, result, wal_out);
-  WriteLabeledSamples(batch, result, wal_out);
-  WriteGroupRows(batch, result, wal_out);
-  WriteLabeledGroupRows(batch, result, wal_out);
-  if (wal_out != nullptr && !deferred.empty()) {
-    if (c_wal_appends_ != nullptr) c_wal_appends_->Add(deferred.size());
-    const bool timed = h_wal_append_ != nullptr && obs::SampleOneIn<6>();
-    const uint64_t append_start_us = timed ? obs::MonotonicUs() : 0;
-    Status ws = wal_->AppendBatch(deferred.data(), deferred.size());
-    if (!ws.ok()) {
-      error_handler_.OnBackgroundError(BgErrorScope::kWalAppend, ws,
-                                       SteadyNowMs());
-      // The heads already hold the samples but the log does not: report
-      // the whole batch as failed so no caller acks rows the WAL may lose.
-      result->first_error = ws;
-      result->rejected += result->appended;
-      result->appended = 0;
-      return ws;
-    }
-    if (timed) h_wal_append_->Observe(obs::MonotonicUs() - append_start_us);
-    // Inline purge with hysteresis (same policy as MaybeLog): only once
-    // the log has doubled past the last purge's result.
-    const uint64_t written = wal_->bytes_written();
-    if (written > options_.wal_purge_bytes &&
-        written > 2 * wal_post_purge_bytes_.load(std::memory_order_relaxed)) {
-      std::unique_lock<std::mutex> purge_lock(wal_purge_mu_, std::try_to_lock);
-      if (purge_lock.owns_lock()) {
-        TU_RETURN_IF_ERROR(wal_->Purge());
-        wal_post_purge_bytes_.store(wal_->bytes_written(),
-                                    std::memory_order_relaxed);
-      }
-    }
+  WriteRefSamples(batch, result, wal);
+  WriteLabeledSamples(batch, result, wal);
+  WriteGroupRows(batch, result, wal);
+  WriteLabeledGroupRows(batch, result, wal);
+  if (wal == nullptr || wal->empty()) return Status::OK();
+  if (c_wal_appends_ != nullptr) c_wal_appends_->Add(wal->entries());
+  const uint64_t append_start_us =
+      h_wal_append_ != nullptr ? obs::MonotonicUs() : 0;
+  Status ws = wal_->Append(*wal);
+  if (!ws.ok()) {
+    error_handler_.OnBackgroundError(BgErrorScope::kWalAppend, ws,
+                                     SteadyNowMs());
+    // The heads already hold the samples but the log does not: report
+    // the whole batch as failed so no caller acks rows the WAL may lose.
+    result->first_error = ws;
+    result->rejected += result->appended;
+    result->appended = 0;
+    return ws;
   }
+  if (h_wal_append_ != nullptr) {
+    h_wal_append_->Observe(obs::MonotonicUs() - append_start_us);
+  }
+  MaybeForceWalFlush();
   return Status::OK();
 }
 
@@ -1002,6 +1126,9 @@ Status TimeUnionDB::AppendRowToGroup(GroupEntry* entry,
                                        &result, &too_old));
     if (too_old) {
       // Single-row group chunk straight into the LSM.
+      if (wal_ && head->open_first_seq() != 0) {
+        NoteTooOldChunk(head->id(), head->seq_id(), head->open_first_seq());
+      }
       std::vector<compress::GroupRow> rows(1);
       rows[0].timestamp = ts;
       rows[0].values.resize(head->num_members());
@@ -1037,7 +1164,7 @@ Status TimeUnionDB::AppendOneGroupRowByRef(uint64_t group_ref,
                                            const std::vector<uint32_t>& slots,
                                            int64_t ts,
                                            const std::vector<double>& values,
-                                           std::vector<WalRecord>* wal_out) {
+                                           WalBatch* wal) {
   if (slots.size() != values.size()) {
     return Status::InvalidArgument("slot/value count mismatch");
   }
@@ -1059,25 +1186,18 @@ Status TimeUnionDB::AppendOneGroupRowByRef(uint64_t group_ref,
     }
   }
   TU_RETURN_IF_ERROR(AppendRowToGroup(&it->second, slots, ts, values));
-  if (wal_out != nullptr) {
-    WalRecord rec;
-    rec.type = WalRecordType::kGroupSample;
-    rec.id = group_ref;
-    rec.seq = it->second.head->seq_id();
-    rec.ts = ts;
-    rec.slots = slots;
-    rec.values = values;
-    wal_out->push_back(std::move(rec));
+  if (wal != nullptr) {
+    wal->AddGroupRow(group_ref, it->second.head->seq_id(), ts, slots, values);
   }
   if (timed) h_group_append_->Observe(obs::MonotonicUs() - append_start_us);
   return Status::OK();
 }
 
 void TimeUnionDB::WriteGroupRows(const WriteBatch& batch, WriteResult* result,
-                                 std::vector<WalRecord>* wal_out) {
+                                 WalBatch* wal) {
   for (const WriteBatch::GroupRow& row : batch.group_rows) {
     Status s = AppendOneGroupRowByRef(row.group_ref, row.slots, row.ts,
-                                      row.values, wal_out);
+                                      row.values, wal);
     if (s.ok()) {
       ++result->appended;
     } else {
@@ -1087,8 +1207,7 @@ void TimeUnionDB::WriteGroupRows(const WriteBatch& batch, WriteResult* result,
 }
 
 void TimeUnionDB::WriteLabeledGroupRows(const WriteBatch& batch,
-                                        WriteResult* result,
-                                        std::vector<WalRecord>* wal_out) {
+                                        WriteResult* result, WalBatch* wal) {
   if (batch.labeled_group_rows.empty()) return;
   result->resolved_groups.resize(batch.labeled_group_rows.size());
   for (size_t i = 0; i < batch.labeled_group_rows.size(); ++i) {
@@ -1105,9 +1224,9 @@ void TimeUnionDB::WriteLabeledGroupRows(const WriteBatch& batch,
 
       // Member resolution may register new members (index/tag-store
       // writes), so the whole slow path serializes behind the registration
-      // mutex; the by-ref path never takes it. Member registration records
-      // log immediately (not deferred) so a register always precedes the
-      // first sample referencing its slot in the WAL.
+      // mutex; the by-ref path never takes it. Member registrations go to
+      // the WAL's REGISTRY right away, and replay reads REGISTRY before any
+      // row that references the new slot.
       std::lock_guard<std::mutex> reg_lock(reg_mu_);
       uint64_t group_ref = 0;
       if (!LookupGroupRef(group_key, &group_ref)) {
@@ -1156,21 +1275,15 @@ void TimeUnionDB::WriteLabeledGroupRows(const WriteBatch& batch,
           reg.id = group_ref;
           reg.slot = new_slot;
           reg.labels = sorted;
-          TU_RETURN_IF_ERROR(MaybeLog(reg));
+          TU_RETURN_IF_ERROR(LogRegistration(reg));
         }
         slots->push_back(static_cast<uint32_t>(slot));
       }
 
       TU_RETURN_IF_ERROR(AppendRowToGroup(entry, *slots, row.ts, row.values));
-      if (wal_out != nullptr) {
-        WalRecord rec;
-        rec.type = WalRecordType::kGroupSample;
-        rec.id = group_ref;
-        rec.seq = entry->head->seq_id();
-        rec.ts = row.ts;
-        rec.slots = *slots;
-        rec.values = row.values;
-        wal_out->push_back(std::move(rec));
+      if (wal != nullptr) {
+        wal->AddGroupRow(group_ref, entry->head->seq_id(), row.ts, *slots,
+                         row.values);
       }
       resolved->group_ref = group_ref;
       return Status::OK();

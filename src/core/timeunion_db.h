@@ -87,7 +87,12 @@ struct DBOptions {
 
   /// §3.3 logging scheme. Off for pure benchmarks.
   bool enable_wal = false;
-  /// Purge the WAL when it exceeds this size.
+  /// Live-log budget. Flush marks retire WAL segments on their own; when
+  /// the live segments still exceed this many bytes (an idle series'
+  /// records pin the oldest one), the DB closes the open chunks of the ids
+  /// pinning the oldest segment and flushes the memtables, so that segment
+  /// is retired too. Segments are WalWriter::kSegmentBytes, or a quarter
+  /// of this budget when that is smaller.
   uint64_t wal_purge_bytes = 16 << 20;
 
   /// Degraded reads: when false (the default), Query / QueryIterators keep
@@ -152,7 +157,7 @@ struct DBOptions {
   /// Data retention window (0 = keep everything); see ApplyRetention.
   int64_t retention_ms = 0;
   /// Run the §3.3 background maintenance worker (periodic retention,
-  /// WAL purge, mmap release hints).
+  /// auto-resume, deferred uploads, scrub, mmap release hints).
   bool background_maintenance = false;
   int64_t maintenance_interval_ms = 1000;
   /// Clock for the retention watermark (tests inject a virtual clock).
@@ -275,8 +280,9 @@ class TimeUnionDB {
   /// single-row shims over it. Amortizations relative to one call per row:
   /// the write-quiesce gate and admission check run once per batch (charged
   /// with the batch's sample count), consecutive rows addressing the same
-  /// series share one shard/stripe lock acquisition, and all sample WAL
-  /// records land in a single framed append (one WAL mutex acquisition).
+  /// series share one shard/stripe lock acquisition, and the batch's log
+  /// records — one columnar record per ref-run — land in a single append
+  /// (one WAL mutex acquisition).
   ///
   /// Error semantics: row failures are counted in result->rejected with the
   /// first failure in result->first_error while the rest of the batch still
@@ -510,7 +516,14 @@ class TimeUnionDB {
 
   Status Init();
   Status StartMaintenance();
-  Status RecoverFromWal();
+  /// Loads the WAL, opens the LSM, replays registrations and every record
+  /// no flush mark covers, re-logs those into fresh segments and drops the
+  /// old ones. Memtable flushes during replay hold their marks back until
+  /// the old segments are gone (a mark in the new numbering would cover
+  /// old records not yet replayed).
+  Status OpenWal();
+  Status ReplayRegistration(const WalRecord& r, const WalLog& log);
+  Status ReplayRecord(const WalRecord& r, uint64_t mark, WalBatch* relog);
 
   struct SeriesEntry {
     std::unique_ptr<mem::SeriesHead> head;
@@ -562,38 +575,38 @@ class TimeUnionDB {
 
   // -- Batched write pipeline (the bodies behind Write) ---------------------
   //
-  // Each helper applies one batch section, appending per-row WAL records to
-  // `wal_out` (null when the WAL is off) instead of logging inline; Write
-  // flushes them in one AppendBatch at the end. Row failures are folded
-  // into `result` (rejected count + first_error) without aborting.
+  // Each helper applies one batch section, encoding the log records of the
+  // rows it applied into `wal` (null when the WAL is off); Write appends
+  // the whole WalBatch at the end. Row failures are folded into `result`
+  // (rejected count + first_error) without aborting.
 
   /// Ref-addressed samples. Consecutive rows with the same ref share one
   /// shard-lock + stripe-lock acquisition (run detection), which is where
   /// a sorted batch wins over per-sample inserts.
   void WriteRefSamples(const WriteBatch& batch, WriteResult* result,
-                       std::vector<WalRecord>* wal_out);
+                       WalBatch* wal);
   /// Label-addressed samples: resolve-or-register, then append; fills
   /// result->resolved_refs (0 on row failure).
   void WriteLabeledSamples(const WriteBatch& batch, WriteResult* result,
-                           std::vector<WalRecord>* wal_out);
+                           WalBatch* wal);
   /// Ref-addressed group rows.
   void WriteGroupRows(const WriteBatch& batch, WriteResult* result,
-                      std::vector<WalRecord>* wal_out);
+                      WalBatch* wal);
   /// Label-addressed group rows: resolve-or-register group and members
-  /// (member registration logs immediately, keeping register-before-sample
-  /// order in the WAL); fills result->resolved_groups.
+  /// (registrations go to the WAL's REGISTRY file immediately, which
+  /// replay reads before any sample); fills result->resolved_groups.
   void WriteLabeledGroupRows(const WriteBatch& batch, WriteResult* result,
-                             std::vector<WalRecord>* wal_out);
+                             WalBatch* wal);
 
-  /// Appends one sample by ref, deferring its WAL record to `wal_out`.
+  /// Appends one sample by ref, encoding its log record into `wal`.
   Status AppendOneByRef(uint64_t series_ref, int64_t ts, double value,
-                        std::vector<WalRecord>* wal_out);
-  /// Appends one group row by ref, deferring its WAL record to `wal_out`.
+                        WalBatch* wal);
+  /// Appends one group row by ref, encoding its log record into `wal`.
   Status AppendOneGroupRowByRef(uint64_t group_ref,
                                 const std::vector<uint32_t>& slots,
                                 int64_t ts,
                                 const std::vector<double>& values,
-                                std::vector<WalRecord>* wal_out);
+                                WalBatch* wal);
   /// Folds one row failure into `result`.
   static void RowReject(WriteResult* result, const Status& s);
 
@@ -643,7 +656,27 @@ class TimeUnionDB {
   /// through AppendToSeries directly).
   Status AdmitWrite(uint64_t num_samples);
 
-  Status MaybeLog(const WalRecord& record);
+  /// Appends a registration record to the WAL's REGISTRY file (no-op with
+  /// the WAL off); failures go to the error handler like any append.
+  Status LogRegistration(const WalRecord& record);
+
+  /// The LSM's on_flush hook: turns a flushed memtable's (id, newest chunk
+  /// seq) set into one flush-mark record, clamped so that no mark covers a
+  /// sample still in an open chunk (see NoteTooOldChunk).
+  void OnMemTableFlushed(const SeqMarks& id_seqs);
+  /// A too-old sample became a single-sample chunk stamped `chunk_seq`
+  /// while the head's open chunk still holds samples from `open_first_seq`
+  /// on: a mark derived from that chunk must stop below them. Caller holds
+  /// the entry's append lock.
+  void NoteTooOldChunk(uint64_t id, uint64_t chunk_seq,
+                       uint64_t open_first_seq);
+
+  /// Enforces DBOptions::wal_purge_bytes after a WAL append: when the live
+  /// log is over budget, one writer (the others skip) closes the open
+  /// chunks of the ids pinning the oldest segment, flushes the memtables
+  /// and marks those ids, which retires the segment.
+  void MaybeForceWalFlush();
+  Status ForceWalFlush();
 
   /// One recovery probe: WAL rotation if poisoned, then retained
   /// flush/maintenance retry; reports the outcome to error_handler_.
@@ -672,10 +705,17 @@ class TimeUnionDB {
   lsm::TimePartitionedLsm* time_lsm_ = nullptr;  // borrowed view of lsm_
   lsm::LeveledLsm* leveled_lsm_ = nullptr;       // borrowed view of lsm_
   std::unique_ptr<WalWriter> wal_;
-  /// Gates the inline WAL purge: log size after the last purge (hysteresis
-  /// baseline) and a try-lock so only one thread rewrites at a time.
-  std::mutex wal_purge_mu_;
-  std::atomic<uint64_t> wal_post_purge_bytes_{0};
+  /// Flush-mark state, guarded by marks_mu_: pending too-old clamps by id
+  /// ((chunk seq, highest coverable seq), ascending), and — while OpenWal
+  /// replays — the marks held back until the old segments are dropped.
+  std::mutex marks_mu_;
+  std::unordered_map<uint64_t, SeqMarks> mark_clamps_;
+  bool replaying_ = false;
+  SeqMarks held_marks_;
+  /// Live-log budget enforcement: one forcing writer at a time, and the
+  /// oldest segment it last forced (forcing it again would not free it).
+  std::atomic<bool> forcing_wal_flush_{false};
+  uint64_t forced_segment_ = 0;  // written only by the forcing writer
 
   /// Lock hierarchy (acquire strictly in this order, release any order):
   ///   reg_mu_ → shard mu (one at a time; EntryShard before KeyShard when
@@ -710,12 +750,13 @@ class TimeUnionDB {
   /// turns every recording site into a no-op). Registered once in Init.
   obs::Histogram* h_ingest_append_ = nullptr;  // sampled 1-in-64
   obs::Histogram* h_group_append_ = nullptr;   // sampled 1-in-64
-  obs::Histogram* h_wal_append_ = nullptr;     // sampled 1-in-64
+  obs::Histogram* h_wal_append_ = nullptr;     // every batch append
   obs::Histogram* h_chunk_flush_ = nullptr;
   obs::Histogram* h_query_e2e_ = nullptr;
   obs::Histogram* h_query_setup_ = nullptr;
   obs::Counter* c_rows_ = nullptr;
-  obs::Counter* c_wal_appends_ = nullptr;
+  obs::Counter* c_wal_appends_ = nullptr;  // samples + group rows logged
+  obs::Counter* c_wal_forced_flushes_ = nullptr;
   obs::Counter* c_chunk_flushes_ = nullptr;
 
   /// Per-stripe sample counts, aligned with append_locks_: each cell is

@@ -776,15 +776,32 @@ Status TimePartitionedLsm::FlushMemTable(MemTable* mem) {
   if (trace_ != nullptr) {
     trace_->Record("flush", "partitions=" + std::to_string(buckets.size()));
   }
-  // Flush marks (the §3.3 WAL purge hook) only after the flushed tables are
-  // durably referenced: a crash before this point keeps the WAL records
-  // live, so replay rebuilds what the flush had not yet committed.
+  // Flush marks (the §3.3 log retirement hook) only after the flushed
+  // tables are durably referenced: a crash before this point keeps the WAL
+  // records live, so replay rebuilds what the flush had not yet committed.
   if (options_.on_flush) {
+    std::vector<std::pair<uint64_t, uint64_t>> id_seqs;
     for (const auto& [part_start, entries] : buckets) {
       for (const auto& [ikey, value] : entries) {
-        options_.on_flush(InternalKeyUserKey(ikey), value);
+        uint64_t chunk_seq = 0;
+        Slice payload = ChunkValuePayload(value);
+        if (GetVarint64(&payload, &chunk_seq)) {
+          id_seqs.emplace_back(ChunkKeyId(InternalKeyUserKey(ikey)), chunk_seq);
+        }
       }
     }
+    // One (id, newest seq) per id.
+    std::sort(id_seqs.begin(), id_seqs.end());
+    size_t out = 0;
+    for (size_t i = 0; i < id_seqs.size(); ++i) {
+      if (out > 0 && id_seqs[out - 1].first == id_seqs[i].first) {
+        id_seqs[out - 1].second = id_seqs[i].second;
+      } else {
+        id_seqs[out++] = id_seqs[i];
+      }
+    }
+    id_seqs.resize(out);
+    options_.on_flush(id_seqs);
   }
   return Status::OK();
 }
@@ -1084,8 +1101,16 @@ Status TimePartitionedLsm::CompactOldestL0() {
   }
 
   std::vector<MergeSegment> outputs;
-  TU_RETURN_IF_ERROR(
-      MergePartitionTables(inputs, boundaries, /*to_slow=*/false, &outputs));
+  const Status merged =
+      MergePartitionTables(inputs, boundaries, /*to_slow=*/false, &outputs);
+  if (!merged.ok()) {
+    // A failed merge (ENOSPC writing an output, say) leaves its inputs the
+    // only copy: put them back so reads keep seeing them and the retry
+    // finds them.
+    l0_.insert(l0_.begin(), std::move(victim));
+    RestoreL1(std::move(l1_inputs));
+    return merged;
+  }
 
   // Install the new L1 partitions. Segments beyond the merged range (rows
   // of wide-spanning head chunks) land in an existing L1 partition of the
@@ -1138,6 +1163,14 @@ Status TimePartitionedLsm::CompactOldestL0() {
     trace_->Record("compact.l0l1", "us=" + std::to_string(l0_l1_us));
   }
   return Status::OK();
+}
+
+void TimePartitionedLsm::RestoreL1(std::vector<Partition> partitions) {
+  for (Partition& p : partitions) l1_.push_back(std::move(p));
+  std::sort(l1_.begin(), l1_.end(),
+            [](const Partition& a, const Partition& b) {
+              return a.start < b.start;
+            });
 }
 
 Status TimePartitionedLsm::MaybeCompactL1ToL2() {
@@ -1212,10 +1245,13 @@ Status TimePartitionedLsm::CompactL1WindowToL2(int64_t w_start, int64_t w_end,
       overlapping.empty() && !options_.rollup_granularities_ms.empty();
 
   std::vector<MergeSegment> outputs;
-  TU_RETURN_IF_ERROR(MergePartitionTables(input_tables, boundaries,
-                                          /*to_slow=*/true, &outputs,
-                                          want_rollups ? &rollup_build
-                                                       : nullptr));
+  const Status merged = MergePartitionTables(
+      input_tables, boundaries, /*to_slow=*/true, &outputs,
+      want_rollups ? &rollup_build : nullptr);
+  if (!merged.ok()) {
+    RestoreL1(std::move(inputs));  // see CompactOldestL0
+    return merged;
+  }
 
   // Route every segment — including ones the merge added beyond the window
   // for wide-spanning head-chunk rows — to the partition that truly covers
@@ -1390,8 +1426,19 @@ Status TimePartitionedLsm::MergeEntryPatches(size_t partition_index,
 
   std::vector<int64_t> boundaries = {partition->start, partition->end};
   std::vector<MergeSegment> outputs;
-  TU_RETURN_IF_ERROR(MergePartitionTables(inputs, boundaries,
-                                          /*to_slow=*/true, &outputs));
+  const Status merged = MergePartitionTables(inputs, boundaries,
+                                             /*to_slow=*/true, &outputs);
+  if (!merged.ok()) {
+    // As in CompactOldestL0: the entries stay live until a merge succeeds.
+    for (L2Entry& entry : victims) {
+      partition->entries.push_back(std::move(entry));
+    }
+    std::sort(partition->entries.begin(), partition->entries.end(),
+              [](const L2Entry& a, const L2Entry& b) {
+                return a.base.meta.min_series_id < b.base.meta.min_series_id;
+              });
+    return merged;
+  }
 
   // Fig. 11: the merge yields new base tables with disjoint ID ranges.
   // Patch tables can carry rows outside this partition's time range (they

@@ -76,9 +76,11 @@ struct TimeLsmOptions {
   std::vector<int64_t> rollup_granularities_ms;
   /// Flush immutable memtables on a background worker (immutable queue).
   bool background_flush = false;
-  /// Invoked for every key-value pair as it reaches level 0 — the hook the
-  /// §3.3 logging scheme uses to write flush-mark records.
-  std::function<void(const Slice& user_key, const Slice& value)> on_flush;
+  /// Invoked once per memtable flush, after its tables are durably in the
+  /// manifest, with the newest chunk seq of every id the memtable held —
+  /// the hook the §3.3 logging scheme turns into one flush-mark record.
+  std::function<void(const std::vector<std::pair<uint64_t, uint64_t>>&)>
+      on_flush;
   /// Invoked (from the failing thread, no LSM locks held) whenever a
   /// background flush or maintenance pass fails, with the stage that
   /// failed; flush/compaction errors are also latched in
@@ -365,6 +367,8 @@ class TimePartitionedLsm : public ChunkStore {
   Status MaybeMaintain();
   Status CompactOldestL0();
   Status MaybeCompactL1ToL2();
+  /// Returns compaction inputs to level 1 after a failed merge.
+  void RestoreL1(std::vector<Partition> partitions);
   Status CompactL1WindowToL2(int64_t w_start, int64_t w_end,
                              std::vector<Partition> inputs);
   Status MergePatchesIfNeeded();

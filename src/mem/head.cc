@@ -100,6 +100,7 @@ Status SeriesHead::Append(int64_t ts, double value, int64_t partition_end,
   if (open_->count == 0) {
     open_->first_ts = ts;
     open_->partition_end = partition_end;
+    open_first_seq_ = seq_id_;
   }
   open_->builder->Append(ts, value);
   ++open_->count;
@@ -112,6 +113,7 @@ Status SeriesHead::Append(int64_t ts, double value, int64_t partition_end,
 }
 
 bool SeriesHead::CloseChunk(std::string* payload, int64_t* first_ts) {
+  open_first_seq_ = 0;
   if (has_overflow_) {
     *payload = std::move(overflow_payload_);
     *first_ts = overflow_first_ts_;
@@ -399,6 +401,7 @@ Status GroupHead::InsertRow(int64_t ts,
   if (open_count_ == 0) {
     first_ts_ = ts;
     partition_end_ = partition_end;
+    open_first_seq_ = seq_id_;
   }
   ts_encoder_.Append(ts_writer_.get(), ts);
   for (size_t m = 0; m < members_.size(); ++m) {
@@ -419,6 +422,7 @@ Status GroupHead::InsertRow(int64_t ts,
 }
 
 bool GroupHead::CloseChunk(std::string* payload, int64_t* first_ts) {
+  open_first_seq_ = 0;
   if (has_overflow_) {
     *payload = std::move(overflow_payload_);
     *first_ts = overflow_first_ts_;

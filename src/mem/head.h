@@ -17,6 +17,7 @@
 // different entry locks may allocate/write chunks concurrently.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -56,6 +57,11 @@ class SeriesHead {
   bool has_open_chunk() const { return open_ != nullptr; }
   int64_t open_first_ts() const { return open_ ? open_->first_ts : 0; }
   uint32_t open_count() const { return open_ ? open_->count : 0; }
+  /// Seq of the oldest sample still in the open chunk; 0 when it is empty.
+  uint64_t open_first_seq() const { return open_first_seq_; }
+  /// Recovery: resumes seq numbering at `seq` so new samples (and the
+  /// chunks and flush marks stamped from them) sort after logged ones.
+  void AdvanceSeq(uint64_t seq) { seq_id_ = std::max(seq_id_, seq); }
 
   /// Appends one sample. `partition_end` bounds the open chunk: a sample
   /// with ts >= partition_end returns kNeedsFlush so the caller closes the
@@ -106,6 +112,7 @@ class SeriesHead {
   int64_t overflow_first_ts_ = 0;
   bool has_overflow_ = false;
   uint64_t seq_id_ = 0;
+  uint64_t open_first_seq_ = 0;
   int64_t last_ts_ = INT64_MIN;
 };
 
@@ -131,6 +138,9 @@ class GroupHead {
   bool has_open_chunk() const { return open_count_ > 0 || ts_slot_valid_; }
   int64_t open_first_ts() const { return first_ts_; }
   uint32_t open_count() const { return open_count_; }
+  /// See SeriesHead::open_first_seq / AdvanceSeq.
+  uint64_t open_first_seq() const { return open_first_seq_; }
+  void AdvanceSeq(uint64_t seq) { seq_id_ = std::max(seq_id_, seq); }
 
   size_t num_members() const { return members_.size(); }
   const GroupMember& member(size_t i) const { return members_[i]; }
@@ -207,6 +217,7 @@ class GroupHead {
   int64_t partition_end_ = 0;
 
   uint64_t seq_id_ = 0;
+  uint64_t open_first_seq_ = 0;
   int64_t last_ts_ = INT64_MIN;
 };
 

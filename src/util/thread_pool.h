@@ -1,5 +1,5 @@
 // ThreadPool: fixed-size worker pool for background LSM work (immutable
-// memtable flushes, compactions, retention/log-purge workers).
+// memtable flushes, compactions, retention workers).
 #pragma once
 
 #include <condition_variable>

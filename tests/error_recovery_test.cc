@@ -7,9 +7,10 @@
 //     released the maintenance tick auto-resumes and the DB ends
 //     byte-identical to a fault-free control run.
 //   - fsync-failure discipline: a failed WAL sync poisons the writer
-//     (fsyncgate: the dirty pages may be gone), Rotate() rebuilds the log
-//     from the durable prefix plus the in-memory unsynced tail, and replay
-//     afterwards sees every record that was ever acknowledged.
+//     (fsyncgate: the dirty pages may be gone), Rotate() rebuilds the
+//     active segment from its durable prefix plus the in-memory unsynced
+//     tail, and replay afterwards sees every record that was ever
+//     acknowledged.
 //   - Crash while degraded: a process that dies mid-quiesce must still
 //     recover every acknowledged sample on reopen.
 #include <gtest/gtest.h>
@@ -151,14 +152,13 @@ TEST(ErrorHandlerTest, BackoffDoublesAndExhaustionEscalatesToReadOnly) {
 
 // -- fsync-failure discipline (WAL rotation) ---------------------------------
 
-core::WalRecord SampleRecord(uint64_t id, uint64_t seq) {
-  core::WalRecord r;
-  r.type = core::WalRecordType::kSample;
-  r.id = id;
-  r.seq = seq;
-  r.ts = static_cast<int64_t>(seq) * 250;
-  r.value = 1.0 * static_cast<double>(seq);
-  return r;
+// One single-sample log record per seq: ts = seq * 250, value = seq.
+core::WalBatch SampleRecord(uint64_t id, uint64_t seq) {
+  const int64_t ts = static_cast<int64_t>(seq) * 250;
+  const double value = 1.0 * static_cast<double>(seq);
+  core::WalBatch batch;
+  batch.AddSampleRun(id, seq, &ts, &value, 1);
+  return batch;
 }
 
 TEST(WalRotationTest, FsyncFailurePoisonsThenRotationPreservesUnsyncedTail) {
@@ -169,8 +169,10 @@ TEST(WalRotationTest, FsyncFailurePoisonsThenRotationPreservesUnsyncedTail) {
   sim.fault = fi;
   cloud::BlockStore store(ws, sim);
 
-  core::WalWriter writer(&store, "WAL");
-  ASSERT_TRUE(writer.Open().ok());
+  core::WalLog empty;
+  ASSERT_TRUE(core::WalLog::Load(&store, "wal", &empty).ok());
+  core::WalWriter writer(&store, "wal");
+  ASSERT_TRUE(writer.Open(empty).ok());
 
   // Records 0..9: appended AND synced — the durable prefix.
   for (uint64_t i = 0; i < 10; ++i) {
@@ -182,20 +184,20 @@ TEST(WalRotationTest, FsyncFailurePoisonsThenRotationPreservesUnsyncedTail) {
   for (uint64_t i = 10; i < 15; ++i) {
     ASSERT_TRUE(writer.Append(SampleRecord(1, i)).ok());
   }
-  fi->AddRule(FaultRule::NoSpace(FaultOpMask(FaultOp::kSync), "WAL",
+  fi->AddRule(FaultRule::NoSpace(FaultOpMask(FaultOp::kSync), "wal/",
                                  /*release_after_fires=*/1));
   Status s = writer.Sync();
   ASSERT_FALSE(s.ok()) << "injected fsync failure must surface";
   ASSERT_FALSE(writer.poison().ok());
 
-  // fsyncgate: the poisoned fd fails everything fast — no retrying the
-  // sync, no appending past a possibly-partial frame.
+  // fsyncgate: the poisoned writer fails everything fast — no retrying the
+  // sync, no appending past a possibly-partial frame, no flush marks.
   EXPECT_FALSE(writer.Append(SampleRecord(1, 99)).ok());
   EXPECT_FALSE(writer.Sync().ok());
-  EXPECT_FALSE(writer.Purge().ok());
+  EXPECT_FALSE(writer.AppendMarks({{1, 3}}).ok());
 
-  // Rotation rebuilds from the synced prefix + the in-memory tail; the
-  // writer is clean again and keeps accepting records.
+  // Rotation rebuilds only the active segment, from its synced prefix + the
+  // in-memory tail, and starts a fresh one that keeps accepting records.
   ASSERT_TRUE(writer.Rotate().ok());
   EXPECT_TRUE(writer.poison().ok());
   for (uint64_t i = 15; i < 20; ++i) {
@@ -205,22 +207,22 @@ TEST(WalRotationTest, FsyncFailurePoisonsThenRotationPreservesUnsyncedTail) {
 
   // Replay parity: every record framed before the failure survived the
   // rotation — including the unsynced 10..14 tail — in order, clean EOF.
+  core::WalLog log;
+  ASSERT_TRUE(core::WalLog::Load(&store, "wal", &log).ok());
   std::vector<core::WalRecord> records;
-  core::WalReplayStats stats;
-  ASSERT_TRUE(core::ReplayWal(&store, "WAL",
-                              [&](const core::WalRecord& r) {
-                                records.push_back(r);
-                                return Status::OK();
-                              },
-                              &stats)
+  ASSERT_TRUE(log.ForEachRecord([&](const core::WalRecord& r) {
+                   records.push_back(r);
+                   return Status::OK();
+                 })
                   .ok());
   ASSERT_EQ(records.size(), 20u);
   for (uint64_t i = 0; i < 20; ++i) {
     EXPECT_EQ(records[i].seq, i);
-    EXPECT_EQ(records[i].ts, static_cast<int64_t>(i) * 250);
+    ASSERT_EQ(records[i].timestamps.size(), 1u);
+    EXPECT_EQ(records[i].timestamps[0], static_cast<int64_t>(i) * 250);
   }
-  EXPECT_TRUE(stats.Clean());
-  EXPECT_TRUE(stats.clean_eof);
+  EXPECT_TRUE(log.stats().Clean());
+  EXPECT_TRUE(log.stats().clean_eof);
 
   RemoveDirRecursive(ws);
 }
@@ -239,6 +241,41 @@ core::DBOptions DrillOptions(const std::string& ws) {
   opts.lsm.partition_lower_bound_ms = 1000;
   opts.lsm.l0_partition_trigger = 1;
   return opts;
+}
+
+// A flush mark that cannot be appended is a WAL append failure like any
+// other: it poisons the log, so it must reach the error handler (quiesce,
+// then auto-resume by rotation) instead of being dropped by the flush hook.
+TEST(WalMarkFailureTest, FailedMarkAppendReachesErrorHandler) {
+  const std::string ws = "/tmp/timeunion_test/error_recovery_mark";
+  RemoveDirRecursive(ws);
+  auto fi = std::make_shared<FaultInjector>(11);
+  core::DBOptions opts = DrillOptions(ws);
+  opts.env_options.fast_sim.fault = fi;
+  opts.lsm.memtable_bytes = 1 << 20;  // nothing flushes before Flush()
+  std::unique_ptr<core::TimeUnionDB> db;
+  ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
+  uint64_t ref = 0;
+  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
+  for (int i = 1; i < 50; ++i) {
+    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  }
+  // The log's disk fills; the LSM's does not. Flush's tables land, and the
+  // only WAL append it makes is the memtable's mark record.
+  fi->AddRule(FaultRule::NoSpace(FaultOpMask(FaultOp::kAppend), "wal/"));
+  EXPECT_FALSE(db->Flush().ok());
+  const obs::MetricsSnapshot snap = db->Metrics();
+  EXPECT_GE(snap.CounterOr0("error_handler.errors_by_scope.wal_append"), 1u);
+  EXPECT_EQ(db->Health(), DbHealth::kDegradedWrites);
+  EXPECT_TRUE(db->InsertFast(ref, 50 * 250LL, 50.0).IsResourceExhausted());
+
+  // Space returns: the resume probe rotates the log and writes flow again.
+  ASSERT_GT(fi->ReleaseNoSpace(), 0u);
+  ASSERT_TRUE(db->Resume().ok());
+  EXPECT_EQ(db->Health(), DbHealth::kHealthy);
+  ASSERT_TRUE(db->InsertFast(ref, 50 * 250LL, 50.0).ok());
+  db.reset();
+  RemoveDirRecursive(ws);
 }
 
 TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {

@@ -727,6 +727,8 @@ core::DBOptions CrashWorkloadOptions(const std::string& ws) {
   opts.lsm.l2_partition_ms = 4000;
   opts.lsm.partition_lower_bound_ms = 1000;
   opts.lsm.l0_partition_trigger = 1;
+  // 256-byte segments: the workload seals and retires dozens of them.
+  opts.wal_purge_bytes = 1 << 10;
   return opts;
 }
 
@@ -818,8 +820,16 @@ TEST_P(CrashRecoveryTest, AcknowledgedSamplesSurviveCrash) {
               result[0].samples[i].timestamp)
         << c.site;
   }
+  // Byte-identical to the fault-free control: every sample is one the
+  // workload wrote, with the value it wrote.
   std::map<int64_t, double> samples;
-  for (const auto& s : result[0].samples) samples[s.timestamp] = s.value;
+  for (const auto& s : result[0].samples) {
+    samples[s.timestamp] = s.value;
+    ASSERT_EQ(s.timestamp % kCrashIntervalMs, 0) << c.site;
+    const int64_t i = s.timestamp / kCrashIntervalMs;
+    ASSERT_LT(i, kCrashSamples) << c.site;
+    EXPECT_EQ(s.value, 1.0 * static_cast<double>(i)) << c.site;
+  }
   for (int i = 0; i < acked; ++i) {
     auto it = samples.find(i * kCrashIntervalMs);
     ASSERT_NE(it, samples.end())
@@ -841,6 +851,8 @@ TEST_P(CrashRecoveryTest, AcknowledgedSamplesSurviveCrash) {
 INSTANTIATE_TEST_SUITE_P(
     CrashMatrix, CrashRecoveryTest,
     ::testing::Values(CrashCase{"wal.append", 25},
+                      CrashCase{"wal.seal", 2},
+                      CrashCase{"wal.segment_delete", 2},
                       CrashCase{"l0.flush.pre_manifest", 0},
                       CrashCase{"l2.upload.pre_commit", 0},
                       CrashCase{"l2.upload.post_commit", 1}),
@@ -851,6 +863,74 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// A sample older than its series' open chunk becomes a single-sample chunk
+// stamped with the head's newest seq. When that chunk reaches level 0, its
+// flush mark must not cover the older samples still waiting in the open
+// chunk: replay would skip them, losing acked, synced samples in a crash.
+TEST(TooOldFlushMarkTest, OpenChunkSamplesSurviveCrash) {
+  const std::string ws = "/tmp/timeunion_test/crash_too_old_mark";
+  RemoveDirRecursive(ws);
+  core::DBOptions opts = CrashWorkloadOptions(ws);
+  opts.samples_per_chunk = 32;
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    core::DBOptions child = opts;
+    // Every chunk Put fills the memtable: the too-old chunk reaches level
+    // 0, and logs its flush mark, before the insert returns.
+    child.lsm.memtable_bytes = 1;
+    std::unique_ptr<core::TimeUnionDB> db;
+    if (!core::TimeUnionDB::Open(child, &db).ok()) std::_Exit(81);
+    // Per series and per group: four samples in the open chunk (one L0
+    // partition), then a too-old one.
+    uint64_t ref = 0, group = 0;
+    std::vector<uint32_t> slots;
+    const std::vector<index::Labels> members = {{{"metric", "mem"}}};
+    if (!db->Insert({{"metric", "cpu"}}, 10'000, 1.0, &ref).ok() ||
+        !db->InsertGroup({{"host", "h"}}, members, 10'000, {1.0}, &group,
+                         &slots)
+             .ok()) {
+      std::_Exit(82);
+    }
+    for (int k = 1; k < 4; ++k) {
+      if (!db->InsertFast(ref, 10'000 + 250 * k, 1.0 + k).ok() ||
+          !db->InsertGroupFast(group, slots, 10'000 + 250 * k, {1.0 + k})
+               .ok()) {
+        std::_Exit(82);
+      }
+    }
+    if (!db->InsertFast(ref, 0, -1.0).ok() ||
+        !db->InsertGroupFast(group, slots, 0, {-1.0}).ok()) {
+      std::_Exit(82);
+    }
+    if (!db->SyncWal().ok()) std::_Exit(83);
+    std::_Exit(cloud::kFaultCrashExitCode);  // crash: the open chunk is lost
+  }
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  ASSERT_EQ(WEXITSTATUS(wstatus), cloud::kFaultCrashExitCode);
+
+  std::unique_ptr<core::TimeUnionDB> db;
+  ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
+  const std::vector<std::pair<int64_t, double>> want = {
+      {0, -1.0}, {10'000, 1.0}, {10'250, 2.0}, {10'500, 3.0}, {10'750, 4.0}};
+  for (const char* metric : {"cpu", "mem"}) {
+    core::QueryResult result;
+    ASSERT_TRUE(db->Query({index::TagMatcher::Equal("metric", metric)}, 0,
+                          20'000, &result)
+                    .ok());
+    ASSERT_EQ(result.size(), 1u) << metric;
+    std::vector<std::pair<int64_t, double>> got;
+    for (const auto& s : result[0].samples) {
+      got.emplace_back(s.timestamp, s.value);
+    }
+    EXPECT_EQ(got, want) << metric;
+  }
+  db.reset();
+  RemoveDirRecursive(ws);
+}
 
 }  // namespace
 }  // namespace tu

@@ -246,17 +246,30 @@ TEST(CorruptionMatrixTest, CorruptWalRecordDetectedAndPrefixSalvaged) {
     ASSERT_TRUE(db->SyncWal().ok());
     // No Flush: every sample lives only in the WAL.
   }
+  // The 200 single-sample records fill one segment; flip a byte mid-way.
   cloud::TieredEnv env(ws, cloud::TieredEnvOptions::Instant());
+  std::vector<std::string> names;
+  ASSERT_TRUE(env.fast().ListDir("wal", &names).ok());
+  std::string segment;
+  for (const std::string& n : names) {
+    if (n.size() > 4 && n.compare(n.size() - 4, 4, ".seg") == 0) {
+      ASSERT_TRUE(segment.empty()) << "expected one segment";
+      segment = "wal/" + n;
+    }
+  }
+  ASSERT_FALSE(segment.empty());
   uint64_t wal_size = 0;
-  ASSERT_TRUE(env.fast().GetFileSize("WAL", &wal_size).ok());
-  ASSERT_TRUE(env.fast().CorruptFileAtRest("WAL", wal_size / 2).ok());
+  ASSERT_TRUE(env.fast().GetFileSize(segment, &wal_size).ok());
+  ASSERT_TRUE(env.fast().CorruptFileAtRest(segment, wal_size / 2).ok());
 
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
   const core::WalReplayStats& wal = db->recovery_report().wal;
   EXPECT_NE(wal.corruption_offset, core::WalReplayStats::kNoCorruption);
+  EXPECT_EQ(wal.corruption_file, segment);
   EXPECT_GT(wal.records_applied, 0u);
   EXPECT_LT(wal.records_applied, 200u);  // the tail was not trusted
+  EXPECT_GT(wal.records_dropped, 0u);
 
   core::QueryResult result;
   ASSERT_TRUE(db->Query({index::TagMatcher::Equal("metric", "cpu")}, 0,

@@ -328,6 +328,52 @@ TEST(DbMetricsTest, SnapshotCoversWholePipeline) {
   RemoveDirRecursive(ws);
 }
 
+// The WAL's instruments are plain registry counters/gauges/histograms: on
+// a quiesced DB (every segment retired by a full Flush) their JSON and
+// Prometheus renderings are pinned exactly.
+TEST(DbMetricsTest, WalInstrumentsSurfaceInJsonAndPrometheus) {
+  const std::string ws = "/tmp/timeunion_test/obs_wal";
+  RemoveDirRecursive(ws);
+  DBOptions opts = SmallPartitionOptions(ws);
+  opts.enable_wal = true;
+  std::unique_ptr<TimeUnionDB> db;
+  ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
+  uint64_t ref = 0;
+  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
+  for (int i = 1; i < 500; ++i) {
+    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  }
+  ASSERT_TRUE(db->InsertFast(ref, 500 * 250LL, 500.0).ok());  // stays open
+  ASSERT_TRUE(db->Flush().ok());
+
+  const obs::MetricsSnapshot snap = db->Metrics();
+  const uint64_t deleted = snap.CounterOr0("wal.segments_deleted");
+  EXPECT_GT(deleted, 0u);
+  const std::string json = snap.ToJson();
+  EXPECT_NE(json.find("\"wal.appends\":501,\"wal.forced_flushes\":0,"
+                      "\"wal.segments_deleted\":" +
+                      std::to_string(deleted)),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"wal.live_bytes\":0,\"wal.segments_live\":1"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"wal.append_us\":{\"count\":501,"), std::string::npos);
+  EXPECT_NE(json.find("\"wal.seal_sync_us\":{"), std::string::npos);
+
+  const std::string text = snap.ToPrometheusText();
+  EXPECT_NE(text.find("# TYPE tu_wal_segments_live gauge\n"
+                      "tu_wal_segments_live 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE tu_wal_forced_flushes counter\n"
+                      "tu_wal_forced_flushes 0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("tu_wal_seal_sync_us_count "), std::string::npos);
+
+  db.reset();
+  RemoveDirRecursive(ws);
+}
+
 // HealthReport is a typed view over Metrics(); on a quiesced DB the two
 // must agree field by field.
 TEST(DbMetricsTest, HealthReportMatchesMetricsSnapshot) {

@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -630,12 +631,29 @@ class TimeUnionDB {
                           const std::vector<uint32_t>& slots, int64_t ts,
                           const std::vector<double>& values);
 
-  /// The one read pipeline both Query and QueryIterators sit on: index
-  /// select → per-entry snapshot (labels + range-filtered open chunk)
-  /// under shard/entry locks → per-series LSM iterator via ReadContext →
-  /// MergedSeriesIterator. Performs no input validation and no stats
-  /// aggregation; `stats` (nullable) is wired into every iterator and
-  /// must outlive them.
+  /// One read target of a query: an individual series, or one member of
+  /// a group whose group + member tags satisfy every matcher, with its
+  /// labels and range-filtered open chunk.
+  struct HeadSnapshot {
+    uint64_t id = 0;
+    index::Labels labels;
+    std::vector<compress::Sample> open;
+    int member_slot = -1;  ///< -1 for an individual series
+  };
+  /// Index select, timed into query.index_select_us.
+  Status SelectIds(const std::vector<index::TagMatcher>& matchers,
+                   index::Postings* ids);
+  /// The snapshot step every read shares: appends one snapshot per series
+  /// or matching group member among `ids`, under its shard/entry locks.
+  Status SnapshotHeads(const std::vector<index::TagMatcher>& matchers,
+                       std::span<const uint64_t> ids, int64_t t0, int64_t t1,
+                       std::vector<HeadSnapshot>* out);
+  /// The one read pipeline both Query and QueryIterators sit on:
+  /// SelectIds → SnapshotHeads → per-series LSM iterator via ReadContext
+  /// (adding its slow-tier blocks to one query-wide fetch plan) → lazily-seeking
+  /// MergedSeriesIterator → issue the plan. Performs no input validation
+  /// and no stats aggregation; `stats` (nullable) is wired into every
+  /// iterator and must outlive them.
   Status QueryIteratorsImpl(const std::vector<index::TagMatcher>& matchers,
                             int64_t t0, int64_t t1, bool allow_partial,
                             std::vector<SeriesIterResult>* out,
@@ -754,6 +772,7 @@ class TimeUnionDB {
   obs::Histogram* h_chunk_flush_ = nullptr;
   obs::Histogram* h_query_e2e_ = nullptr;
   obs::Histogram* h_query_setup_ = nullptr;
+  obs::Histogram* h_query_index_select_ = nullptr;
   obs::Counter* c_rows_ = nullptr;
   obs::Counter* c_wal_appends_ = nullptr;  // samples + group rows logged
   obs::Counter* c_wal_forced_flushes_ = nullptr;

@@ -33,6 +33,14 @@ inline std::string MakeChunkKey(uint64_t id, int64_t start_ts) {
   return key;
 }
 
+/// Where a read of `id` from `t0` seeks: a chunk can start up to
+/// `slack_ms` (the maximum chunk overhang) before samples it holds, so the
+/// seek lands that far left of t0.
+inline std::string ChunkSeekKey(uint64_t id, int64_t t0, int64_t slack_ms) {
+  return MakeChunkKey(id, t0 < INT64_MIN + slack_ms ? INT64_MIN
+                                                    : t0 - slack_ms);
+}
+
 inline bool ParseChunkKey(const Slice& key, uint64_t* id, int64_t* start_ts) {
   if (key.size() != kChunkKeySize) return false;
   *id = DecodeBigEndian64(key.data());

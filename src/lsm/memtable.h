@@ -50,12 +50,19 @@ class MemTable {
   int64_t min_ts() const { return min_ts_; }
   int64_t max_ts() const { return max_ts_; }
 
+  /// Whether this memtable's tables are already installed in the store's
+  /// manifest — read and set under the owning store's manifest lock, so a
+  /// second flusher reaching the same queued memtable skips it.
+  bool installed() const { return installed_; }
+  void MarkInstalled() { installed_ = true; }
+
  private:
   Arena arena_;
   SkipList table_;
   uint64_t num_entries_ = 0;
   int64_t min_ts_ = INT64_MAX;
   int64_t max_ts_ = INT64_MIN;
+  bool installed_ = false;
 };
 
 }  // namespace tu::lsm

@@ -17,7 +17,8 @@ MergedSeriesIterator::MergedSeriesIterator(
       t1_(ctx.t1),
       member_slot_(member_slot),
       stats_(ctx.stats),
-      lsm_iter_(std::move(lsm_iter)) {
+      lsm_iter_(std::move(lsm_iter)),
+      seek_slack_ms_(seek_slack_ms) {
   // The open chunk is the newest data: stage it with maximal precedence.
   for (const compress::Sample& s : head_samples) {
     if (s.timestamp < t0_ || s.timestamp > t1_) continue;
@@ -29,9 +30,11 @@ MergedSeriesIterator::MergedSeriesIterator(
     ++stats_->batches_decoded;
     stats_->samples_decoded += staged_ts_.size();
   }
-  const int64_t seek_ts =
-      (t0_ < INT64_MIN + seek_slack_ms) ? INT64_MIN : t0_ - seek_slack_ms;
-  lsm_iter_->Seek(lsm::MakeChunkKey(id_, seek_ts));
+}
+
+void MergedSeriesIterator::SeekAndFetch() {
+  started_ = true;
+  lsm_iter_->Seek(lsm::ChunkSeekKey(id_, t0_, seek_slack_ms_));
   valid_ = FetchBatch();
   if (valid_) current_ = compress::Sample{cur_.timestamps[0], cur_.values[0]};
 }
@@ -202,6 +205,7 @@ bool MergedSeriesIterator::FetchBatch() {
 }
 
 void MergedSeriesIterator::Next() {
+  Start();
   if (!valid_) return;
   ++pos_;
   if (pos_ >= cur_.size()) valid_ = FetchBatch();
@@ -212,6 +216,7 @@ void MergedSeriesIterator::Next() {
 
 bool MergedSeriesIterator::NextBatch(SampleBatch* out) {
   out->clear();
+  Start();
   if (!valid_) return false;
   if (pos_ == 0) {
     *out = std::move(cur_);

@@ -34,7 +34,10 @@ namespace tu::query {
 
 class MergedSeriesIterator {
  public:
-  /// `lsm_iter` positioned anywhere; the iterator seeks it to `id` itself.
+  /// `lsm_iter` positioned anywhere; the iterator seeks it to `id` itself,
+  /// on first use rather than here — the seek reads the first block of
+  /// every table, so a query builds all its iterators (and issues their
+  /// block fetches together) before any of them seeks.
   /// `head_samples` are the open-chunk samples (always newest).
   /// `member_slot` >= 0 selects a group member column; -1 = individual
   /// series chunks. `seek_slack_ms` widens the initial seek left of
@@ -47,10 +50,19 @@ class MergedSeriesIterator {
 
   // -- Cursor API (per-sample view over the current batch) -----------------
 
-  bool Valid() const { return valid_; }
-  const compress::Sample& value() const { return current_; }
+  bool Valid() const {
+    Start();
+    return valid_;
+  }
+  const compress::Sample& value() const {
+    Start();
+    return current_;
+  }
   void Next();
-  Status status() const { return status_; }
+  Status status() const {
+    Start();
+    return status_;
+  }
 
   // -- Batch API ------------------------------------------------------------
 
@@ -62,6 +74,12 @@ class MergedSeriesIterator {
   bool NextBatch(SampleBatch* out);
 
  private:
+  /// Runs the deferred seek and first fetch on first use. Logically const:
+  /// to the caller the iterator is positioned from construction on.
+  void Start() const {
+    if (!started_) const_cast<MergedSeriesIterator*>(this)->SeekAndFetch();
+  }
+  void SeekAndFetch();
   /// Refills cur_ with the next finalized run; false when exhausted.
   bool FetchBatch();
   /// Peeks the next same-id chunk within the time bound. False = LSM side
@@ -81,6 +99,8 @@ class MergedSeriesIterator {
   int member_slot_;
   QueryStats* stats_ = nullptr;
   std::unique_ptr<lsm::Iterator> lsm_iter_;
+  int64_t seek_slack_ms_;
+  bool started_ = false;
   bool lsm_done_ = false;
 
   // Staging run: pending samples in ascending timestamp order with their

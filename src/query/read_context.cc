@@ -29,13 +29,14 @@ void Completeness::MergeCompleteness(const Completeness& o) {
 }
 
 std::string QueryStats::ToString() const {
-  char buf[640];
+  char buf[768];
   std::snprintf(
       buf, sizeof(buf),
       "tables considered=%llu pruned(id=%llu time=%llu bloom=%llu) "
       "skipped_unreachable=%llu partitions_pruned=%llu | blocks read=%llu "
       "pruned=%llu cache(hit=%llu miss=%llu) slow_fetches=%llu "
-      "block_bytes=%llu | chunks=%llu decoded_bytes=%llu batches=%llu "
+      "block_bytes=%llu prefetch(blocks=%llu wait_us=%llu) | chunks=%llu "
+      "decoded_bytes=%llu batches=%llu "
       "samples_per_batch=%.1f | rollup_buckets=%llu raw_edge_samples=%llu | "
       "setup_us=%llu drain_us=%llu",
       static_cast<unsigned long long>(tables_considered),
@@ -50,6 +51,8 @@ std::string QueryStats::ToString() const {
       static_cast<unsigned long long>(cache_misses),
       static_cast<unsigned long long>(slow_tier_fetches),
       static_cast<unsigned long long>(block_bytes_read),
+      static_cast<unsigned long long>(prefetch_blocks),
+      static_cast<unsigned long long>(prefetch_wait_us),
       static_cast<unsigned long long>(chunks_decoded),
       static_cast<unsigned long long>(bytes_decoded),
       static_cast<unsigned long long>(batches_decoded),

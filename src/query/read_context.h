@@ -19,6 +19,10 @@ namespace tu::index {
 struct TagMatcher;
 }  // namespace tu::index
 
+namespace tu::lsm {
+class BlockPrefetch;
+}  // namespace tu::lsm
+
 namespace tu::query {
 
 /// Per-query read-path counters. Filled at every pruning level — partition,
@@ -45,6 +49,10 @@ struct QueryStats {
   uint64_t cache_misses = 0;
   uint64_t slow_tier_fetches = 0;   ///< block fetches served by the slow tier
   uint64_t block_bytes_read = 0;    ///< uncompressed block bytes fetched
+  /// Slow-tier blocks fetched concurrently ahead of the drain.
+  uint64_t prefetch_blocks = 0;
+  /// Time iterators blocked on an in-flight prefetched block.
+  uint64_t prefetch_wait_us = 0;
 
   // Decode stage (MergedSeriesIterator).
   uint64_t chunks_decoded = 0;
@@ -64,7 +72,9 @@ struct QueryStats {
   uint64_t raw_edge_samples = 0;
 
   // Pipeline timing (monotonic microseconds).
-  uint64_t setup_us = 0;  ///< iterator construction: pruning + reader opens
+  /// Iterator construction: index select, head snapshots, pruning, reader
+  /// opens and the block-fetch plan. Block Gets run in the drain.
+  uint64_t setup_us = 0;
   uint64_t drain_us = 0;  ///< iterator drain: block fetch + chunk decode
 
   void Add(const QueryStats& o) {
@@ -80,6 +90,8 @@ struct QueryStats {
     cache_misses += o.cache_misses;
     slow_tier_fetches += o.slow_tier_fetches;
     block_bytes_read += o.block_bytes_read;
+    prefetch_blocks += o.prefetch_blocks;
+    prefetch_wait_us += o.prefetch_wait_us;
     chunks_decoded += o.chunks_decoded;
     bytes_decoded += o.bytes_decoded;
     batches_decoded += o.batches_decoded;
@@ -149,6 +161,12 @@ struct ReadContext {
   bool fill_cache = true;
   /// Optional per-query counters; see the QueryStats lifetime note.
   QueryStats* stats = nullptr;
+  /// Optional block-fetch plan shared by all series of one query. When
+  /// set, a store that fetches slow-tier blocks concurrently adds the
+  /// blocks each new iterator will read; the query issues them once every
+  /// series is planned (see lsm::BlockPrefetch). Only read while the
+  /// iterator is created.
+  lsm::BlockPrefetch* prefetch = nullptr;
 };
 
 }  // namespace tu::query

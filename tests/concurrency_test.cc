@@ -358,6 +358,78 @@ TEST(ConcurrencyTest, ConcurrentFlushAndRetentionTicks) {
   RemoveDirRecursive(opts.workspace);
 }
 
+// A read that starts after a write was acked must see it, even while a
+// flush turns the memtables holding it into tables: FlushAll keeps each
+// drained memtable readable until its tables are installed, so a reader in
+// between sees the data twice (deduped), never zero times. The readers
+// outnumber the cores so that one now and then reaches the manifest lock
+// between the flush's memtable swap and its install.
+TEST(ConcurrencyTest, ReadsRacingRepeatedFlushSeeEveryAckedPut) {
+  const std::string ws = "/tmp/timeunion_test/conc_flush_visibility";
+  constexpr int kReaders = 16;
+  constexpr int kRounds = 4;
+  constexpr int kPuts = 3000;
+  for (int round = 0; round < kRounds; ++round) {
+    RemoveDirRecursive(ws);
+    cloud::TieredEnv env(ws, cloud::TieredEnvOptions::Instant());
+    lsm::BlockCache cache(8 << 20);
+    lsm::TimeLsmOptions opts;
+    opts.memtable_bytes = 64 << 20;  // only FlushAll moves data
+    lsm::TimePartitionedLsm tree(&env, "db", opts, &cache);
+    ASSERT_TRUE(tree.Open().ok());
+
+    std::atomic<int> acked{0};
+    std::atomic<bool> stop{false};
+    std::atomic<int> errors{0};
+    std::atomic<int> short_reads{0};
+    std::thread flusher([&] {
+      while (!stop.load()) {
+        if (!tree.FlushAll().ok()) ++errors;
+      }
+    });
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&] {
+        while (!stop.load()) {
+          const int n = acked.load();
+          std::unique_ptr<lsm::Iterator> it;
+          if (!tree.NewIteratorForId(1, 0, kPuts, &it).ok()) {
+            ++errors;
+            continue;
+          }
+          int seen = 0;
+          for (it->Seek(lsm::MakeChunkKey(1, 0)); it->Valid(); it->Next()) {
+            if (lsm::ChunkKeyId(lsm::InternalKeyUserKey(it->key())) != 1) {
+              break;
+            }
+            ++seen;
+          }
+          if (seen < n) ++short_reads;
+        }
+      });
+    }
+    for (int i = 0; i < kPuts; ++i) {
+      std::string payload;
+      compress::EncodeSeriesChunk(i + 1, {compress::Sample{i, 1.0}}, &payload);
+      ASSERT_TRUE(
+          tree.Put(lsm::MakeChunkKey(1, i),
+                   lsm::MakeChunkValue(lsm::ChunkType::kSeries, payload))
+              .ok());
+      acked.store(i + 1);
+      // Pace the writer so many flushes interleave with the puts.
+      if (i % 8 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+    stop.store(true);
+    flusher.join();
+    for (auto& t : readers) t.join();
+    EXPECT_EQ(errors.load(), 0);
+    EXPECT_EQ(short_reads.load(), 0) << "round " << round;
+  }
+  RemoveDirRecursive(ws);
+}
+
 // Multi-writer with the WAL on: the serialized WAL append point must keep
 // per-series (id, seq) consistent so a reopen replays to the same state.
 TEST(ConcurrencyTest, MultiWriterWithWalSurvivesReopen) {

@@ -374,6 +374,68 @@ TEST(DbMetricsTest, WalInstrumentsSurfaceInJsonAndPrometheus) {
   RemoveDirRecursive(ws);
 }
 
+// The read path's index-select and concurrent block fetch instruments:
+// one source each, the fetch pair mirrored in QueryStats, all rendered in
+// JSON and Prometheus. The slow tier sleeps per Get so the read I/O pool
+// exists and the query's L2 blocks go through it.
+TEST(DbMetricsTest, QueryFetchInstrumentsSurfaceInJsonAndPrometheus) {
+  const std::string ws = "/tmp/timeunion_test/obs_prefetch";
+  RemoveDirRecursive(ws);
+  DBOptions opts = SmallPartitionOptions(ws);
+  opts.env_options.slow_sim = cloud::TierSimOptions::S3Defaults();
+  opts.env_options.slow_sim.sleep_scale = 0.01;
+  opts.block_cache_bytes = 0;
+  std::unique_ptr<TimeUnionDB> db;
+  ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
+  uint64_t ref = 0;
+  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
+  for (int i = 1; i < 2000; ++i) {
+    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
+
+  QueryResult result;
+  ASSERT_TRUE(
+      db->Query({TagMatcher::Equal("m", "cpu")}, 0, 2000 * 250LL, &result)
+          .ok());
+  ASSERT_EQ(result.size(), 1u);
+  const uint64_t prefetched = result.stats.prefetch_blocks;
+  EXPECT_GT(prefetched, 0u);
+
+  const obs::MetricsSnapshot snap = db->Metrics();
+  EXPECT_EQ(snap.CounterOr0("query.prefetch_blocks"), prefetched);
+  const obs::HistogramSnapshot* wait =
+      snap.FindHistogram("query.prefetch_wait_us");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->sum_us, result.stats.prefetch_wait_us);
+  const obs::HistogramSnapshot* select =
+      snap.FindHistogram("query.index_select_us");
+  ASSERT_NE(select, nullptr);
+  EXPECT_EQ(select->count, 1u);
+
+  const std::string json = snap.ToJson();
+  EXPECT_NE(
+      json.find("\"query.prefetch_blocks\":" + std::to_string(prefetched)),
+      std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"query.prefetch_wait_us\":{\"count\":"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"query.index_select_us\":{\"count\":1,"),
+            std::string::npos);
+  const std::string text = snap.ToPrometheusText();
+  EXPECT_NE(text.find("# TYPE tu_query_prefetch_blocks counter\n"
+                      "tu_query_prefetch_blocks " +
+                      std::to_string(prefetched) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE tu_query_prefetch_wait_us summary\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("tu_query_index_select_us_count 1\n"), std::string::npos);
+
+  db.reset();
+  RemoveDirRecursive(ws);
+}
+
 // HealthReport is a typed view over Metrics(); on a quiesced DB the two
 // must agree field by field.
 TEST(DbMetricsTest, HealthReportMatchesMetricsSnapshot) {

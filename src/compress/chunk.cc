@@ -21,13 +21,25 @@ void SerializeSeriesChunk(uint64_t seq_id, uint32_t count, const char* ts_bits,
 
 void EncodeSeriesChunk(uint64_t seq_id, const std::vector<Sample>& samples,
                        std::string* out) {
+  std::vector<int64_t> timestamps(samples.size());
+  std::vector<double> values(samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    timestamps[i] = samples[i].timestamp;
+    values[i] = samples[i].value;
+  }
+  EncodeSeriesChunk(seq_id, timestamps.data(), values.data(), samples.size(),
+                    out);
+}
+
+void EncodeSeriesChunk(uint64_t seq_id, const int64_t* timestamps,
+                       const double* values, size_t n, std::string* out) {
   // Worst case: ~9 bytes/timestamp, ~10 bytes/value.
-  const size_t cap = samples.size() * 10 + 16;
+  const size_t cap = n * 10 + 16;
   std::vector<char> ts_buf(cap), val_buf(cap);
   SeriesChunkBuilder builder(ts_buf.data(), cap, val_buf.data(), cap);
-  for (const Sample& s : samples) {
-    builder.NoteFirstTimestamp(s.timestamp);
-    builder.Append(s.timestamp, s.value);
+  for (size_t i = 0; i < n; ++i) {
+    builder.NoteFirstTimestamp(timestamps[i]);
+    builder.Append(timestamps[i], values[i]);
   }
   SerializeSeriesChunk(seq_id, builder.count(), ts_buf.data(),
                        builder.ts_bytes(), val_buf.data(), builder.val_bytes(),

@@ -90,6 +90,9 @@ void SerializeSeriesChunk(uint64_t seq_id, uint32_t count, const char* ts_bits,
 /// Convenience: builds + serializes from decoded samples (compaction path).
 void EncodeSeriesChunk(uint64_t seq_id, const std::vector<Sample>& samples,
                        std::string* out);
+/// The same from timestamp/value columns of `n` samples.
+void EncodeSeriesChunk(uint64_t seq_id, const int64_t* timestamps,
+                       const double* values, size_t n, std::string* out);
 
 /// Decodes a serialized series chunk.
 Status DecodeSeriesChunk(const Slice& data, uint64_t* seq_id,

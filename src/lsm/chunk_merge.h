@@ -30,7 +30,8 @@ struct ChunkInput {
 /// at most `max_samples_per_chunk` samples: {start_ts, serialized value}.
 /// `boundaries` is a sorted list of time-partition boundaries; output
 /// chunks never span a boundary. Duplicate timestamps resolve newest-first
-/// per sample (series) / per cell (group member).
+/// per sample (series) / per cell (group member); series inputs of equal
+/// seq rank in input order, and within one chunk its first row wins.
 ///
 /// Input chunks can carry rows far outside [boundaries.front(),
 /// boundaries.back()): an open head chunk buffers rewrites at arbitrary

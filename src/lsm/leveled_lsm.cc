@@ -125,24 +125,17 @@ Status LeveledLsm::BuildTables(Iterator* input, int target_level,
   outputs->clear();
   const bool fast = LevelIsFast(target_level);
 
-  std::unique_ptr<TableSink> sink;
+  std::unique_ptr<BufferTableSink> sink;
   std::unique_ptr<TableBuilder> builder;
   uint64_t table_id = 0;
   uint64_t build_start_us = 0;
 
-  auto open_output = [&]() -> Status {
+  auto open_output = [&]() {
     table_id = next_table_id_++;
     build_start_us = NowUs();
-    if (fast) {
-      std::unique_ptr<cloud::WritableFile> file;
-      TU_RETURN_IF_ERROR(env_->fast().NewWritableFile(FastName(table_id), &file));
-      sink = std::make_unique<FileTableSink>(std::move(file));
-    } else {
-      sink = std::make_unique<BufferTableSink>();
-    }
+    sink = std::make_unique<BufferTableSink>();
     builder =
         std::make_unique<TableBuilder>(options_.table_options, sink.get());
-    return Status::OK();
   };
 
   auto close_output = [&]() -> Status {
@@ -152,17 +145,19 @@ Status LeveledLsm::BuildTables(Iterator* input, int target_level,
       return Status::OK();
     }
     TableHandle handle;
-    TU_RETURN_IF_ERROR(builder->Finish(&handle.meta));
+    builder->Finish(&handle.meta);
     handle.meta.table_id = table_id;
-    TU_RETURN_IF_ERROR(sink->Close());
     if (h_table_build_us_ != nullptr) {
       h_table_build_us_->Observe(NowUs() - build_start_us);
     }
-    if (!fast) {
-      auto* buf = static_cast<BufferTableSink*>(sink.get());
+    if (fast) {
+      // One write per table: Append + fdatasync under .tmp, then rename.
       TU_RETURN_IF_ERROR(
-          env_->slow().PutObject(SlowKey(table_id), buf->buffer()));
-      stats_.slow_bytes_written.fetch_add(buf->buffer().size(),
+          env_->fast().WriteStringToFile(FastName(table_id), sink->buffer()));
+    } else {
+      TU_RETURN_IF_ERROR(
+          env_->slow().PutObject(SlowKey(table_id), sink->buffer()));
+      stats_.slow_bytes_written.fetch_add(sink->buffer().size(),
                                           std::memory_order_relaxed);
       handle.on_slow = true;
     }
@@ -175,8 +170,8 @@ Status LeveledLsm::BuildTables(Iterator* input, int target_level,
   };
 
   for (; input->Valid(); input->Next()) {
-    if (!builder) TU_RETURN_IF_ERROR(open_output());
-    TU_RETURN_IF_ERROR(builder->Add(input->key(), input->value()));
+    if (!builder) open_output();
+    builder->Add(input->key(), input->value());
     if (builder->EstimatedSize() >= options_.max_output_table_bytes) {
       TU_RETURN_IF_ERROR(close_output());
     }

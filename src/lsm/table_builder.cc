@@ -7,14 +7,14 @@
 
 namespace tu::lsm {
 
-TableBuilder::TableBuilder(TableBuilderOptions options, TableSink* sink)
+TableBuilder::TableBuilder(TableBuilderOptions options, BufferTableSink* sink)
     : options_(options),
       sink_(sink),
       data_block_(options.restart_interval),
       index_block_(1),
       filter_(options.bloom_bits_per_key) {}
 
-Status TableBuilder::Add(const Slice& key, const Slice& value) {
+void TableBuilder::Add(const Slice& key, const Slice& value) {
   if (pending_index_entry_) {
     // The previous data block ended; index it by its last key.
     std::string handle;
@@ -49,22 +49,20 @@ Status TableBuilder::Add(const Slice& key, const Slice& value) {
   }
 
   if (data_block_.CurrentSizeEstimate() >= options_.block_size) {
-    return FlushDataBlock();
+    FlushDataBlock();
   }
-  return Status::OK();
 }
 
-Status TableBuilder::FlushDataBlock() {
-  if (data_block_.empty()) return Status::OK();
+void TableBuilder::FlushDataBlock() {
+  if (data_block_.empty()) return;
   last_data_block_key_ = data_block_.last_key();
   const Slice contents = data_block_.Finish();
-  TU_RETURN_IF_ERROR(WriteBlock(contents, &pending_handle_));
+  WriteBlock(contents, &pending_handle_);
   pending_index_entry_ = true;
   data_block_.Reset();
-  return Status::OK();
 }
 
-Status TableBuilder::WriteBlock(const Slice& contents, BlockHandle* handle) {
+void TableBuilder::WriteBlock(const Slice& contents, BlockHandle* handle) {
   Slice payload = contents;
   BlockCompression type = BlockCompression::kNone;
   if (options_.compress_blocks) {
@@ -78,18 +76,18 @@ Status TableBuilder::WriteBlock(const Slice& contents, BlockHandle* handle) {
 
   handle->offset = sink_->Size();
   handle->size = payload.size();
-  TU_RETURN_IF_ERROR(sink_->Append(payload));
+  sink_->Append(payload);
 
   char trailer[kBlockTrailerSize];
   trailer[0] = static_cast<char>(type);
   uint32_t crc = crc32c::Value(payload.data(), payload.size());
   crc = crc32c::Extend(crc, trailer, 1);
   EncodeFixed32(trailer + 1, crc32c::Mask(crc));
-  return sink_->Append(Slice(trailer, kBlockTrailerSize));
+  sink_->Append(Slice(trailer, kBlockTrailerSize));
 }
 
-Status TableBuilder::Finish(TableMeta* meta) {
-  TU_RETURN_IF_ERROR(FlushDataBlock());
+void TableBuilder::Finish(TableMeta* meta) {
+  FlushDataBlock();
   if (pending_index_entry_) {
     std::string handle;
     pending_handle_.EncodeTo(&handle);
@@ -104,23 +102,23 @@ Status TableBuilder::Finish(TableMeta* meta) {
     const std::string filter_data = filter_.Finish();
     footer.filter_handle.offset = sink_->Size();
     footer.filter_handle.size = filter_data.size();
-    TU_RETURN_IF_ERROR(sink_->Append(filter_data));
+    sink_->Append(filter_data);
   }
 
   // Index block.
   {
     const Slice contents = index_block_.Finish();
-    TU_RETURN_IF_ERROR(WriteBlock(contents, &footer.index_handle));
+    WriteBlock(contents, &footer.index_handle);
   }
 
   std::string footer_bytes;
   footer.EncodeTo(&footer_bytes);
-  TU_RETURN_IF_ERROR(sink_->Append(footer_bytes));
+  sink_->Append(footer_bytes);
 
   meta_.file_size = sink_->Size();
-  meta_.object_crc32c = sink_->crc();
+  meta_.object_crc32c =
+      crc32c::Value(sink_->buffer().data(), sink_->buffer().size());
   *meta = meta_;
-  return Status::OK();
 }
 
 uint64_t TableBuilder::EstimatedSize() const {

@@ -1,80 +1,26 @@
 // TableBuilder: writes an SSTable — 4 KB prefix-compressed data blocks
 // (optionally SnappyLite-compressed), a bloom filter block, an index block
-// and the footer. The sink abstraction lets tables be streamed to the fast
-// tier (file append) or buffered and uploaded whole to the slow tier
-// (object Put), matching the paper's "new SSTables are uploaded to slow
-// cloud storage" flow.
+// and the footer. Tables are built whole in memory and written to a tier
+// in one operation, matching the paper's "new SSTables are uploaded to
+// slow cloud storage" flow and its bytes-over-bandwidth cost model.
 #pragma once
 
-#include <memory>
 #include <string>
 
-#include "cloud/block_store.h"
-#include "util/crc32c.h"
 #include "lsm/block.h"
 #include "lsm/bloom.h"
 #include "lsm/table_format.h"
-#include "util/status.h"
 
 namespace tu::lsm {
 
-/// Byte sink a table is built into. The base class accumulates a running
-/// CRC32C over every appended byte, so the builder can record a whole-file
-/// checksum in TableMeta without re-reading what it just wrote.
-class TableSink {
+/// In-memory byte sink every table is built into. The finished buffer
+/// lands on its tier with one write: a fast-tier file (Append + fdatasync
+/// under a .tmp name, then a rename) or one slow-tier object Put.
+class BufferTableSink {
  public:
-  virtual ~TableSink() = default;
-  Status Append(const Slice& data) {
-    Status s = AppendImpl(data);
-    if (s.ok()) crc_ = crc32c::Extend(crc_, data.data(), data.size());
-    return s;
-  }
-  virtual uint64_t Size() const = 0;
-  virtual Status Close() = 0;
-  /// CRC32C (unmasked) of all bytes appended so far.
-  uint32_t crc() const { return crc_; }
-
- protected:
-  virtual Status AppendImpl(const Slice& data) = 0;
-
- private:
-  uint32_t crc_ = 0;
-};
-
-/// Sink writing to a fast-tier file.
-class FileTableSink : public TableSink {
- public:
-  explicit FileTableSink(std::unique_ptr<cloud::WritableFile> file)
-      : file_(std::move(file)) {}
-
-  uint64_t Size() const override { return file_->Size(); }
-  Status Close() override {
-    TU_RETURN_IF_ERROR(file_->Sync());
-    return file_->Close();
-  }
-
- protected:
-  Status AppendImpl(const Slice& data) override {
-    return file_->Append(data);
-  }
-
- private:
-  std::unique_ptr<cloud::WritableFile> file_;
-};
-
-/// Sink buffering in memory (for slow-tier object upload).
-class BufferTableSink : public TableSink {
- public:
-  uint64_t Size() const override { return buffer_.size(); }
-  Status Close() override { return Status::OK(); }
-
+  void Append(const Slice& data) { buffer_.append(data.data(), data.size()); }
+  uint64_t Size() const { return buffer_.size(); }
   const std::string& buffer() const { return buffer_; }
-
- protected:
-  Status AppendImpl(const Slice& data) override {
-    buffer_.append(data.data(), data.size());
-    return Status::OK();
-  }
 
  private:
   std::string buffer_;
@@ -89,23 +35,24 @@ struct TableBuilderOptions {
 
 class TableBuilder {
  public:
-  TableBuilder(TableBuilderOptions options, TableSink* sink);
+  TableBuilder(TableBuilderOptions options, BufferTableSink* sink);
 
   /// Adds a key-value pair; internal keys must arrive in ascending order.
-  Status Add(const Slice& key, const Slice& value);
+  void Add(const Slice& key, const Slice& value);
 
-  /// Writes filter/index/footer. The sink is flushed but not closed.
-  Status Finish(TableMeta* meta);
+  /// Writes filter/index/footer and records the whole-table CRC32C in
+  /// `meta`.
+  void Finish(TableMeta* meta);
 
   uint64_t num_entries() const { return meta_.num_entries; }
   uint64_t EstimatedSize() const;
 
  private:
-  Status FlushDataBlock();
-  Status WriteBlock(const Slice& contents, BlockHandle* handle);
+  void FlushDataBlock();
+  void WriteBlock(const Slice& contents, BlockHandle* handle);
 
   TableBuilderOptions options_;
-  TableSink* sink_;
+  BufferTableSink* sink_;
   BlockBuilder data_block_;
   BlockBuilder index_block_;
   BloomFilterBuilder filter_;

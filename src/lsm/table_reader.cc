@@ -1,5 +1,6 @@
 #include "lsm/table_reader.h"
 
+#include <algorithm>
 #include <deque>
 
 #include "cloud/retry_policy.h"
@@ -26,6 +27,24 @@ Status FastTableSource::ReadAt(uint64_t offset, size_t n,
   if (result.size() != n) {
     return Status::Corruption("short table read");
   }
+  return Status::OK();
+}
+
+Status ReadAheadTableSource::ReadAt(uint64_t offset, size_t n,
+                                    std::string* out) const {
+  if (offset < window_offset_ ||
+      offset + n > window_offset_ + window_.size()) {
+    const uint64_t left = offset < Size() ? Size() - offset : 0;
+    const uint64_t len =
+        std::max<uint64_t>(n, std::min<uint64_t>(kWindowBytes, left));
+    Status s = base_->ReadAt(offset, len, &window_);
+    if (!s.ok()) {
+      window_.clear();
+      return s;
+    }
+    window_offset_ = offset;
+  }
+  out->assign(window_.data() + (offset - window_offset_), n);
   return Status::OK();
 }
 
@@ -175,6 +194,7 @@ Status TableReader::ReadBlock(const BlockHandle& handle,
       if (options_.block_cache != nullptr) {
         options_.block_cache->Erase(CacheKey(handle));
       }
+      source_->DropReadAhead();
       s = ReadBlockContents(handle, &contents);
     }
     if (s.ok() && options_.corruptions_healed != nullptr) {

@@ -33,6 +33,9 @@ class TableSource {
   virtual ~TableSource() = default;
   virtual Status ReadAt(uint64_t offset, size_t n, std::string* out) const = 0;
   virtual uint64_t Size() const = 0;
+  /// Forgets bytes read ahead, so the next ReadAt goes to the tier (a
+  /// self-healing re-read must not be served the bytes that failed).
+  virtual void DropReadAhead() const {}
 };
 
 /// Fast-tier source (EBS-like positional reads).
@@ -49,6 +52,30 @@ class FastTableSource : public TableSource {
       : file_(std::move(file)) {}
 
   std::unique_ptr<cloud::RandomAccessFile> file_;
+};
+
+/// Read-ahead source for a compaction's in-order scan of a fast-tier
+/// table: a read outside the buffered window refills it with one read of
+/// up to kWindowBytes from the requested offset (at least the request,
+/// at most to the end of the table), so a scan pays one tier read per
+/// window instead of one per block. One scan owns it; not thread-safe.
+class ReadAheadTableSource : public TableSource {
+ public:
+  /// Bounds what one compaction input holds in memory (DESIGN.md "Flush
+  /// and compaction I/O").
+  static constexpr uint64_t kWindowBytes = 1 << 20;
+
+  explicit ReadAheadTableSource(std::unique_ptr<TableSource> base)
+      : base_(std::move(base)) {}
+
+  Status ReadAt(uint64_t offset, size_t n, std::string* out) const override;
+  uint64_t Size() const override { return base_->Size(); }
+  void DropReadAhead() const override { window_.clear(); }
+
+ private:
+  std::unique_ptr<TableSource> base_;
+  mutable std::string window_;
+  mutable uint64_t window_offset_ = 0;
 };
 
 /// Whole-object slow-tier source: one Get downloads the entire table and

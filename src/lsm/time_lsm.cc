@@ -67,6 +67,8 @@ TimePartitionedLsm::TimePartitionedLsm(cloud::TieredEnv* env, std::string name,
     h_compact_l1_l2_us_ = options_.metrics->histogram("lsm.compact_l1_l2_us");
     h_patch_merge_us_ = options_.metrics->histogram("lsm.patch_merge_us");
     h_table_build_us_ = options_.metrics->histogram("lsm.table_build_us");
+    h_table_write_us_ = options_.metrics->histogram("lsm.table_write_us");
+    h_merge_us_ = options_.metrics->histogram("lsm.merge_us");
     h_prefetch_wait_us_ = options_.metrics->histogram("query.prefetch_wait_us");
     trace_ = &options_.metrics->trace();
   }
@@ -553,49 +555,25 @@ Status TimePartitionedLsm::WriteTable(
     bool to_slow, TableHandle* out) {
   const uint64_t table_id = next_table_id_++;
   const uint64_t build_start_us = NowUs();
-  // Fast-tier builds land under a .tmp name and rename in only on success
-  // (discard-and-rebuild): a failed Append or a poisoned fsync leaves
-  // nothing at the final name, so the retried build starts from scratch
-  // instead of trusting pages the kernel may have dropped. The open-time
-  // sweep reclaims .tmp leftovers after a crash.
-  const std::string fast_tmp = FastName(table_id) + ".tmp";
-  std::unique_ptr<TableSink> sink;
-  if (to_slow) {
-    sink = std::make_unique<BufferTableSink>();
-  } else {
-    std::unique_ptr<cloud::WritableFile> file;
-    Status open = env_->fast().NewWritableFile(fast_tmp, &file);
-    if (!open.ok()) return open;
-    sink = std::make_unique<FileTableSink>(std::move(file));
-  }
-  TableBuilder builder(options_.table_options, sink.get());
-  Status bs;
-  for (const auto& [key, value] : entries) {
-    bs = builder.Add(key, value);
-    if (!bs.ok()) break;
-  }
-  if (bs.ok()) bs = builder.Finish(&out->meta);
-  if (bs.ok()) bs = sink->Close();
-  if (!bs.ok()) {
-    if (!to_slow) (void)env_->fast().DeleteFile(fast_tmp);
-    return bs;
-  }
+  BufferTableSink sink;
+  TableBuilder builder(options_.table_options, &sink);
+  for (const auto& [key, value] : entries) builder.Add(key, value);
+  builder.Finish(&out->meta);
   out->meta.table_id = table_id;
   if (h_table_build_us_ != nullptr) {
     h_table_build_us_->Observe(NowUs() - build_start_us);
   }
+  const std::string& data = sink.buffer();
   if (to_slow) {
-    auto* buf = static_cast<BufferTableSink*>(sink.get());
-    Status up =
-        UploadBufferToSlow(table_id, buf->buffer(), out->meta.object_crc32c);
+    Status up = UploadBufferToSlow(table_id, data, out->meta.object_crc32c);
     if (up.ok()) {
-      stats_.slow_bytes_written.fetch_add(buf->buffer().size(),
+      stats_.slow_bytes_written.fetch_add(data.size(),
                                           std::memory_order_relaxed);
       out->on_slow = true;
       if (trace_ != nullptr) {
         trace_->Record("l2.upload",
                        "table=" + std::to_string(table_id) +
-                           " bytes=" + std::to_string(buf->buffer().size()));
+                           " bytes=" + std::to_string(data.size()));
       }
     } else if (up.IsUnavailable() || up.IsIOError() || up.IsBusy()) {
       // Slow tier unreachable (breaker open / retries exhausted): park the
@@ -603,31 +581,43 @@ Status TimePartitionedLsm::WriteTable(
       // handle installs with on_slow=false, so queries read it
       // transparently and the manifest records the deferral — the drainer
       // uploads and flips it once the tier heals.
-      TU_RETURN_IF_ERROR(
-          env_->fast().WriteStringToFile(FastName(table_id), buf->buffer()));
+      TU_RETURN_IF_ERROR(WriteFastTable(table_id, data));
       stats_.deferred_tables_created.fetch_add(1, std::memory_order_relaxed);
-      stats_.fast_bytes_written.fetch_add(buf->buffer().size(),
-                                          std::memory_order_relaxed);
       out->on_slow = false;
       if (trace_ != nullptr) {
         trace_->Record("l2.upload.deferred",
                        "table=" + std::to_string(table_id) +
-                           " bytes=" + std::to_string(buf->buffer().size()));
+                           " bytes=" + std::to_string(data.size()));
       }
     } else {
       return up;  // Corruption etc.: not an outage, surface it
     }
   } else {
-    Status rn = env_->fast().RenameFile(fast_tmp, FastName(table_id));
-    if (!rn.ok()) {
-      (void)env_->fast().DeleteFile(fast_tmp);
-      return rn;
-    }
-    stats_.fast_bytes_written.fetch_add(out->meta.file_size,
-                                        std::memory_order_relaxed);
+    TU_RETURN_IF_ERROR(WriteFastTable(table_id, data));
     out->on_slow = false;
   }
   out->reader.reset();
+  return Status::OK();
+}
+
+Status TimePartitionedLsm::WriteFastTable(uint64_t table_id,
+                                          const std::string& data) {
+  // One Append and one fdatasync under a .tmp name, then a rename
+  // (discard-and-rebuild): a failed Append or a poisoned fsync leaves
+  // nothing at the final name, so the retried build starts from scratch
+  // instead of trusting pages the kernel may have dropped. The open-time
+  // sweep reclaims .tmp leftovers after a crash.
+  const uint64_t start_us = NowUs();
+  const std::string fname = FastName(table_id);
+  Status s = env_->fast().WriteStringToFile(fname, data);
+  if (!s.ok()) {
+    (void)env_->fast().DeleteFile(fname + ".tmp");
+    return s;
+  }
+  if (h_table_write_us_ != nullptr) {
+    h_table_write_us_->Observe(NowUs() - start_us);
+  }
+  stats_.fast_bytes_written.fetch_add(data.size(), std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -804,44 +794,48 @@ Status TimePartitionedLsm::MaybeMaintain() {
   return SaveManifest();
 }
 
-Status TimePartitionedLsm::OpenReaderOnTier(TableHandle* handle, bool use_slow,
-                                            bool fill_cache) {
+Status TimePartitionedLsm::OpenReaderOnTier(
+    const TableHandle& handle, bool use_slow, BlockCache* cache, bool scan,
+    std::unique_ptr<TableReader>* reader) {
   std::unique_ptr<TableSource> source;
   if (use_slow) {
     // Rollup summaries are a few hundred bytes per partition: download the
     // whole object in one Get instead of paying 4+ ranged Gets for the
     // footer/filter/index/data walk. Raw tables stay ranged — a query
     // usually touches a fraction of their blocks.
-    if (handle->meta.rollup_granularity_ms != 0) {
+    if (handle.meta.rollup_granularity_ms != 0) {
       TU_RETURN_IF_ERROR(PrefetchedTableSource::Open(
-          &env_->slow(), SlowKey(handle->meta.table_id), &source));
+          &env_->slow(), SlowKey(handle.meta.table_id), &source));
     } else {
       TU_RETURN_IF_ERROR(SlowTableSource::Open(
-          &env_->slow(), SlowKey(handle->meta.table_id), &source));
+          &env_->slow(), SlowKey(handle.meta.table_id), &source));
     }
   } else {
     TU_RETURN_IF_ERROR(FastTableSource::Open(
-        &env_->fast(), FastName(handle->meta.table_id), &source));
+        &env_->fast(), FastName(handle.meta.table_id), &source));
+    if (scan) {
+      source = std::make_unique<ReadAheadTableSource>(std::move(source));
+    }
   }
-  if (handle->meta.file_size != 0 && source->Size() != handle->meta.file_size) {
+  if (handle.meta.file_size != 0 && source->Size() != handle.meta.file_size) {
     return Status::Corruption(
-        "table " + std::to_string(handle->meta.table_id) + " size " +
+        "table " + std::to_string(handle.meta.table_id) + " size " +
         std::to_string(source->Size()) + " != manifest " +
-        std::to_string(handle->meta.file_size));
+        std::to_string(handle.meta.file_size));
   }
   if (!use_slow && options_.integrity.verify_fast_open &&
-      handle->meta.object_crc32c != 0) {
+      handle.meta.object_crc32c != 0) {
     std::string all;
     TU_RETURN_IF_ERROR(source->ReadAt(0, source->Size(), &all));
-    if (crc32c::Value(all.data(), all.size()) != handle->meta.object_crc32c) {
+    if (crc32c::Value(all.data(), all.size()) != handle.meta.object_crc32c) {
       return Status::Corruption("table " +
-                                std::to_string(handle->meta.table_id) +
+                                std::to_string(handle.meta.table_id) +
                                 " whole-file crc mismatch on fast tier");
     }
   }
   TableReaderOptions opts;
-  opts.block_cache = fill_cache ? block_cache_ : nullptr;
-  opts.cache_id = name_ + ":" + std::to_string(handle->meta.table_id);
+  opts.block_cache = cache;
+  opts.cache_id = name_ + ":" + std::to_string(handle.meta.table_id);
   opts.on_slow = use_slow;
   opts.prefetch_wait_us = h_prefetch_wait_us_;
   if (options_.integrity.self_healing_reads) {
@@ -850,27 +844,35 @@ Status TimePartitionedLsm::OpenReaderOnTier(TableHandle* handle, bool use_slow,
   } else {
     opts.corrupt_read_retries = 0;
   }
-  std::unique_ptr<TableReader> reader;
-  TU_RETURN_IF_ERROR(TableReader::Open(opts, std::move(source), &reader));
-  handle->reader = std::move(reader);
-  return Status::OK();
+  return TableReader::Open(opts, std::move(source), reader);
 }
 
 Status TimePartitionedLsm::OpenReader(TableHandle* handle, bool fill_cache) {
   if (handle->reader) return Status::OK();
+  std::unique_ptr<TableReader> reader;
+  TU_RETURN_IF_ERROR(OpenTableReader(
+      handle, fill_cache ? block_cache_ : nullptr, /*scan=*/false, &reader));
+  handle->reader = std::move(reader);
+  return Status::OK();
+}
+
+Status TimePartitionedLsm::OpenTableReader(
+    TableHandle* handle, BlockCache* cache, bool scan,
+    std::unique_ptr<TableReader>* reader) {
   if (handle->quarantined) {
     return Status::Corruption("table " +
                               std::to_string(handle->meta.table_id) +
                               " quarantined");
   }
-  Status s = OpenReaderOnTier(handle, handle->on_slow, fill_cache);
+  Status s = OpenReaderOnTier(*handle, handle->on_slow, cache, scan, reader);
   if (!s.IsCorruption() || !options_.integrity.self_healing_reads) return s;
 
   // The handle's tier holds rotten bytes. The other tier may still hold a
   // healthy duplicate — a deferred upload's fast-tier copy not yet
   // unlinked, or an object committed just before a crash — so try it
   // before giving up on the table.
-  Status alt = OpenReaderOnTier(handle, !handle->on_slow, fill_cache);
+  Status alt =
+      OpenReaderOnTier(*handle, !handle->on_slow, cache, scan, reader);
   if (alt.ok()) {
     stats_.tier_fallback_opens.fetch_add(1, std::memory_order_relaxed);
     if (trace_ != nullptr) {
@@ -911,11 +913,21 @@ Status TimePartitionedLsm::MergePartitionTables(
   RollupOutput rollup_out;
   if (build_rollups) rollup_out.granularities_ms = grans;
 
+  // Each input gets a reader of its own, dropped with the merge: its scan
+  // reads fast-tier tables in large windows, neither looks up nor fills
+  // the shared block cache (the blocks are dead once the outputs install),
+  // and leaves a query's reader on the handle, or the lack of one, as it
+  // was whether the merge succeeds or fails.
+  std::vector<std::unique_ptr<TableReader>> readers;
   std::vector<std::unique_ptr<Iterator>> children;
+  readers.reserve(inputs.size());
   children.reserve(inputs.size());
   for (TableHandle* h : inputs) {
-    TU_RETURN_IF_ERROR(OpenReader(h, /*fill_cache=*/false));
-    children.push_back(h->reader->NewIterator());
+    std::unique_ptr<TableReader> reader;
+    TU_RETURN_IF_ERROR(
+        OpenTableReader(h, /*cache=*/nullptr, /*scan=*/true, &reader));
+    children.push_back(reader->NewIterator());
+    readers.push_back(std::move(reader));
   }
   auto merged = NewMergingIterator(std::move(children));
   merged->SeekToFirst();
@@ -944,18 +956,23 @@ Status TimePartitionedLsm::MergePartitionTables(
   };
 
   // Group the sorted stream by series/group ID; merge each series once.
-  std::vector<std::string> value_copies;
+  // A deque keeps each copied value in place as more arrive, so the
+  // inputs' Slices stay valid.
+  std::deque<std::string> value_copies;
   std::vector<ChunkInput> chunk_inputs;
   uint64_t current_id = 0;
   bool have_id = false;
+  uint64_t merge_us = 0;
 
   auto emit_series = [&]() -> Status {
     if (chunk_inputs.empty()) return Status::OK();
     std::vector<MergedChunk> merged_chunks;
+    const uint64_t merge_start_us = NowUs();
     TU_RETURN_IF_ERROR(MergeChunks(chunk_inputs, &boundaries,
                                    options_.max_samples_per_merged_chunk,
                                    &merged_chunks,
                                    build_rollups ? &rollup_out : nullptr));
+    merge_us += NowUs() - merge_start_us;
     if (!skip_raw) {
       for (MergedChunk& chunk : merged_chunks) {
         // The merge extended `boundaries` to cover every row, so the
@@ -1021,6 +1038,7 @@ Status TimePartitionedLsm::MergePartitionTables(
   }
   TU_RETURN_IF_ERROR(merged->status());
   TU_RETURN_IF_ERROR(emit_series());
+  if (h_merge_us_ != nullptr) h_merge_us_->Observe(merge_us);
   for (auto& [seg_start, p] : pending) {
     (void)p;
     TU_RETURN_IF_ERROR(flush_segment(seg_start));

@@ -433,14 +433,21 @@ class TimePartitionedLsm : public ChunkStore {
   /// pointers/references.
   void RouteSegmentToL2(MergeSegment segment);
 
-  /// Opens the table reader; compaction reads pass fill_cache=false so
-  /// they do not pollute the query block cache (RocksDB idiom). On a
-  /// corrupt primary copy (with self_healing_reads) falls back to the
-  /// other tier's duplicate, else quarantines the handle.
+  /// Opens the handle's shared query reader (OpenTableReader, through the
+  /// block cache unless `fill_cache` is off) unless it has one.
   Status OpenReader(TableHandle* handle, bool fill_cache = true);
+  /// Opens a reader of `handle` without storing it, reading through
+  /// `cache` (nullable). `scan` marks a compaction's in-order scan: its
+  /// fast-tier reads go through a ReadAheadTableSource. On a corrupt
+  /// primary copy (with self_healing_reads) falls back to the other
+  /// tier's duplicate, else quarantines the handle.
+  Status OpenTableReader(TableHandle* handle, BlockCache* cache, bool scan,
+                         std::unique_ptr<TableReader>* reader);
   /// One tier-specific open attempt, including the manifest size check and
   /// (fast tier, opt-in) whole-file CRC verification.
-  Status OpenReaderOnTier(TableHandle* handle, bool use_slow, bool fill_cache);
+  Status OpenReaderOnTier(const TableHandle& handle, bool use_slow,
+                          BlockCache* cache, bool scan,
+                          std::unique_ptr<TableReader>* reader);
   /// Serializes/loads l0_/l1_/l2_ + counters to/from the fast tier.
   Status SaveManifest();
   Status LoadManifest();
@@ -448,9 +455,16 @@ class TimePartitionedLsm : public ChunkStore {
   /// tables that are missing or size-mismatched, and sweeps unreferenced
   /// table/.tmp files (leftovers of a crash mid-compaction) from both tiers.
   Status RecoverStorageState();
+  /// Builds `entries` into one table in memory and writes it with one
+  /// tier operation: WriteFastTable, or an L2 upload (parked on the fast
+  /// tier while the slow tier is unreachable).
   Status WriteTable(
       const std::vector<std::pair<std::string, std::string>>& entries,
       bool to_slow, TableHandle* out);
+  /// Lands a built table on the fast tier: one Append and one fdatasync
+  /// under a .tmp name, then a rename; nothing is left at either name
+  /// after a failure.
+  Status WriteFastTable(uint64_t table_id, const std::string& data);
   /// The atomic .tmp -> verify -> rename upload protocol; used by
   /// WriteTable, the deferred-upload drainer and scrub repair.
   /// `expected_crc` is the builder's whole-file CRC32C (0 = compute from
@@ -517,6 +531,8 @@ class TimePartitionedLsm : public ChunkStore {
   obs::Histogram* h_compact_l1_l2_us_ = nullptr;
   obs::Histogram* h_patch_merge_us_ = nullptr;
   obs::Histogram* h_table_build_us_ = nullptr;
+  obs::Histogram* h_table_write_us_ = nullptr;
+  obs::Histogram* h_merge_us_ = nullptr;
   obs::Histogram* h_prefetch_wait_us_ = nullptr;
   obs::EventTrace* trace_ = nullptr;
 

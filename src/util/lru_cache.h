@@ -37,6 +37,7 @@ class LRUCacheShard {
       lru_.erase(it->second);
       map_.erase(it);
     }
+    inserts_.fetch_add(1, std::memory_order_relaxed);
     lru_.push_front(Entry{key, std::move(value), charge});
     map_[key] = lru_.begin();
     usage_ += charge;
@@ -76,6 +77,7 @@ class LRUCacheShard {
   // Counter reads are lock-free (reports run concurrently with queries).
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  uint64_t inserts() const { return inserts_.load(std::memory_order_relaxed); }
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
@@ -106,6 +108,7 @@ class LRUCacheShard {
   size_t usage_ = 0;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> inserts_{0};
   std::atomic<uint64_t> evictions_{0};
 };
 
@@ -148,6 +151,12 @@ class LRUCache {
   uint64_t misses() const {
     uint64_t total = 0;
     for (const auto& s : shards_) total += s->misses();
+    return total;
+  }
+
+  uint64_t inserts() const {
+    uint64_t total = 0;
+    for (const auto& s : shards_) total += s->inserts();
     return total;
   }
 

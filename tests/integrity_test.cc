@@ -373,6 +373,80 @@ TEST(SelfHealingReadTest, OnePercentOnReadFlipDrillMatchesControl) {
   RemoveDirRecursive(control_ws);
 }
 
+// -- Compaction read windows -------------------------------------------------
+
+// Every table of the tree with its bytes, read straight from its tier.
+std::map<uint64_t, std::string> TreeBytes(core::TimeUnionDB* db) {
+  std::map<uint64_t, std::string> out;
+  for (const auto& t : db->time_lsm()->ListTables()) {
+    const std::string name = "lsm/" + lsm::TableFileName(t.table_id);
+    std::string bytes;
+    const Status s = t.on_slow
+                         ? db->env().slow().GetObject(name, &bytes)
+                         : db->env().fast().ReadFileToString(name, &bytes);
+    EXPECT_TRUE(s.ok()) << name << ": " << s.ToString();
+    out[t.table_id] = std::move(bytes);
+  }
+  return out;
+}
+
+TEST(CompactionReadTest, InFlightFlipInReadWindowHealsToControlTree) {
+  const std::string ws = "/tmp/timeunion_test/integrity_compaction_window";
+  const std::string control_ws = ws + "_control";
+  RemoveDirRecursive(ws);
+  RemoveDirRecursive(control_ws);
+
+  std::unique_ptr<core::TimeUnionDB> control;
+  ASSERT_TRUE(
+      core::TimeUnionDB::Open(IntegrityWorkloadOptions(control_ws), &control)
+          .ok());
+  IngestWorkload(control.get());
+
+  // Table 1 is the first L0 table; nothing reads it before the L0->L1
+  // compaction that consumes it. That compaction's reader issues footer,
+  // index and filter reads, then its first data window: flip the first
+  // byte of that fourth read, the first data block's, in flight.
+  core::DBOptions opts = IntegrityWorkloadOptions(ws);
+  auto fi = std::make_shared<FaultInjector>(41);
+  FaultRule flip = FaultRule::BitFlipRead(0.0, "lsm/" + lsm::TableFileName(1),
+                                          /*offset=*/0);
+  flip.fail_nth = 4;
+  fi->AddRule(flip);
+  opts.env_options.fast_sim.fault = fi;
+  std::unique_ptr<core::TimeUnionDB> db;
+  ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
+  IngestWorkload(db.get());
+
+  // The flip was caught by a block CRC, and the block re-read alone came
+  // back clean: no tier fallback, no quarantine.
+  EXPECT_EQ(fi->faults_injected(), 1u);
+  const obs::MetricsSnapshot snap = db->Metrics();
+  EXPECT_EQ(snap.CounterOr0("integrity.read_corruptions_detected"), 1u);
+  EXPECT_EQ(snap.CounterOr0("integrity.read_corruptions_healed"), 1u);
+  EXPECT_EQ(db->time_lsm()->stats().tier_fallback_opens.load(), 0u);
+  EXPECT_EQ(db->time_lsm()->stats().runtime_quarantines.load(), 0u);
+
+  // The tree is the fault-free control's, byte for byte.
+  const std::map<uint64_t, std::string> tree = TreeBytes(db.get());
+  const std::map<uint64_t, std::string> control_tree =
+      TreeBytes(control.get());
+  ASSERT_EQ(tree.size(), control_tree.size());
+  for (const auto& [id, bytes] : control_tree) {
+    const auto it = tree.find(id);
+    ASSERT_NE(it, tree.end()) << "table " << id;
+    EXPECT_TRUE(it->second == bytes) << "table " << id;
+  }
+  const core::QueryResult got = QueryAll(db.get());
+  const core::QueryResult want = QueryAll(control.get());
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_TRUE(got[0].samples == want[0].samples);
+  db.reset();
+  control.reset();
+  RemoveDirRecursive(ws);
+  RemoveDirRecursive(control_ws);
+}
+
 // -- Background scrub --------------------------------------------------------
 
 TEST(ScrubTest, AtRestCorruptionDetectedRepairedOrQuarantined) {

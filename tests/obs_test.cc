@@ -285,7 +285,8 @@ TEST(DbMetricsTest, SnapshotCoversWholePipeline) {
 
   // Flush / LSM background instruments.
   for (const char* name : {"flush.chunk_us", "lsm.memflush_us",
-                           "lsm.table_build_us"}) {
+                           "lsm.table_build_us", "lsm.table_write_us",
+                           "lsm.merge_us"}) {
     const obs::HistogramSnapshot* h = snap.FindHistogram(name);
     ASSERT_NE(h, nullptr) << name;
     EXPECT_GT(h->count, 0u) << name;
@@ -369,6 +370,66 @@ TEST(DbMetricsTest, WalInstrumentsSurfaceInJsonAndPrometheus) {
                       "tu_wal_forced_flushes 0\n"),
             std::string::npos);
   EXPECT_NE(text.find("tu_wal_seal_sync_us_count "), std::string::npos);
+
+  db.reset();
+  RemoveDirRecursive(ws);
+}
+
+// Flush and compaction stalls split into merge, build and write stages:
+// one lsm.merge_us observation per merge pass, one lsm.table_write_us per
+// table landed on the fast tier, both rendered in JSON and Prometheus.
+TEST(DbMetricsTest, CompactionStageInstrumentsSurfaceInJsonAndPrometheus) {
+  const std::string ws = "/tmp/timeunion_test/obs_compaction_stages";
+  RemoveDirRecursive(ws);
+  std::unique_ptr<TimeUnionDB> db;
+  ASSERT_TRUE(TimeUnionDB::Open(SmallPartitionOptions(ws), &db).ok());
+  uint64_t ref = 0;
+  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
+  for (int i = 1; i < 2000; ++i) {
+    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
+
+  const obs::MetricsSnapshot snap = db->Metrics();
+  const uint64_t merges = snap.CounterOr0("lsm.compactions_l0_l1") +
+                          snap.CounterOr0("lsm.compactions_l1_l2") +
+                          snap.CounterOr0("lsm.patch_merges") +
+                          snap.CounterOr0("lsm.rollup_partitions_rederived");
+  ASSERT_GT(merges, 0u);
+  const obs::HistogramSnapshot* merge = snap.FindHistogram("lsm.merge_us");
+  ASSERT_NE(merge, nullptr);
+  EXPECT_EQ(merge->count, merges);
+  // Every memtable flush and L0->L1 output lands on the fast tier; L2
+  // outputs are built too but uploaded instead.
+  const obs::HistogramSnapshot* write =
+      snap.FindHistogram("lsm.table_write_us");
+  const obs::HistogramSnapshot* build =
+      snap.FindHistogram("lsm.table_build_us");
+  ASSERT_NE(write, nullptr);
+  ASSERT_NE(build, nullptr);
+  EXPECT_GT(write->count, snap.CounterOr0("lsm.flushes"));
+  EXPECT_LT(write->count, build->count);
+
+  const std::string json = snap.ToJson();
+  EXPECT_NE(json.find("\"lsm.merge_us\":{\"count\":" +
+                      std::to_string(merges) + ","),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"lsm.table_write_us\":{\"count\":" +
+                      std::to_string(write->count) + ","),
+            std::string::npos)
+      << json;
+  const std::string text = snap.ToPrometheusText();
+  EXPECT_NE(text.find("# TYPE tu_lsm_merge_us summary\n"), std::string::npos);
+  EXPECT_NE(
+      text.find("tu_lsm_merge_us_count " + std::to_string(merges) + "\n"),
+      std::string::npos);
+  EXPECT_NE(text.find("# TYPE tu_lsm_table_write_us summary\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("tu_lsm_table_write_us_count " +
+                      std::to_string(write->count) + "\n"),
+            std::string::npos);
 
   db.reset();
   RemoveDirRecursive(ws);

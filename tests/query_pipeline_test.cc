@@ -476,23 +476,19 @@ TEST(TableReaderBoundTest, BlindDrainStopsAtUpperBound) {
   auto fast = std::make_unique<cloud::BlockStore>(
       ws + "/fast", cloud::TierSimOptions::Instant());
 
-  std::unique_ptr<cloud::WritableFile> file;
-  ASSERT_TRUE(fast->NewWritableFile("bound.sst", &file).ok());
-  FileTableSink sink(std::move(file));
+  BufferTableSink sink;
   TableBuilderOptions bopts;
   bopts.block_size = 256;  // many small blocks for the pruning assertion
   TableBuilder builder(bopts, &sink);
   constexpr int kEntries = 300;
   uint64_t seq = 0;
   for (int i = 0; i < kEntries; ++i) {
-    ASSERT_TRUE(builder
-                    .Add(MakeInternalKey(MakeChunkKey(7, i * 1000), ++seq),
-                         "chunk-" + std::to_string(i))
-                    .ok());
+    builder.Add(MakeInternalKey(MakeChunkKey(7, i * 1000), ++seq),
+                "chunk-" + std::to_string(i));
   }
   TableMeta meta;
-  ASSERT_TRUE(builder.Finish(&meta).ok());
-  ASSERT_TRUE(sink.Close().ok());
+  builder.Finish(&meta);
+  ASSERT_TRUE(fast->WriteStringToFile("bound.sst", sink.buffer()).ok());
 
   std::unique_ptr<TableSource> source;
   ASSERT_TRUE(FastTableSource::Open(fast.get(), "bound.sst", &source).ok());

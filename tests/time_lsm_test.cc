@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "cloud/fault_injector.h"
 #include "compress/chunk.h"
 #include "lsm/key_format.h"
 #include "util/mmap_file.h"
@@ -38,13 +39,14 @@ class TimeLsmTest : public ::testing::Test {
     return opts;
   }
 
-  void Recreate(const TimeLsmOptions& opts) {
+  void Recreate(const TimeLsmOptions& opts,
+                cloud::TieredEnvOptions env_options =
+                    cloud::TieredEnvOptions::Instant()) {
     lsm_.reset();
     env_.reset();
     workspace_ = "/tmp/timeunion_test/time_lsm";
     RemoveDirRecursive(workspace_);
-    env_ = std::make_unique<cloud::TieredEnv>(workspace_,
-                                              cloud::TieredEnvOptions::Instant());
+    env_ = std::make_unique<cloud::TieredEnv>(workspace_, env_options);
     cache_ = std::make_unique<BlockCache>(8 << 20);
     lsm_ = std::make_unique<TimePartitionedLsm>(env_.get(), "db", opts,
                                                 cache_.get());
@@ -87,6 +89,30 @@ class TimeLsmTest : public ::testing::Test {
     return out;
   }
 
+  /// One-sample chunks of series 0..9 every 5 minutes over [from, to),
+  /// recorded in `reference_`.
+  void PutRange(int64_t from, int64_t to) {
+    for (int64_t ts = from; ts < to; ts += 5 * kMin) {
+      for (uint64_t id = 0; id < 10; ++id) {
+        const double v = static_cast<double>(id) + ts * 1e-9;
+        reference_[id][ts] = v;
+        ASSERT_TRUE(
+            lsm_->Put(MakeChunkKey(id, ts), OneSampleChunk(++seq_, ts, v))
+                .ok());
+      }
+    }
+  }
+
+  void ExpectAllSeries(int64_t t0, int64_t t1) {
+    for (uint64_t id = 0; id < 10; ++id) {
+      std::map<int64_t, double> want(reference_[id].lower_bound(t0),
+                                     reference_[id].upper_bound(t1));
+      EXPECT_EQ(Query(id, t0, t1), want) << "id=" << id;
+    }
+  }
+
+  std::map<uint64_t, std::map<int64_t, double>> reference_;
+  uint64_t seq_ = 0;
   std::string workspace_;
   std::unique_ptr<cloud::TieredEnv> env_;
   std::unique_ptr<BlockCache> cache_;
@@ -316,6 +342,90 @@ TEST_F(TimeLsmTest, GroupChunksSurviveCompactions) {
     }
   }
   EXPECT_EQ(rows_seen, static_cast<size_t>(kHour / kMin) + 1);
+}
+
+TEST_F(TimeLsmTest, FlushAndCompactionWriteEachTableWithOnePut) {
+  // Every table lands with one fast-tier write: tables written (live now,
+  // minus live before, plus inputs deleted) equals the puts issued.
+  const cloud::TierCounters& fast = env_->fast().counters();
+  auto expect_one_put_per_table = [&](auto&& step) {
+    const uint64_t puts = fast.put_ops.load();
+    const uint64_t deletes = fast.delete_ops.load();
+    const size_t live = lsm_->ListTables().size();
+    step();
+    const uint64_t written =
+        lsm_->ListTables().size() - live + (fast.delete_ops.load() - deletes);
+    EXPECT_GT(written, 0u);
+    EXPECT_EQ(fast.put_ops.load() - puts, written);
+  };
+  // A flush: two L0 partitions, no compaction (the trigger is 2).
+  expect_one_put_per_table([&] {
+    PutRange(0, kHour);
+    ASSERT_TRUE(lsm_->FlushAll().ok());
+  });
+  ASSERT_EQ(lsm_->stats().l0_to_l1_compactions.load(), 0u);
+  // A flush plus an L0->L1 compaction of the oldest partition.
+  expect_one_put_per_table([&] {
+    PutRange(kHour, 90 * kMin);
+    ASSERT_TRUE(lsm_->FlushAll().ok());
+  });
+  EXPECT_GT(lsm_->stats().l0_to_l1_compactions.load(), 0u);
+  ExpectAllSeries(0, 90 * kMin);
+}
+
+TEST_F(TimeLsmTest, CompactionNeitherReadsNorFillsBlockCache) {
+  PutRange(0, kHour);
+  ASSERT_TRUE(lsm_->FlushAll().ok());
+  ASSERT_EQ(lsm_->NumL0Partitions(), 2u);
+  // Queries open the readers on the handles and fill the cache.
+  ExpectAllSeries(0, kHour);
+  const uint64_t inserts = cache_->inserts();
+  const uint64_t lookups = cache_->hits() + cache_->misses();
+  ASSERT_GT(inserts, 0u);
+
+  // A third partition pushes the oldest through L0->L1: the compaction
+  // scans inputs whose readers the queries opened, without the cache.
+  PutRange(kHour, 90 * kMin);
+  ASSERT_TRUE(lsm_->FlushAll().ok());
+  ASSERT_GT(lsm_->stats().l0_to_l1_compactions.load(), 0u);
+  EXPECT_EQ(cache_->inserts(), inserts);
+  EXPECT_EQ(cache_->hits() + cache_->misses(), lookups);
+  ExpectAllSeries(0, 90 * kMin);
+}
+
+TEST_F(TimeLsmTest, FailedCompactionLeavesInputsReadThroughCache) {
+  auto fault = std::make_shared<cloud::FaultInjector>(5);
+  cloud::TieredEnvOptions env_options = cloud::TieredEnvOptions::Instant();
+  env_options.fast_sim.fault = fault;
+  Recreate(DefaultOptions(), env_options);
+
+  // Two L0 partitions nobody has queried: the compaction below opens its
+  // own readers for them.
+  PutRange(0, kHour);
+  ASSERT_TRUE(lsm_->FlushAll().ok());
+  // The flush of a third partition appends once; the compaction it
+  // triggers fails on its first output append.
+  fault->AddRule(cloud::FaultRule::Permanent(
+      cloud::FaultOpMask(cloud::FaultOp::kAppend), 2, "db/"));
+  PutRange(kHour, 90 * kMin);
+  ASSERT_FALSE(lsm_->FlushAll().ok());
+  ASSERT_EQ(lsm_->stats().l0_to_l1_compactions.load(), 0u);
+  ASSERT_EQ(lsm_->NumL0Partitions(), 3u);
+
+  // The restored victim partition serves queries through the cache: the
+  // first read fills it, the second hits it.
+  const uint64_t inserts = cache_->inserts();
+  ExpectAllSeries(0, 29 * kMin);
+  EXPECT_GT(cache_->inserts(), inserts);
+  const uint64_t hits = cache_->hits();
+  ExpectAllSeries(0, 29 * kMin);
+  EXPECT_GT(cache_->hits(), hits);
+
+  // The retry compacts.
+  fault->Clear();
+  ASSERT_TRUE(lsm_->FlushAll().ok());
+  EXPECT_GT(lsm_->stats().l0_to_l1_compactions.load(), 0u);
+  ExpectAllSeries(0, 90 * kMin);
 }
 
 }  // namespace

@@ -88,8 +88,8 @@ Status RunPatchThreshold(int threshold, uint64_t* patch_merges,
   const uint64_t gets_before = db->env().slow().counters().get_ops.load();
   const uint64_t start = NowUs();
   core::QueryResult result;
-  TU_RETURN_IF_ERROR(db->Query({index::TagMatcher::Equal("m", "x")}, 0,
-                               3600 * 1000, &result));
+  TU_RETURN_IF_ERROR(db->Query(query::ReadRequest::Range(
+      {index::TagMatcher::Equal("m", "x")}, 0, 3600 * 1000), &result));
   *query_us = static_cast<double>(NowUs() - start);
   *s3_gets_during_query =
       db->env().slow().counters().get_ops.load() - gets_before;

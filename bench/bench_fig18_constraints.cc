@@ -92,7 +92,8 @@ Status RunTimeUnion(const std::string& tag, uint64_t fast_limit,
           gen.start_ts(), t1 - p.hours * 3600LL * 1000);
       core::QueryResult qr;
       const uint64_t qstart = NowUs();
-      TU_RETURN_IF_ERROR(db->Query(matchers, t0, t1, &qr));
+      TU_RETURN_IF_ERROR(db->Query(query::ReadRequest::Range(matchers, t0, t1),
+                                   &qr));
       total += NowUs() - qstart;
     }
     *out = total / 3;

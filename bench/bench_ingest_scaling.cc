@@ -44,11 +44,6 @@ double RunOne(const Config& cfg) {
   // workers' job (§3.3); here we measure the front-door write path.
   opts.lsm.background_flush = true;
   opts.enable_wal = cfg.wal;
-  // A/B knob for the metrics overhead budget: TU_BENCH_NO_METRICS=1
-  // disables the registry so on-vs-off runs of this binary measure the
-  // instrumentation cost directly (same code layout, only the cached
-  // instrument pointers go null).
-  if (std::getenv("TU_BENCH_NO_METRICS")) opts.metrics.enabled = false;
 
   std::unique_ptr<core::TimeUnionDB> db;
   Status s = core::TimeUnionDB::Open(opts, &db);

@@ -193,15 +193,18 @@ int Main() {
   }
   const double drain_s = static_cast<double>(NowUs() - drain_t0) / 1e6;
 
-  const core::HealthReport health = db->HealthReport();
+  const obs::MetricsSnapshot health = db->Metrics();
   std::printf(
       "{\"bench\":\"outage_recovery\",\"metric\":\"drain\","
       "\"deferred_tables\":%llu,\"drained_total\":%llu,\"drain_s\":%.3f,"
       "\"breaker_opens\":%llu,\"breaker_rejections\":%llu}\n",
       static_cast<unsigned long long>(deferred_peak),
-      static_cast<unsigned long long>(health.deferred_uploads_drained),
-      drain_s, static_cast<unsigned long long>(health.breaker_opens),
-      static_cast<unsigned long long>(health.breaker_rejections));
+      static_cast<unsigned long long>(
+          health.CounterOr0("lsm.deferred_uploads_drained")),
+      drain_s,
+      static_cast<unsigned long long>(health.CounterOr0("slow.breaker_opens")),
+      static_cast<unsigned long long>(
+          health.CounterOr0("slow.breaker_rejections")));
   std::fflush(stdout);
 
   PrintRow("outage/pre throughput ratio",
@@ -242,14 +245,16 @@ int Main() {
       resume_s = static_cast<double>(NowUs() - rt0) / 1e6;
     }
   }
-  const core::HealthReport after = db->HealthReport();
+  const obs::MetricsSnapshot after = db->Metrics();
   std::printf(
       "{\"bench\":\"outage_recovery\",\"metric\":\"enospc\","
       "\"quiesce_s\":%.3f,\"time_to_resume_s\":%.3f,"
       "\"resume_attempts\":%llu,\"resumes_succeeded\":%llu}\n",
       quiesce_s, resume_s,
-      static_cast<unsigned long long>(after.resume_attempts),
-      static_cast<unsigned long long>(after.resumes_succeeded));
+      static_cast<unsigned long long>(
+          after.CounterOr0("error_handler.resume_attempts")),
+      static_cast<unsigned long long>(
+          after.CounterOr0("error_handler.resumes_succeeded")));
   std::fflush(stdout);
   PrintRow("time to resume after ENOSPC", resume_s, "s");
 

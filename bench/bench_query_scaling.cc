@@ -115,7 +115,9 @@ bool RunPass(core::TimeUnionDB* db, const Placement& placement, int threads,
             // Legacy drain: per-sample cursor over the streaming API.
             query::QueryStats qs;
             std::vector<core::TimeUnionDB::SeriesIterResult> iters;
-            ok = db->QueryIterators({matcher}, 0, SpanMs(), &iters, &qs).ok() &&
+            ok = db->QueryIterators(query::ReadRequest::Range({matcher}, 0,
+                                                              SpanMs()), &iters,
+                                    &qs).ok() &&
                  iters.size() == 1;
             if (ok) {
               std::vector<compress::Sample> out;
@@ -128,7 +130,8 @@ bool RunPass(core::TimeUnionDB* db, const Placement& placement, int threads,
             }
           } else {
             core::QueryResult result;
-            ok = db->Query({matcher}, 0, SpanMs(), &result).ok() &&
+            ok = db->Query(query::ReadRequest::Range({matcher}, 0, SpanMs()),
+                           &result).ok() &&
                  result.size() == 1;
             if (ok) {
               samples = result[0].samples.size();

@@ -164,7 +164,8 @@ int Main() {
       raw = core::QueryResult();
       const uint64_t gets_before = slow.get_ops.load();
       const uint64_t t_start = NowUs();
-      if (!db->Query(matchers, QueryT0(), QueryT1(), &raw).ok() ||
+      if (!db->Query(query::ReadRequest::Range(matchers, QueryT0(), QueryT1()),
+                     &raw).ok() ||
           raw.size() != static_cast<size_t>(SeriesCount())) {
         std::fprintf(stderr, "raw query failed\n");
         return 1;
@@ -191,8 +192,9 @@ int Main() {
       agg = core::TimeUnionDB::AggregateResult();
       const uint64_t gets_before = slow.get_ops.load();
       const uint64_t t_start = NowUs();
-      if (!db->AggregateQuery(matchers, QueryT0(), QueryT1(), kWindowStepMs,
-                              query::AggFn::kMax, &agg)
+      if (!db->AggregateQuery(query::ReadRequest::Aggregate(
+          matchers, QueryT0(), QueryT1(), kWindowStepMs, query::AggFn::kMax),
+                              &agg)
               .ok() ||
           agg.series.size() != static_cast<size_t>(SeriesCount())) {
         std::fprintf(stderr, "aggregate query failed\n");
@@ -214,8 +216,8 @@ int Main() {
                           query::AggFn::kSum, query::AggFn::kCount,
                           query::AggFn::kMean}) {
     core::TimeUnionDB::AggregateResult check;
-    if (!db->AggregateQuery(matchers, QueryT0(), QueryT1(), kWindowStepMs, fn,
-                            &check)
+    if (!db->AggregateQuery(query::ReadRequest::Aggregate(
+        matchers, QueryT0(), QueryT1(), kWindowStepMs, fn), &check)
             .ok() ||
         check.series.size() != raw.size()) {
       equal = false;

@@ -185,7 +185,8 @@ Status EngineHarness::RunQuery(const tsbs::DevOpsGenerator& gen,
     const uint64_t start = NowUs();
     if (tu_) {
       core::QueryResult result;
-      TU_RETURN_IF_ERROR(tu_->Query(matchers, t0, t1, &result));
+      TU_RETURN_IF_ERROR(tu_->Query(query::ReadRequest::Range(matchers, t0, t1),
+                                    &result));
       for (const auto& series : result) {
         const auto agg = pattern.lastpoint
                              ? std::vector<tsbs::AggPoint>{}

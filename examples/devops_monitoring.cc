@@ -19,6 +19,7 @@ using tu::core::QueryResult;
 using tu::core::TimeUnionDB;
 using tu::index::Labels;
 using tu::index::TagMatcher;
+using tu::query::ReadRequest;
 
 int main(int argc, char** argv) {
   DBOptions options;
@@ -79,18 +80,22 @@ int main(int argc, char** argv) {
   // Query one member by its unique tags: resolved group-first, then
   // through the second-level index inside the group.
   QueryResult result;
-  st = db->Query({TagMatcher::Equal("hostname", gen.HostName(2)),
-                  TagMatcher::Equal("fieldname", gen.FieldName(0))},
-                 0, gen.end_ts(), &result);
+  st = db->Query(
+      ReadRequest::Range({TagMatcher::Equal("hostname", gen.HostName(2)),
+                          TagMatcher::Equal("fieldname", gen.FieldName(0))},
+                         0, gen.end_ts()),
+      &result);
   if (!st.ok()) return 1;
   std::printf("%s on %s: %zu series, %zu samples\n",
               gen.FieldName(0).c_str(), gen.HostName(2).c_str(),
               result.size(), result.empty() ? 0 : result[0].samples.size());
 
   // A cross-host aggregate: MAX cpu_usage_0 over all hosts, 5-min windows.
-  st = db->Query({TagMatcher::Regex("hostname", "host_.*"),
-                  TagMatcher::Equal("fieldname", gen.FieldName(0))},
-                 0, gen.end_ts(), &result);
+  st = db->Query(
+      ReadRequest::Range({TagMatcher::Regex("hostname", "host_.*"),
+                          TagMatcher::Equal("fieldname", gen.FieldName(0))},
+                         0, gen.end_ts()),
+      &result);
   if (!st.ok()) return 1;
   double max_v = 0;
   for (const auto& series : result) {

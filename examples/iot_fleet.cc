@@ -19,6 +19,7 @@ using tu::core::QueryResult;
 using tu::core::TimeUnionDB;
 using tu::index::Labels;
 using tu::index::TagMatcher;
+using tu::query::ReadRequest;
 
 namespace {
 constexpr int64_t kMinute = 60 * 1000;
@@ -81,8 +82,9 @@ int main(int argc, char** argv) {
 
   // Verify a backfilled window reads back correctly.
   QueryResult result;
-  st = db->Query({TagMatcher::Equal("device", "sensor-17")}, 2 * kHour,
-                 3 * kHour, &result);
+  st = db->Query(ReadRequest::Range({TagMatcher::Equal("device", "sensor-17")},
+                                    2 * kHour, 3 * kHour),
+                 &result);
   if (!st.ok()) return 1;
   std::printf("sensor-17, hour 2-3: %zu samples after backfill\n",
               result.empty() ? 0 : result[0].samples.size());
@@ -90,14 +92,18 @@ int main(int argc, char** argv) {
   // Retention: keep only the last 12 hours.
   st = db->ApplyRetention(24 * kHour);
   if (!st.ok()) return 1;
-  st = db->Query({TagMatcher::Equal("metric", "temperature")}, 0, 23 * kHour,
-                 &result);
+  st = db->Query(
+      ReadRequest::Range({TagMatcher::Equal("metric", "temperature")}, 0,
+                         23 * kHour),
+      &result);
   if (!st.ok()) return 1;
   std::printf("after retention (watermark 24h): %zu series with data before "
               "hour 23 (expected 0)\n",
               result.size());
-  st = db->Query({TagMatcher::Equal("metric", "temperature")}, 30 * kHour,
-                 36 * kHour, &result);
+  st = db->Query(
+      ReadRequest::Range({TagMatcher::Equal("metric", "temperature")},
+                         30 * kHour, 36 * kHour),
+      &result);
   if (!st.ok()) return 1;
   std::printf("recent window still served: %zu series\n", result.size());
   return 0;

@@ -1,7 +1,7 @@
 // Observability tour: run a small write + query workload, then export the
 // DB's introspection snapshot in both supported formats — JSON (stable,
-// machine-readable schema) and Prometheus text exposition — and show the
-// human-oriented HealthReport on top of the same data.
+// machine-readable schema) and Prometheus text exposition — and read the
+// health and tier counters back out of the same snapshot.
 //
 //   ./metrics_snapshot [workspace_dir]
 #include <cstdio>
@@ -16,6 +16,7 @@ using tu::core::DBOptions;
 using tu::core::QueryResult;
 using tu::core::TimeUnionDB;
 using tu::index::TagMatcher;
+using tu::query::ReadRequest;
 
 int main(int argc, char** argv) {
   DBOptions options;
@@ -46,7 +47,8 @@ int main(int argc, char** argv) {
   }
   db->Flush();
   QueryResult result;
-  db->Query({TagMatcher::Equal("m", "cpu")}, 0, 500'000, &result);
+  db->Query(ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0, 500'000),
+            &result);
 
   // One consistent snapshot: counters, gauges, latency histograms with
   // p50/p90/p99, and the recent-event ring buffer.
@@ -67,14 +69,22 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(h->max_us));
   }
 
-  // HealthReport/CountersReport are views over the same registry.
-  const tu::core::HealthReport health = db->HealthReport();
-  std::printf("\n--- HealthReport ---\n"
-              "breaker_enabled=%d deferred_tables=%zu fast_bytes=%llu "
-              "cache_hits=%llu background_error=%s\n",
-              health.breaker_enabled ? 1 : 0, health.deferred_tables,
-              static_cast<unsigned long long>(health.fast_bytes),
-              static_cast<unsigned long long>(health.block_cache_hits),
-              health.last_background_error.ToString().c_str());
+  // Health and degraded-operation state live in the same snapshot: the
+  // state-machine name, the sticky background error, breaker and
+  // deferred-upload backlog, and per-tier I/O counters.
+  std::printf("\n--- health ---\n"
+              "db.health=%s db.last_background_error=%s breaker.state=%lld "
+              "lsm.deferred_tables=%lld lsm.fast_bytes=%lld\n"
+              "slow: gets=%llu puts=%llu retries=%llu give_ups=%llu\n",
+              snap.FindString("db.health")->c_str(),
+              snap.FindString("db.last_background_error")->c_str(),
+              static_cast<long long>(snap.GaugeOr0("breaker.state")),
+              static_cast<long long>(snap.GaugeOr0("lsm.deferred_tables")),
+              static_cast<long long>(snap.GaugeOr0("lsm.fast_bytes")),
+              static_cast<unsigned long long>(snap.CounterOr0("slow.gets")),
+              static_cast<unsigned long long>(snap.CounterOr0("slow.puts")),
+              static_cast<unsigned long long>(snap.CounterOr0("slow.retries")),
+              static_cast<unsigned long long>(
+                  snap.CounterOr0("slow.give_ups")));
   return 0;
 }

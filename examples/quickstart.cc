@@ -14,6 +14,7 @@ using tu::core::QueryResult;
 using tu::core::TimeUnionDB;
 using tu::index::Labels;
 using tu::index::TagMatcher;
+using tu::query::ReadRequest;
 
 int main(int argc, char** argv) {
   DBOptions options;
@@ -57,9 +58,10 @@ int main(int argc, char** argv) {
 
   // ---- Get: time range + tag selectors (exact and regex).
   QueryResult result;
-  st = db->Query({TagMatcher::Equal("hostname", "web-01"),
-                  TagMatcher::Regex("metric", "cpu.*")},
-                 0, 3'600'000, &result);
+  st = db->Query(ReadRequest::Range({TagMatcher::Equal("hostname", "web-01"),
+                                     TagMatcher::Regex("metric", "cpu.*")},
+                                    0, 3'600'000),
+                 &result);
   if (!st.ok()) {
     std::fprintf(stderr, "query failed: %s\n", st.ToString().c_str());
     return 1;

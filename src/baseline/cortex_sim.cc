@@ -176,7 +176,7 @@ Status TimeUnionRemote::QueryRange(
     core::QueryResult* out) {
   query_stats_.requests += 1;
   query_stats_.charged_us += costs_.http_request_us;
-  return db_->Query(matchers, t0, t1, out);
+  return db_->Query(query::ReadRequest::Range(matchers, t0, t1), out);
 }
 
 }  // namespace tu::baseline

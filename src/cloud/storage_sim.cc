@@ -1,7 +1,6 @@
 #include "cloud/storage_sim.h"
 
 #include <chrono>
-#include <sstream>
 #include <thread>
 
 namespace tu::cloud {
@@ -49,19 +48,6 @@ void TierCounters::Reset() {
   retry_give_ups = 0;
   breaker_rejections = 0;
   breaker_opens = 0;
-}
-
-std::string TierCounters::Report(const std::string& tier_name) const {
-  std::ostringstream os;
-  os << tier_name << ": gets=" << get_ops.load() << " puts=" << put_ops.load()
-     << " deletes=" << delete_ops.load() << " read_bytes=" << bytes_read.load()
-     << " written_bytes=" << bytes_written.load()
-     << " charged_ms=" << charged_us.load() / 1000
-     << " faults=" << faults_injected.load() << " retries=" << retries.load()
-     << " give_ups=" << retry_give_ups.load()
-     << " breaker_rejections=" << breaker_rejections.load()
-     << " breaker_opens=" << breaker_opens.load();
-  return os.str();
 }
 
 void ChargeLatency(const TierSimOptions& opts, TierCounters* counters,

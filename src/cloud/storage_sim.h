@@ -85,7 +85,6 @@ struct TierCounters {
   std::atomic<uint64_t> breaker_opens{0};
 
   void Reset();
-  std::string Report(const std::string& tier_name) const;
 };
 
 /// Charges `us` of latency against `counters`, sleeping if the model says so.

@@ -12,14 +12,4 @@ TieredEnv::TieredEnv(const std::string& workspace, TieredEnvOptions options)
   slow_ = std::make_unique<ObjectStore>(workspace + "/slow", options.slow_sim);
 }
 
-std::string TieredEnv::CountersReport() const {
-  std::string out = fast_->counters().Report("fast(EBS)") + "\n" +
-                    slow_->counters().Report("slow(S3)");
-  if (slow_->breaker().enabled()) {
-    out += " breaker=";
-    out += BreakerStateName(slow_->breaker().state());
-  }
-  return out;
-}
-
 }  // namespace tu::cloud

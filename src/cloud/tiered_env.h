@@ -39,8 +39,6 @@ class TieredEnv {
   const std::string& mmap_dir() const { return mmap_dir_; }
   const std::string& workspace() const { return workspace_; }
 
-  std::string CountersReport() const;
-
  private:
   std::string workspace_;
   std::string mmap_dir_;

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <regex>
 #include <span>
-#include <sstream>
 
 #include <chrono>
 #include <thread>
@@ -165,7 +164,8 @@ TimeUnionDB::TimeUnionDB(DBOptions options)
       metrics_(std::make_unique<obs::MetricsRegistry>(
           options_.metrics.event_trace_capacity)),
       error_handler_(options_.error_handler),
-      append_locks_(std::max<uint32_t>(1, options_.append_lock_stripes)) {
+      append_locks_(std::max<uint32_t>(1, options_.append_lock_stripes)),
+      sample_cells_(std::make_unique<StripeCell[]>(append_locks_.stripes())) {
   const uint32_t shards =
       RoundUpPow2(std::max<uint32_t>(1, options_.registry_shards));
   shard_mask_ = shards - 1;
@@ -195,39 +195,34 @@ Status TimeUnionDB::Open(DBOptions options, std::unique_ptr<TimeUnionDB>* db) {
 }
 
 Status TimeUnionDB::Init() {
-  if (options_.metrics.enabled) {
-    // Record breaker transitions into the event trace. Installed before the
-    // env is built so the breaker never sees a half-wired callback; the
-    // registry is declared before env_ and therefore outlives it.
-    if (!options_.env_options.slow_sim.breaker.on_transition) {
-      obs::EventTrace* trace = &metrics_->trace();
-      options_.env_options.slow_sim.breaker.on_transition =
-          [trace](cloud::BreakerState from, cloud::BreakerState to) {
-            trace->Record("breaker",
-                          std::string(cloud::BreakerStateName(from)) + "->" +
-                              cloud::BreakerStateName(to));
-          };
-    }
-    h_ingest_append_ = metrics_->histogram("ingest.append_us");
-    h_group_append_ = metrics_->histogram("ingest.group_append_us");
-    h_wal_append_ = metrics_->histogram("wal.append_us");
-    h_chunk_flush_ = metrics_->histogram("flush.chunk_us");
-    h_query_e2e_ = metrics_->histogram("query.e2e_us");
-    h_query_setup_ = metrics_->histogram("query.setup_us");
-    h_query_index_select_ = metrics_->histogram("query.index_select_us");
-    sample_cells_ = std::make_unique<StripeCell[]>(append_locks_.stripes());
-    c_rows_ = metrics_->counter("ingest.rows");
-    c_wal_appends_ = metrics_->counter("wal.appends");
-    c_wal_forced_flushes_ = metrics_->counter("wal.forced_flushes");
-    c_chunk_flushes_ = metrics_->counter("flush.chunks");
+  // Record breaker transitions into the event trace. Installed before the
+  // env is built so the breaker never sees a half-wired callback; the
+  // registry is declared before env_ and therefore outlives it.
+  if (!options_.env_options.slow_sim.breaker.on_transition) {
+    obs::EventTrace* trace = &metrics_->trace();
+    options_.env_options.slow_sim.breaker.on_transition =
+        [trace](cloud::BreakerState from, cloud::BreakerState to) {
+          trace->Record("breaker",
+                        std::string(cloud::BreakerStateName(from)) + "->" +
+                            cloud::BreakerStateName(to));
+        };
   }
+  h_ingest_append_ = metrics_->histogram("ingest.append_us");
+  h_group_append_ = metrics_->histogram("ingest.group_append_us");
+  h_wal_append_ = metrics_->histogram("wal.append_us");
+  h_chunk_flush_ = metrics_->histogram("flush.chunk_us");
+  h_query_e2e_ = metrics_->histogram("query.e2e_us");
+  h_query_setup_ = metrics_->histogram("query.setup_us");
+  h_query_index_select_ = metrics_->histogram("query.index_select_us");
+  c_rows_ = metrics_->counter("ingest.rows");
+  c_wal_appends_ = metrics_->counter("wal.appends");
+  c_wal_forced_flushes_ = metrics_->counter("wal.forced_flushes");
+  c_chunk_flushes_ = metrics_->counter("flush.chunks");
   env_ = std::make_unique<cloud::TieredEnv>(options_.workspace,
                                             options_.env_options);
-  if (options_.metrics.enabled) {
-    // Slow-tier op latency as charged by the cost model, attributed per op.
-    env_->slow().set_op_latency_histograms(metrics_->histogram("slow.put_us"),
-                                           metrics_->histogram("slow.get_us"));
-  }
+  // Slow-tier op latency as charged by the cost model, attributed per op.
+  env_->slow().set_op_latency_histograms(metrics_->histogram("slow.put_us"),
+                                         metrics_->histogram("slow.get_us"));
   // block_cache_bytes == 0 disables caching outright (readers tolerate a
   // null cache) instead of running a sharded cache that evicts every block.
   if (options_.block_cache_bytes > 0) {
@@ -256,7 +251,7 @@ Status TimeUnionDB::Init() {
     // TU-LDB baseline: TimeUnion data model over a classic leveled LSM
     // (first two levels fast, deeper levels slow). WAL unsupported here.
     lsm::LeveledLsmOptions leveled_options = options_.leveled;
-    if (options_.metrics.enabled) leveled_options.metrics = metrics_.get();
+    leveled_options.metrics = metrics_.get();
     auto leveled = std::make_unique<lsm::LeveledLsm>(
         env_.get(), "lsm", leveled_options, block_cache_.get());
     leveled_lsm_ = leveled.get();
@@ -266,7 +261,7 @@ Status TimeUnionDB::Init() {
   }
 
   lsm::TimeLsmOptions lsm_options = options_.lsm;
-  if (options_.metrics.enabled) lsm_options.metrics = metrics_.get();
+  lsm_options.metrics = metrics_.get();
   {
     // Every background error the LSM swallows feeds the DB's error-handler
     // state machine (classification, quiesce, auto-resume). A
@@ -327,9 +322,7 @@ Status TimeUnionDB::StartMaintenance() {
         // resuming at the persisted cursor (DBOptions::scrub).
         if (scrubber_ && options_.scrub.enabled) scrubber_->Tick();
         AdviseMemoryRelease();
-        if (options_.metrics.enabled && options_.metrics.emit_jsonl) {
-          EmitMetricsLine();
-        }
+        if (options_.metrics.emit_jsonl) EmitMetricsLine();
       });
   maintenance_->Start();
   return Status::OK();
@@ -430,12 +423,10 @@ Status TimeUnionDB::ForceWalFlush() {
     marks.emplace_back(id, seq);
   }
   TU_RETURN_IF_ERROR(lsm_->FlushAll());
-  if (c_wal_forced_flushes_ != nullptr) c_wal_forced_flushes_->Add();
-  if (options_.metrics.enabled) {
-    metrics_->trace().Record("wal.forced_flush",
-                             "segment=" + std::to_string(segment) +
-                                 " ids=" + std::to_string(marks.size()));
-  }
+  c_wal_forced_flushes_->Add();
+  metrics_->trace().Record("wal.forced_flush",
+                           "segment=" + std::to_string(segment) +
+                               " ids=" + std::to_string(marks.size()));
   return wal_->AppendMarks(marks);
 }
 
@@ -445,7 +436,7 @@ Status TimeUnionDB::OpenWal() {
   TU_RETURN_IF_ERROR(WalLog::Load(&env_->fast(), kWalDir, &log));
   wal_ = std::make_unique<WalWriter>(
       &env_->fast(), kWalDir, WalSegmentBytes(options_.wal_purge_bytes),
-      options_.metrics.enabled ? metrics_.get() : nullptr);
+      metrics_.get());
   TU_RETURN_IF_ERROR(wal_->Open(log));
   {
     std::lock_guard<std::mutex> lock(marks_mu_);
@@ -654,16 +645,11 @@ Status TimeUnionDB::TryResumeInternal() {
     probe = time_lsm_->RetryBackgroundWork();
   }
   if (probe.ok()) {
-    if (time_lsm_ != nullptr) time_lsm_->ClearBackgroundError();
     error_handler_.OnResumeSuccess();
-    if (options_.metrics.enabled) {
-      metrics_->trace().Record("resume", "recovered");
-    }
+    metrics_->trace().Record("resume", "recovered");
   } else {
     error_handler_.OnResumeFailure(probe, SteadyNowMs());
-    if (options_.metrics.enabled) {
-      metrics_->trace().Record("resume", "failed: " + probe.ToString());
-    }
+    metrics_->trace().Record("resume", "failed: " + probe.ToString());
   }
   return probe;
 }
@@ -802,7 +788,7 @@ Status TimeUnionDB::FlushSeriesChunk(mem::SeriesHead* head, bool* flushed) {
   int64_t first_ts = 0;
   *flushed = head->CloseChunk(&payload, &first_ts);
   if (!*flushed) return Status::OK();
-  if (c_chunk_flushes_ != nullptr) c_chunk_flushes_->Add();
+  c_chunk_flushes_->Add();
   obs::ScopedTimer flush_timer(h_chunk_flush_);
   return lsm_->Put(
       lsm::MakeChunkKey(head->id(), first_ts),
@@ -814,7 +800,7 @@ Status TimeUnionDB::FlushGroupChunk(GroupEntry* entry, bool* flushed) {
   int64_t first_ts = 0;
   *flushed = entry->head->CloseChunk(&payload, &first_ts);
   if (!*flushed) return Status::OK();
-  if (c_chunk_flushes_ != nullptr) c_chunk_flushes_->Add();
+  c_chunk_flushes_->Add();
   obs::ScopedTimer flush_timer(h_chunk_flush_);
   return lsm_->Put(
       lsm::MakeChunkKey(entry->head->id(), first_ts),
@@ -929,9 +915,8 @@ Status TimeUnionDB::AppendOneByRef(uint64_t series_ref, int64_t ts,
   // clock reads; unsampled ops pay two branches and the bump.
   const size_t stripe = append_locks_.IndexFor(series_ref);
   const bool timed =
-      h_ingest_append_ != nullptr &&
       ((sample_cells_[stripe].v.load(std::memory_order_relaxed) + 1) & 63) ==
-          0;
+      0;
   const uint64_t append_start_us = timed ? obs::MonotonicUs() : 0;
   EntryShard& es = EntryShardFor(series_ref);
   std::shared_lock<std::shared_mutex> shard_lock(es.mu);
@@ -942,7 +927,7 @@ Status TimeUnionDB::AppendOneByRef(uint64_t series_ref, int64_t ts,
   // The entry lock serializes the head mutation and keeps the WAL record's
   // seq consistent with the append it logs.
   std::lock_guard<std::mutex> entry_lock(append_locks_.MutexAt(stripe));
-  if (sample_cells_ != nullptr) sample_cells_[stripe].Bump();
+  sample_cells_[stripe].Bump();
   TU_RETURN_IF_ERROR(AppendToSeries(&it->second, ts, value));
   if (wal != nullptr) {
     wal->AddSampleRun(series_ref, it->second.head->seq_id(), &ts, &value, 1);
@@ -967,9 +952,8 @@ void TimeUnionDB::WriteRefSamples(const WriteBatch& batch, WriteResult* result,
     // one acquisition per series.
     const size_t stripe = append_locks_.IndexFor(ref);
     const bool timed =
-        h_ingest_append_ != nullptr &&
         ((sample_cells_[stripe].v.load(std::memory_order_relaxed) + 1) & 63) ==
-            0;
+        0;
     const uint64_t append_start_us = timed ? obs::MonotonicUs() : 0;
     EntryShard& es = EntryShardFor(ref);
     std::shared_lock<std::shared_mutex> shard_lock(es.mu);
@@ -987,7 +971,7 @@ void TimeUnionDB::WriteRefSamples(const WriteBatch& batch, WriteResult* result,
       SeqRunLogger logger(wal, ref, batch.sample_ts.data(),
                           batch.sample_values.data());
       for (size_t k = i; k < run_end; ++k) {
-        if (sample_cells_ != nullptr) sample_cells_[stripe].Bump();
+        sample_cells_[stripe].Bump();
         Status s = AppendToSeries(&it->second, batch.sample_ts[k],
                                   batch.sample_values[k]);
         if (!s.ok()) {
@@ -1075,9 +1059,8 @@ Status TimeUnionDB::Write(const WriteBatch& batch, WriteResult* result) {
   WriteGroupRows(batch, result, wal);
   WriteLabeledGroupRows(batch, result, wal);
   if (wal == nullptr || wal->empty()) return Status::OK();
-  if (c_wal_appends_ != nullptr) c_wal_appends_->Add(wal->entries());
-  const uint64_t append_start_us =
-      h_wal_append_ != nullptr ? obs::MonotonicUs() : 0;
+  c_wal_appends_->Add(wal->entries());
+  const uint64_t append_start_us = obs::MonotonicUs();
   Status ws = wal_->Append(*wal);
   if (!ws.ok()) {
     error_handler_.OnBackgroundError(BgErrorScope::kWalAppend, ws,
@@ -1089,9 +1072,7 @@ Status TimeUnionDB::Write(const WriteBatch& batch, WriteResult* result) {
     result->appended = 0;
     return ws;
   }
-  if (h_wal_append_ != nullptr) {
-    h_wal_append_->Observe(obs::MonotonicUs() - append_start_us);
-  }
+  h_wal_append_->Observe(obs::MonotonicUs() - append_start_us);
   MaybeForceWalFlush();
   return Status::OK();
 }
@@ -1170,8 +1151,8 @@ Status TimeUnionDB::AppendOneGroupRowByRef(uint64_t group_ref,
   if (slots.size() != values.size()) {
     return Status::InvalidArgument("slot/value count mismatch");
   }
-  if (c_rows_ != nullptr) c_rows_->Add();
-  const bool timed = h_group_append_ != nullptr && obs::SampleOneIn<6>();
+  c_rows_->Add();
+  const bool timed = obs::SampleOneIn<6>();
   const uint64_t append_start_us = timed ? obs::MonotonicUs() : 0;
   EntryShard& es = EntryShardFor(group_ref);
   std::shared_lock<std::shared_mutex> shard_lock(es.mu);
@@ -1219,7 +1200,7 @@ void TimeUnionDB::WriteLabeledGroupRows(const WriteBatch& batch,
       if (row.member_tags.size() != row.values.size()) {
         return Status::InvalidArgument("member/value count mismatch");
       }
-      if (c_rows_ != nullptr) c_rows_->Add();
+      c_rows_->Add();
       Labels sorted_group = row.group_tags;
       index::SortLabels(&sorted_group);
       const std::string group_key = index::LabelsKey(sorted_group);
@@ -1479,7 +1460,7 @@ Status TimeUnionDB::QueryIteratorsImpl(const std::vector<TagMatcher>& matchers,
   prefetch.Issue();
   const uint64_t setup_us = obs::MonotonicUs() - setup_start_us;
   if (stats != nullptr) stats->setup_us += setup_us;
-  if (h_query_setup_ != nullptr) h_query_setup_->Observe(setup_us);
+  h_query_setup_->Observe(setup_us);
   return Status::OK();
 }
 
@@ -1540,15 +1521,8 @@ Status TimeUnionDB::Query(const query::ReadRequest& request,
   out->stats.drain_us += obs::MonotonicUs() - drain_start_us;
 
   AddQueryTotals(out->stats);
-  if (h_query_e2e_ != nullptr) {
-    h_query_e2e_->Observe(obs::MonotonicUs() - query_start_us);
-  }
+  h_query_e2e_->Observe(obs::MonotonicUs() - query_start_us);
   return Status::OK();
-}
-
-Status TimeUnionDB::Query(const std::vector<TagMatcher>& matchers, int64_t t0,
-                          int64_t t1, QueryResult* out) {
-  return Query(query::ReadRequest::Range(matchers, t0, t1), out);
 }
 
 Status TimeUnionDB::QueryIterators(const query::ReadRequest& request,
@@ -1569,14 +1543,6 @@ Status TimeUnionDB::QueryIterators(const query::ReadRequest& request,
   // caller drains the lazy iterators land only in `stats`.
   AddQueryTotals(stats != nullptr ? *stats : query::QueryStats());
   return Status::OK();
-}
-
-Status TimeUnionDB::QueryIterators(const std::vector<TagMatcher>& matchers,
-                                   int64_t t0, int64_t t1,
-                                   std::vector<SeriesIterResult>* out,
-                                   query::QueryStats* stats) {
-  return QueryIterators(query::ReadRequest::Range(matchers, t0, t1), out,
-                        stats);
 }
 
 Status TimeUnionDB::AggregateQuery(const query::ReadRequest& request,
@@ -1729,17 +1695,8 @@ Status TimeUnionDB::AggregateQuery(const query::ReadRequest& request,
   }
 
   AddQueryTotals(out->stats);
-  if (h_query_e2e_ != nullptr) {
-    h_query_e2e_->Observe(obs::MonotonicUs() - query_start_us);
-  }
+  h_query_e2e_->Observe(obs::MonotonicUs() - query_start_us);
   return Status::OK();
-}
-
-Status TimeUnionDB::AggregateQuery(const std::vector<TagMatcher>& matchers,
-                                   int64_t t0, int64_t t1, int64_t step_ms,
-                                   query::AggFn fn, AggregateResult* out) {
-  return AggregateQuery(
-      query::ReadRequest::Aggregate(matchers, t0, t1, step_ms, fn), out);
 }
 
 // ---------------------------------------------------------------------------
@@ -1851,7 +1808,6 @@ uint64_t TimeUnionDB::NumGroups() const {
 uint64_t TimeUnionDB::IndexMemoryUsage() const { return index_->MemoryUsage(); }
 
 uint64_t TimeUnionDB::SumSampleCells() const {
-  if (sample_cells_ == nullptr) return 0;
   uint64_t total = 0;
   for (size_t i = 0; i < append_locks_.stripes(); ++i) {
     total += sample_cells_[i].v.load(std::memory_order_relaxed);
@@ -2035,133 +1991,6 @@ obs::MetricsSnapshot TimeUnionDB::Metrics() const {
 
   snap.Canonicalize();
   return snap;
-}
-
-core::HealthReport TimeUnionDB::HealthReport() const {
-  // A typed view over the metrics snapshot: every numeric field is read
-  // from the same source Metrics() exposes, so the two cannot diverge
-  // (obs_test asserts parity). Only the background-error Status is richer
-  // than a gauge and is read from the LSM directly.
-  const obs::MetricsSnapshot snap = Metrics();
-  core::HealthReport r;
-  r.breaker_enabled = snap.GaugeOr0("breaker.enabled") != 0;
-  r.slow_breaker =
-      static_cast<cloud::BreakerState>(snap.GaugeOr0("breaker.state"));
-  r.breaker_rejections = snap.CounterOr0("slow.breaker_rejections");
-  r.breaker_opens = snap.CounterOr0("slow.breaker_opens");
-  r.deferred_tables = static_cast<size_t>(snap.GaugeOr0("lsm.deferred_tables"));
-  r.deferred_bytes =
-      static_cast<uint64_t>(snap.GaugeOr0("lsm.deferred_bytes"));
-  r.deferred_uploads_drained = snap.CounterOr0("lsm.deferred_uploads_drained");
-  r.fast_bytes = static_cast<uint64_t>(snap.GaugeOr0("lsm.fast_bytes"));
-  r.fast_limit_bytes =
-      static_cast<uint64_t>(snap.GaugeOr0("lsm.fast_limit_bytes"));
-  r.writers_delayed = snap.CounterOr0("admission.writers_delayed");
-  r.writes_rejected = snap.CounterOr0("admission.writes_rejected");
-  r.block_cache_enabled = snap.GaugeOr0("cache.enabled") != 0;
-  r.block_cache_usage = static_cast<size_t>(snap.GaugeOr0("cache.usage"));
-  r.block_cache_hits = snap.CounterOr0("cache.hits");
-  r.block_cache_misses = snap.CounterOr0("cache.misses");
-  r.block_cache_evictions = snap.CounterOr0("cache.evictions");
-  r.scrub_enabled = snap.GaugeOr0("scrub.enabled") != 0;
-  r.scrub_passes = snap.CounterOr0("scrub.passes");
-  r.scrub_corruptions_found = snap.CounterOr0("scrub.corruptions_found");
-  r.scrub_repaired = snap.CounterOr0("scrub.repaired");
-  r.scrub_quarantined = snap.CounterOr0("scrub.quarantined");
-  r.read_corruptions_detected =
-      snap.CounterOr0("integrity.read_corruptions_detected");
-  r.read_corruptions_healed =
-      snap.CounterOr0("integrity.read_corruptions_healed");
-  r.server_open_connections =
-      static_cast<uint64_t>(snap.GaugeOr0("server.open_connections"));
-  r.server_inflight_requests =
-      static_cast<uint64_t>(snap.GaugeOr0("server.inflight_requests"));
-  r.server_tenant_rejects = snap.CounterOr0("server.tenant_rejects");
-  if (time_lsm_ != nullptr) {
-    r.last_background_error = time_lsm_->last_background_error();
-  }
-  r.health = error_handler_.health();
-  {
-    const ErrorHandler::Counters ec = error_handler_.counters();
-    r.background_errors = ec.errors_total;
-    r.background_errors_soft = ec.soft_errors;
-    r.background_errors_hard = ec.hard_errors;
-    r.resume_attempts = ec.resume_attempts;
-    r.resumes_succeeded = ec.resumes_succeeded;
-    r.resume_failures = ec.resume_failures;
-  }
-  return r;
-}
-
-std::string TimeUnionDB::CountersReport() const {
-  // Formatter over the same snapshot (the format predates the registry and
-  // is asserted by tests, so it is reconstructed field by field).
-  const obs::MetricsSnapshot snap = Metrics();
-  auto tier_line = [&snap](const std::string& label, const std::string& p) {
-    std::ostringstream os;
-    os << label << ": gets=" << snap.CounterOr0(p + ".gets")
-       << " puts=" << snap.CounterOr0(p + ".puts")
-       << " deletes=" << snap.CounterOr0(p + ".deletes")
-       << " read_bytes=" << snap.CounterOr0(p + ".read_bytes")
-       << " written_bytes=" << snap.CounterOr0(p + ".written_bytes")
-       << " charged_ms=" << snap.CounterOr0(p + ".charged_us") / 1000
-       << " faults=" << snap.CounterOr0(p + ".faults")
-       << " retries=" << snap.CounterOr0(p + ".retries")
-       << " give_ups=" << snap.CounterOr0(p + ".give_ups")
-       << " breaker_rejections=" << snap.CounterOr0(p + ".breaker_rejections")
-       << " breaker_opens=" << snap.CounterOr0(p + ".breaker_opens");
-    return os.str();
-  };
-  std::string report =
-      tier_line("fast(EBS)", "fast") + "\n" + tier_line("slow(S3)", "slow");
-  if (snap.GaugeOr0("breaker.enabled") != 0) {
-    report += " breaker=";
-    report += cloud::BreakerStateName(
-        static_cast<cloud::BreakerState>(snap.GaugeOr0("breaker.state")));
-  }
-  char buf[512];
-  if (snap.GaugeOr0("cache.enabled") != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "\nblock_cache: hits=%llu misses=%llu evictions=%llu "
-                  "usage=%zu",
-                  static_cast<unsigned long long>(snap.CounterOr0("cache.hits")),
-                  static_cast<unsigned long long>(
-                      snap.CounterOr0("cache.misses")),
-                  static_cast<unsigned long long>(
-                      snap.CounterOr0("cache.evictions")),
-                  static_cast<size_t>(snap.GaugeOr0("cache.usage")));
-  } else {
-    std::snprintf(buf, sizeof(buf), "\nblock_cache: disabled");
-  }
-  report += buf;
-  query::QueryStats totals;
-  totals.partitions_pruned = snap.CounterOr0("query.partitions_pruned");
-  totals.tables_considered = snap.CounterOr0("query.tables_considered");
-  totals.tables_pruned_id = snap.CounterOr0("query.tables_pruned_id");
-  totals.tables_pruned_time = snap.CounterOr0("query.tables_pruned_time");
-  totals.tables_pruned_bloom = snap.CounterOr0("query.tables_pruned_bloom");
-  totals.tables_skipped_unreachable =
-      snap.CounterOr0("query.tables_skipped_unreachable");
-  totals.blocks_read = snap.CounterOr0("query.blocks_read");
-  totals.blocks_pruned = snap.CounterOr0("query.blocks_pruned");
-  totals.cache_hits = snap.CounterOr0("query.cache_hits");
-  totals.cache_misses = snap.CounterOr0("query.cache_misses");
-  totals.slow_tier_fetches = snap.CounterOr0("query.slow_tier_fetches");
-  totals.block_bytes_read = snap.CounterOr0("query.block_bytes_read");
-  totals.prefetch_blocks = snap.CounterOr0("query.prefetch_blocks");
-  totals.chunks_decoded = snap.CounterOr0("query.chunks_decoded");
-  totals.bytes_decoded = snap.CounterOr0("query.bytes_decoded");
-  totals.batches_decoded = snap.CounterOr0("query.batches_decoded");
-  totals.samples_decoded = snap.CounterOr0("query.samples_decoded");
-  totals.rollup_buckets_served = snap.CounterOr0("query.rollup_buckets_served");
-  totals.raw_edge_samples = snap.CounterOr0("query.raw_edge_samples");
-  totals.setup_us = snap.CounterOr0("query.setup_us_total");
-  totals.drain_us = snap.CounterOr0("query.drain_us_total");
-  std::snprintf(buf, sizeof(buf), "\nqueries: run=%llu ",
-                static_cast<unsigned long long>(snap.CounterOr0("query.runs")));
-  report += buf;
-  report += totals.ToString();
-  return report;
 }
 
 void TimeUnionDB::EmitMetricsLine() {

@@ -135,13 +135,9 @@ struct DBOptions {
   /// regardless of `enabled`.
   ScrubOptions scrub;
 
-  /// Observability (src/obs): the metrics registry always exists; these
-  /// knobs control instrumentation and export.
+  /// Observability (src/obs): the metrics registry always exists and is
+  /// always wired into the hot paths; these knobs control export.
   struct MetricsOptions {
-    /// When false, no instruments are wired into the hot paths (timers
-    /// compile down to no-ops via null histogram pointers). Metrics() then
-    /// still reports the external counters (tiers, LSM stats, cache).
-    bool enabled = true;
     /// Append a `{"ts_ms":...,"metrics":{...}}` JSON line per maintenance
     /// tick to <workspace>/metrics.jsonl (requires background_maintenance).
     bool emit_jsonl = false;
@@ -206,64 +202,6 @@ struct QueryResult : query::Completeness {
     ResetCompleteness();
     stats = query::QueryStats();
   }
-};
-
-/// Point-in-time health snapshot (see DESIGN.md "Degraded operation"):
-/// slow-tier breaker state, deferred-upload backlog, fast-tier pressure
-/// and the latest background error. All counters are cumulative since
-/// Open.
-struct HealthReport {
-  /// Slow-tier circuit breaker (kClosed when the breaker is disabled).
-  cloud::BreakerState slow_breaker = cloud::BreakerState::kClosed;
-  bool breaker_enabled = false;
-  uint64_t breaker_rejections = 0;
-  uint64_t breaker_opens = 0;
-  /// L2-logical tables currently parked on the fast tier.
-  size_t deferred_tables = 0;
-  uint64_t deferred_bytes = 0;
-  uint64_t deferred_uploads_drained = 0;
-  /// Fast-tier occupancy vs the Algorithm-1 budget (limit 0 = unbounded).
-  uint64_t fast_bytes = 0;
-  uint64_t fast_limit_bytes = 0;
-  /// Admission-control outcomes (always 0 unless admission.enabled).
-  uint64_t writers_delayed = 0;
-  uint64_t writes_rejected = 0;
-  /// Block cache occupancy and cumulative hit/miss/eviction counts.
-  /// `block_cache_enabled` is false when DBOptions::block_cache_bytes == 0
-  /// (caching disabled; the counters stay 0).
-  bool block_cache_enabled = false;
-  uint64_t block_cache_usage = 0;
-  uint64_t block_cache_hits = 0;
-  uint64_t block_cache_misses = 0;
-  uint64_t block_cache_evictions = 0;
-  /// Background scrub progress (0s when scrub was never configured/run).
-  bool scrub_enabled = false;
-  uint64_t scrub_passes = 0;
-  uint64_t scrub_corruptions_found = 0;
-  uint64_t scrub_repaired = 0;
-  uint64_t scrub_quarantined = 0;
-  /// Self-healing read path: corrupt blocks detected / healed in place.
-  uint64_t read_corruptions_detected = 0;
-  uint64_t read_corruptions_healed = 0;
-  /// Network front door (src/server): live connection / request gauges and
-  /// the cumulative tenant-limit rejects. All zero unless a server::Server
-  /// is attached to this DB (the server publishes them into the metrics
-  /// registry under server.*).
-  uint64_t server_open_connections = 0;
-  uint64_t server_inflight_requests = 0;
-  uint64_t server_tenant_rejects = 0;
-  /// Sticky background flush/maintenance error; OK when healthy.
-  Status last_background_error;
-  /// Background-error state machine (DESIGN.md "Background error handling
-  /// and auto-recovery"): current health, classified error totals and the
-  /// resume-probe track record.
-  DbHealth health = DbHealth::kHealthy;
-  uint64_t background_errors = 0;
-  uint64_t background_errors_soft = 0;
-  uint64_t background_errors_hard = 0;
-  uint64_t resume_attempts = 0;
-  uint64_t resumes_succeeded = 0;
-  uint64_t resume_failures = 0;
 };
 
 class TimeUnionDB {
@@ -340,27 +278,17 @@ class TimeUnionDB {
 
   // -- Get, §3.4 ------------------------------------------------------------
 
-  /// The consolidated read entry point (query::ReadRequest): matchers +
-  /// inclusive time range + per-request strictness. Rejects aggregate
-  /// requests (step_ms > 0) with InvalidArgument — those go through
-  /// AggregateQuery. The wire protocol's query handler maps onto this 1:1.
+  /// Returns every timeseries matching all of the request's matchers
+  /// restricted to [t0, t1] (inclusive), including group members located
+  /// through the two-level index. Runs without any global lock: each
+  /// matched entry is snapshotted under its shard/entry locks (labels +
+  /// open chunk), then the LSM is read lock-free, so the result is a
+  /// consistent point-in-time view per series. A thin materializer over
+  /// QueryIterators — there is exactly one read pipeline — that also fills
+  /// `out->stats`. Returns InvalidArgument when t0 > t1, the matchers are
+  /// empty, or the request is an aggregate (step_ms > 0: use
+  /// AggregateQuery). The wire protocol's query handler maps onto this 1:1.
   Status Query(const query::ReadRequest& request, QueryResult* out);
-
-  /// Returns every timeseries matching all `matchers` restricted to
-  /// [t0, t1] (inclusive), including group members located through the
-  /// two-level index. Runs without any global lock: each matched entry is
-  /// snapshotted under its shard/entry locks (labels + open chunk), then
-  /// the LSM is read lock-free. The result is a consistent point-in-time
-  /// view per series.
-  ///
-  /// Implemented as a thin materializer over QueryIterators — there is
-  /// exactly one read pipeline (head snapshot → LSM iterators → merged
-  /// dedup stream); Query just drains it into vectors and fills
-  /// `out->stats`. Returns InvalidArgument when t0 > t1 or `matchers` is
-  /// empty. Legacy signature: delegates to Query(ReadRequest) with default
-  /// strictness.
-  Status Query(const std::vector<index::TagMatcher>& matchers, int64_t t0,
-               int64_t t1, QueryResult* out);
 
   /// Streaming variant of Query (§3.4): each matching timeseries comes
   /// with a lazy SampleIterator instead of materialized samples. The
@@ -375,18 +303,11 @@ class TimeUnionDB {
     index::Labels labels;
     std::unique_ptr<SampleIterator> iter;
   };
-  /// ReadRequest form of the streaming query (rejects aggregate requests).
+  /// Validates like Query and rejects aggregate requests.
   /// `stats` (nullable) receives pruning/cache counters; the pointed-to
   /// object must outlive every returned iterator — lazy iterators keep
   /// counting while they are drained.
   Status QueryIterators(const query::ReadRequest& request,
-                        std::vector<SeriesIterResult>* out,
-                        query::QueryStats* stats = nullptr);
-
-  /// Legacy signature: delegates to QueryIterators(ReadRequest). Returns
-  /// InvalidArgument when t0 > t1 or `matchers` is empty.
-  Status QueryIterators(const std::vector<index::TagMatcher>& matchers,
-                        int64_t t0, int64_t t1,
                         std::vector<SeriesIterResult>* out,
                         query::QueryStats* stats = nullptr);
 
@@ -408,8 +329,10 @@ class TimeUnionDB {
     std::vector<AggregateSeries> series;
     query::QueryStats stats;
   };
-  /// Aggregates every series matching `matchers` over [t0, t1] into
-  /// `step_ms`-wide windows of `fn` (min/max/sum/count/mean). The planner
+  /// Aggregates every series matching the request's matchers over
+  /// [t0, t1] into `step_ms`-wide windows of `fn`
+  /// (min/max/sum/count/mean); build the request with
+  /// ReadRequest::Aggregate. The planner
   /// serves bucket-aligned interiors from the compaction-maintained rollup
   /// partitions (when `lsm.rollup_granularities_ms` configures a
   /// granularity dividing the step) and falls back to the raw batch path
@@ -418,16 +341,10 @@ class TimeUnionDB {
   /// identical to aggregating the raw samples. Group members always take
   /// the raw path. Returns InvalidArgument for t0 > t1, empty matchers or
   /// step_ms <= 0. Per-path volume lands in out->stats
-  /// (rollup_buckets_served / raw_edge_samples). ReadRequest form: the
-  /// request must carry step_ms > 0 (+ fn); strictness is honored like
-  /// Query's.
+  /// (rollup_buckets_served / raw_edge_samples). Strictness is honored
+  /// like Query's.
   Status AggregateQuery(const query::ReadRequest& request,
                         AggregateResult* out);
-
-  /// Legacy signature: delegates to AggregateQuery(ReadRequest).
-  Status AggregateQuery(const std::vector<index::TagMatcher>& matchers,
-                        int64_t t0, int64_t t1, int64_t step_ms,
-                        query::AggFn fn, AggregateResult* out);
 
   /// Lists all values of a tag name across the index (label-values API).
   /// Serialized against slow-path registration so multi-label inserts are
@@ -478,27 +395,20 @@ class TimeUnionDB {
   uint64_t NumGroups() const;
   /// What the Open-time recovery salvaged/dropped (see RecoveryReport).
   const RecoveryReport& recovery_report() const { return recovery_report_; }
-  /// Typed point-in-time metrics snapshot: every registry instrument
-  /// (ingest/flush/compaction/query latency histograms, event trace) plus
-  /// the external counters folded in under stable names — tier I/O
-  /// (fast.* / slow.*), LSM stats (lsm.*), block cache (cache.*), breaker
-  /// and admission state, and the read-pipeline totals (query.*). Safe
-  /// from any thread; serialize with ToJson() or ToPrometheusText().
+  /// The one introspection view: a typed point-in-time metrics snapshot
+  /// of every registry instrument (ingest/flush/compaction/query latency
+  /// histograms, event trace) plus the external counters folded in under
+  /// stable names — tier I/O (fast.* / slow.*), LSM stats (lsm.*), block
+  /// cache (cache.*), breaker and admission state, scrub and integrity
+  /// counters, the read-pipeline totals (query.*) and the health state
+  /// machine (db.health, db.last_background_error). Read single values
+  /// with CounterOr0 / GaugeOr0 / FindString. Safe from any thread;
+  /// serialize with ToJson() or ToPrometheusText().
   obs::MetricsSnapshot Metrics() const;
   /// The instrument registry (stable pointers, lock-free recording).
   obs::MetricsRegistry& metrics_registry() { return *metrics_; }
   /// The background-error state machine (tests/operator tooling).
   ErrorHandler& error_handler() { return error_handler_; }
-  /// Degraded-operation snapshot: breaker state, deferred-upload backlog,
-  /// fast-tier pressure, admission outcomes, block cache counters, sticky
-  /// background error. A typed view over the same data as Metrics(); safe
-  /// from any thread.
-  core::HealthReport HealthReport() const;
-  /// Human-readable counters: tiered-env I/O + breaker state, block cache
-  /// hit/miss/eviction/usage, and read-pipeline totals aggregated across
-  /// every Query/QueryIterators since Open. A thin formatter over the
-  /// Metrics() snapshot. Safe from any thread.
-  std::string CountersReport() const;
   /// Index memory (trie + postings), §3.2 accounting. The index is
   /// internally synchronized; safe from any thread.
   uint64_t IndexMemoryUsage() const;
@@ -662,7 +572,7 @@ class TimeUnionDB {
   /// DBOptions::strict_reads.
   bool AllowPartialReads(query::ReadRequest::Strictness s) const;
   /// Folds one finished query's stats into the DB-lifetime totals
-  /// surfaced by CountersReport().
+  /// surfaced by Metrics() as query.*.
   void AddQueryTotals(const query::QueryStats& stats);
 
   /// Write-path backpressure (DBOptions::AdmissionControl): checks the
@@ -752,20 +662,19 @@ class TimeUnionDB {
 
   /// Admission-control state: a write counter that paces gauge refreshes,
   /// the last observed pressure level (0 healthy / 1 soft / 2 hard), and
-  /// the outcome counters surfaced by HealthReport().
+  /// the outcome counters surfaced by Metrics() as admission.*.
   std::atomic<uint64_t> admission_ops_{0};
   std::atomic<int> admission_level_{0};
   std::atomic<uint64_t> writers_delayed_{0};
   std::atomic<uint64_t> writes_rejected_{0};
 
-  /// DB-lifetime read-pipeline totals (CountersReport). A plain mutex is
+  /// DB-lifetime read-pipeline totals (Metrics() query.*). A plain mutex is
   /// fine: queries fold their stats in once, at the end.
   mutable std::mutex query_totals_mu_;
   query::QueryStats query_totals_;  // guarded by query_totals_mu_
   uint64_t queries_run_ = 0;        // guarded by query_totals_mu_
 
-  /// Cached hot-path instruments (all nullptr when !metrics.enabled, which
-  /// turns every recording site into a no-op). Registered once in Init.
+  /// Cached hot-path instruments, registered once in Init.
   obs::Histogram* h_ingest_append_ = nullptr;  // sampled 1-in-64
   obs::Histogram* h_group_append_ = nullptr;   // sampled 1-in-64
   obs::Histogram* h_wal_append_ = nullptr;     // every batch append
@@ -788,7 +697,7 @@ class TimeUnionDB {
     void Bump() { v.store(v.load(std::memory_order_relaxed) + 1,
                           std::memory_order_relaxed); }
   };
-  std::unique_ptr<StripeCell[]> sample_cells_;  // null when !metrics.enabled
+  std::unique_ptr<StripeCell[]> sample_cells_;
   uint64_t SumSampleCells() const;
 
   /// Integrity scrub driver (null under the leveled backend). Declared

@@ -33,8 +33,8 @@ class ChunkStore {
   /// Flushes memtables and drains pending maintenance.
   virtual Status FlushAll() = 0;
   /// Iterator over all chunks of `id` intersecting [ctx.t0, ctx.t1].
-  /// Honors ctx.scope for degraded reads, ctx.fill_cache for block-cache
-  /// population, and accumulates pruning/IO counters into ctx.stats.
+  /// Honors ctx.scope for degraded reads and accumulates pruning/IO
+  /// counters into ctx.stats.
   virtual Status NewIteratorForId(uint64_t id, const ReadContext& ctx,
                                   std::unique_ptr<Iterator>* out) = 0;
   /// Strict-read convenience: any unreachable table fails the call.

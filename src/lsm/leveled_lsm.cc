@@ -204,8 +204,16 @@ Status LeveledLsm::MaybeCompact() {
   return Status::OK();
 }
 
-Status LeveledLsm::OpenReader(TableHandle* handle, bool fill_cache) {
+Status LeveledLsm::OpenReader(TableHandle* handle) {
   if (handle->reader) return Status::OK();
+  std::unique_ptr<TableReader> reader;
+  TU_RETURN_IF_ERROR(OpenTableReader(handle, block_cache_, &reader));
+  handle->reader = std::move(reader);
+  return Status::OK();
+}
+
+Status LeveledLsm::OpenTableReader(TableHandle* handle, BlockCache* cache,
+                                   std::unique_ptr<TableReader>* reader) {
   if (handle->quarantined) {
     return Status::Corruption("table " +
                               std::to_string(handle->meta.table_id) +
@@ -228,22 +236,19 @@ Status LeveledLsm::OpenReader(TableHandle* handle, bool fill_cache) {
         std::to_string(handle->meta.file_size));
   }
   TableReaderOptions opts;
-  opts.block_cache = fill_cache ? block_cache_ : nullptr;
+  opts.block_cache = cache;
   opts.cache_id = name_ + ":" + std::to_string(handle->meta.table_id);
   opts.on_slow = handle->on_slow;
   opts.corruptions_detected = &stats_.read_corruptions_detected;
   opts.corruptions_healed = &stats_.read_corruptions_healed;
-  std::unique_ptr<TableReader> reader;
-  Status s = TableReader::Open(opts, std::move(source), &reader);
+  Status s = TableReader::Open(opts, std::move(source), reader);
   if (s.IsCorruption()) {
     // One copy per table in this backend: corruption that survives the
     // reader's own re-reads has nowhere to heal from.
     handle->quarantined = true;
     stats_.runtime_quarantines.fetch_add(1, std::memory_order_relaxed);
   }
-  TU_RETURN_IF_ERROR(s);
-  handle->reader = std::move(reader);
-  return Status::OK();
+  return s;
 }
 
 Status LeveledLsm::DeleteTable(const TableHandle& handle, bool was_fast) {
@@ -257,69 +262,81 @@ Status LeveledLsm::CompactLevel(int level) {
   const uint64_t start_us = NowUs();
   const int next = level + 1;
 
-  // Select victims: all of L0 (overlapping), or one table round-robin.
-  std::vector<TableHandle> victims;
+  // Inputs stay in levels_ until the outputs are installed, so a failed
+  // merge leaves the tree as it was and a later compaction retries it.
+  // Victims come first: all of L0 (overlapping), or one table round-robin.
+  std::vector<TableHandle*> inputs;
   if (level == 0) {
-    victims = std::move(levels_[0]);
-    levels_[0].clear();
-  } else {
-    if (levels_[level].empty()) return Status::OK();
-    const size_t idx = compaction_pointer_ % levels_[level].size();
-    victims.push_back(levels_[level][idx]);
-    levels_[level].erase(levels_[level].begin() + idx);
+    for (TableHandle& t : levels_[0]) inputs.push_back(&t);
+  } else if (!levels_[level].empty()) {
+    inputs.push_back(
+        &levels_[level][compaction_pointer_ % levels_[level].size()]);
     ++compaction_pointer_;
   }
+  if (inputs.empty()) return Status::OK();
 
   // Key range of the victims.
   TableMeta range;
-  range.smallest_key = victims[0].meta.smallest_key;
-  range.largest_key = victims[0].meta.largest_key;
-  for (const auto& v : victims) {
-    if (Slice(v.meta.smallest_key).compare(range.smallest_key) < 0) {
-      range.smallest_key = v.meta.smallest_key;
+  range.smallest_key = inputs[0]->meta.smallest_key;
+  range.largest_key = inputs[0]->meta.largest_key;
+  for (const TableHandle* v : inputs) {
+    if (Slice(v->meta.smallest_key).compare(range.smallest_key) < 0) {
+      range.smallest_key = v->meta.smallest_key;
     }
-    if (Slice(v.meta.largest_key).compare(range.largest_key) > 0) {
-      range.largest_key = v.meta.largest_key;
+    if (Slice(v->meta.largest_key).compare(range.largest_key) > 0) {
+      range.largest_key = v->meta.largest_key;
     }
   }
 
   // All overlapping tables in the next level join the merge ("at least one
   // overlapping SSTable needs to be read from the next level", §2.4).
-  std::vector<TableHandle> next_inputs;
-  auto& next_level = levels_[next];
-  for (auto it = next_level.begin(); it != next_level.end();) {
-    if (RangesOverlap(it->meta, range)) {
-      next_inputs.push_back(std::move(*it));
-      it = next_level.erase(it);
-    } else {
-      ++it;
-    }
+  for (TableHandle& t : levels_[next]) {
+    if (RangesOverlap(t.meta, range)) inputs.push_back(&t);
   }
 
   // Merge: victims (newer) first so equal internal keys keep newest order.
+  // Each input is read through an uncached reader local to this merge.
+  std::vector<std::unique_ptr<TableReader>> readers;
   std::vector<std::unique_ptr<Iterator>> children;
-  std::vector<std::pair<TableHandle, bool>> consumed;  // handle, was_fast
-  for (auto& v : victims) {
-    TU_RETURN_IF_ERROR(OpenReader(&v, /*fill_cache=*/false));
+  std::vector<uint64_t> input_ids;
+  for (TableHandle* t : inputs) {
+    std::unique_ptr<TableReader> reader;
+    TU_RETURN_IF_ERROR(OpenTableReader(t, /*cache=*/nullptr, &reader));
     stats_.tables_read.fetch_add(1, std::memory_order_relaxed);
-    stats_.bytes_read.fetch_add(v.meta.file_size, std::memory_order_relaxed);
-    children.push_back(v.reader->NewIterator());
-    consumed.emplace_back(std::move(v), LevelIsFast(level));
-  }
-  for (auto& v : next_inputs) {
-    TU_RETURN_IF_ERROR(OpenReader(&v, /*fill_cache=*/false));
-    stats_.tables_read.fetch_add(1, std::memory_order_relaxed);
-    stats_.bytes_read.fetch_add(v.meta.file_size, std::memory_order_relaxed);
-    children.push_back(v.reader->NewIterator());
-    consumed.emplace_back(std::move(v), LevelIsFast(next));
+    stats_.bytes_read.fetch_add(t->meta.file_size, std::memory_order_relaxed);
+    children.push_back(reader->NewIterator());
+    readers.push_back(std::move(reader));
+    input_ids.push_back(t->meta.table_id);
   }
   auto merged = NewMergingIterator(std::move(children));
   merged->SeekToFirst();
 
   std::vector<TableHandle> outputs;
-  TU_RETURN_IF_ERROR(BuildTables(merged.get(), next, &outputs));
+  Status s = BuildTables(merged.get(), next, &outputs);
+  if (!s.ok()) {
+    // Nothing was installed: drop the outputs already written.
+    for (const TableHandle& t : outputs) {
+      (void)DeleteTable(t, LevelIsFast(next));
+    }
+    return s;
+  }
 
-  // Install outputs sorted by smallest key; delete inputs.
+  // Swap the inputs for the outputs (the next level stays sorted by
+  // smallest key), then delete the input files.
+  std::vector<std::pair<TableHandle, bool>> consumed;  // handle, was_fast
+  for (const int l : {level, next}) {
+    std::vector<TableHandle>& tables = levels_[l];
+    auto first_input = std::stable_partition(
+        tables.begin(), tables.end(), [&](const TableHandle& t) {
+          return std::find(input_ids.begin(), input_ids.end(),
+                           t.meta.table_id) == input_ids.end();
+        });
+    for (auto it = first_input; it != tables.end(); ++it) {
+      consumed.emplace_back(std::move(*it), LevelIsFast(l));
+    }
+    tables.erase(first_input, tables.end());
+  }
+  std::vector<TableHandle>& next_level = levels_[next];
   for (auto& t : outputs) next_level.push_back(std::move(t));
   std::sort(next_level.begin(), next_level.end(),
             [](const TableHandle& a, const TableHandle& b) {
@@ -391,7 +408,7 @@ Status LeveledLsm::NewIteratorForId(uint64_t id, const ReadContext& ctx,
         if (qs != nullptr) ++qs->tables_skipped_unreachable;
         continue;
       }
-      Status s = OpenReader(&handle, ctx.fill_cache);
+      Status s = OpenReader(&handle);
       if (!s.ok()) {
         // Without time partitioning a chunk can extend arbitrarily past
         // its start timestamp, so the missing span is conservative: from

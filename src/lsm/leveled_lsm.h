@@ -117,9 +117,15 @@ class LeveledLsm : public ChunkStore {
   Status FlushMemTable();
   Status MaybeCompact();
   Status CompactLevel(int level);
-  /// Opens the table reader; compaction reads pass fill_cache=false so
-  /// they do not pollute the query block cache (RocksDB idiom).
-  Status OpenReader(TableHandle* handle, bool fill_cache = true);
+  /// Opens the handle's shared query reader, through the block cache,
+  /// unless it has one.
+  Status OpenReader(TableHandle* handle);
+  /// Opens a reader of `handle` through `cache` (nullable) without storing
+  /// it; compactions read their inputs this way, uncached, so they neither
+  /// pollute the query block cache nor leave cache-less readers on the
+  /// handles. A size mismatch or a corrupt table quarantines the handle.
+  Status OpenTableReader(TableHandle* handle, BlockCache* cache,
+                         std::unique_ptr<TableReader>* reader);
   Status BuildTables(Iterator* input, int target_level,
                      std::vector<TableHandle>* outputs);
   std::string FastName(uint64_t table_id) const;

@@ -847,11 +847,11 @@ Status TimePartitionedLsm::OpenReaderOnTier(
   return TableReader::Open(opts, std::move(source), reader);
 }
 
-Status TimePartitionedLsm::OpenReader(TableHandle* handle, bool fill_cache) {
+Status TimePartitionedLsm::OpenReader(TableHandle* handle) {
   if (handle->reader) return Status::OK();
   std::unique_ptr<TableReader> reader;
-  TU_RETURN_IF_ERROR(OpenTableReader(
-      handle, fill_cache ? block_cache_ : nullptr, /*scan=*/false, &reader));
+  TU_RETURN_IF_ERROR(
+      OpenTableReader(handle, block_cache_, /*scan=*/false, &reader));
   handle->reader = std::move(reader);
   return Status::OK();
 }
@@ -1663,7 +1663,7 @@ Status TimePartitionedLsm::NewIteratorForId(uint64_t id, const ReadContext& ctx,
       if (qs != nullptr) ++qs->tables_skipped_unreachable;
       return Status::OK();
     }
-    Status s = OpenReader(&handle, ctx.fill_cache);
+    Status s = OpenReader(&handle);
     if (!s.ok()) {
       // Partial read: an unreachable slow-tier table — or a corrupt/
       // quarantined table on either tier after repair attempts failed — is
@@ -1872,7 +1872,7 @@ Status TimePartitionedLsm::PlanRollupRead(
     // whole partition to the raw path, which reports its own exact missing
     // spans — breaker-open completeness composes unchanged.
     if (handle->on_slow && slow_tier_down) continue;
-    if (!OpenReader(handle, ctx.fill_cache).ok()) continue;
+    if (!OpenReader(handle).ok()) continue;
 
     // One rollup chunk per series per table. A bloom miss or an id outside
     // the table's range means the series genuinely has no samples in this
@@ -2532,25 +2532,8 @@ Status TimePartitionedLsm::ScrubOneTable(uint64_t table_id, bool repair,
   return Status::OK();
 }
 
-Status TimePartitionedLsm::last_background_error() const {
-  std::lock_guard<std::mutex> lock(bg_err_mu_);
-  return last_bg_error_;
-}
-
-void TimePartitionedLsm::ClearBackgroundError() {
-  std::lock_guard<std::mutex> lock(bg_err_mu_);
-  last_bg_error_ = Status::OK();
-}
-
 void TimePartitionedLsm::RecordBackgroundError(BgWorkKind kind,
                                                const Status& s) {
-  // Drain failures are reported but never latched: the deferred queue
-  // already preserves availability, and latching would hold the DB
-  // degraded for the whole outage the queue exists to ride out.
-  if (kind != BgWorkKind::kDrain) {
-    std::lock_guard<std::mutex> lock(bg_err_mu_);
-    last_bg_error_ = s;
-  }
   if (options_.on_background_error) options_.on_background_error(kind, s);
 }
 

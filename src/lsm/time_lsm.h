@@ -82,10 +82,9 @@ struct TimeLsmOptions {
   std::function<void(const std::vector<std::pair<uint64_t, uint64_t>>&)>
       on_flush;
   /// Invoked (from the failing thread, no LSM locks held) whenever a
-  /// background flush or maintenance pass fails, with the stage that
-  /// failed; flush/compaction errors are also latched in
-  /// last_background_error(). kDrain errors are reported but never
-  /// latched — the deferred queue already preserves availability.
+  /// background flush, maintenance pass or deferred-upload drain fails,
+  /// with the stage that failed. The LSM keeps no error state of its own:
+  /// the DB's ErrorHandler classifies and latches what this reports.
   std::function<void(BgWorkKind, const Status&)> on_background_error;
   /// Persist the level manifest to the fast tier after each mutation so a
   /// reopen recovers the tree.
@@ -289,18 +288,12 @@ class TimePartitionedLsm : public ChunkStore {
   Status ScrubOneTable(uint64_t table_id, bool repair, ScrubOutcome* outcome,
                        std::string* detail, uint64_t* bytes_verified = nullptr);
 
-  /// Sticky error from background flush/maintenance work (background_flush
-  /// mode swallows per-operation statuses; this is how they surface).
-  Status last_background_error() const;
-  void ClearBackgroundError();
-
   /// Resume-probe entry point: replays retained work after a background
   /// failure — drains every immutable memtable still queued (a failed
   /// flush RETAINS its memtable, so acked-but-unflushed data survives the
   /// error) and re-runs the maintenance pass. Returns the first failure;
-  /// OK means all retained inputs are durable again. Does NOT clear
-  /// last_background_error() — the caller decides what a successful
-  /// retry means for DB health.
+  /// OK means all retained inputs are durable again; the caller decides
+  /// what a successful retry means for DB health.
   Status RetryBackgroundWork();
 
   // -- Introspection for benches/tests ------------------------------------
@@ -434,8 +427,8 @@ class TimePartitionedLsm : public ChunkStore {
   void RouteSegmentToL2(MergeSegment segment);
 
   /// Opens the handle's shared query reader (OpenTableReader, through the
-  /// block cache unless `fill_cache` is off) unless it has one.
-  Status OpenReader(TableHandle* handle, bool fill_cache = true);
+  /// block cache) unless it has one.
+  Status OpenReader(TableHandle* handle);
   /// Opens a reader of `handle` without storing it, reading through
   /// `cache` (nullable). `scan` marks a compaction's in-order scan: its
   /// fast-tier reads go through a ReadAheadTableSource. On a corrupt
@@ -544,8 +537,6 @@ class TimePartitionedLsm : public ChunkStore {
   std::atomic<uint64_t> fast_resident_bytes_{0};
   /// Serializes drain passes (maintenance tick vs explicit calls).
   std::mutex drain_mu_;
-  mutable std::mutex bg_err_mu_;
-  Status last_bg_error_;  // guarded by bg_err_mu_
 };
 
 }  // namespace tu::lsm

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -28,7 +27,8 @@ namespace tu::query {
 /// Per-query read-path counters. Filled at every pruning level — partition,
 /// table (min/max meta + bloom) and block — plus the cache and decode
 /// stages; `Add` aggregates per-series stats into the per-query total and
-/// per-query totals into the DB-lifetime total behind CountersReport().
+/// per-query totals into the DB-lifetime totals Metrics() reports as
+/// query.*.
 ///
 /// Lifetime: the pipeline holds a raw pointer to the accumulator, and lazy
 /// iterators keep counting while they are drained — the QueryStats object
@@ -105,8 +105,6 @@ struct QueryStats {
   uint64_t tables_pruned() const {
     return tables_pruned_id + tables_pruned_time + tables_pruned_bloom;
   }
-
-  std::string ToString() const;
 };
 
 /// The completeness contract of a degraded read, shared by every result
@@ -156,9 +154,6 @@ struct ReadContext {
   const std::vector<index::TagMatcher>* matchers = nullptr;
   /// Degraded-read behaviour (see ReadScope).
   ReadScope scope;
-  /// Whether block reads should populate the shared block cache. One-shot
-  /// scans can opt out to avoid evicting the working set (RocksDB idiom).
-  bool fill_cache = true;
   /// Optional per-query counters; see the QueryStats lifetime note.
   QueryStats* stats = nullptr;
   /// Optional block-fetch plan shared by all series of one query. When

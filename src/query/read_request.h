@@ -1,10 +1,9 @@
 // ReadRequest: the one read-side request shape of the public API. The
-// three historical query entry points (Query, QueryIterators,
-// AggregateQuery) took diverging parameter lists; ReadRequest consolidates
-// them — matchers, inclusive time range, strictness override, and an
+// three query entry points (Query, QueryIterators, AggregateQuery) take
+// only this — matchers, inclusive time range, strictness override, and an
 // optional aggregate shape (step + fn) — so the wire protocol's query
 // handlers map onto the DB 1:1 and new read-side knobs have exactly one
-// place to land. The legacy signatures survive as delegating shims.
+// place to land.
 #pragma once
 
 #include <cstdint>

@@ -176,7 +176,8 @@ TEST_P(BatchDrainDifferentialTest, BatchPathMatchesScalarModel) {
       const auto want = Expected(models[s], t0, t1);
 
       QueryResult materialized;
-      ASSERT_TRUE(db->Query({matcher}, t0, t1, &materialized).ok());
+      ASSERT_TRUE(db->Query(query::ReadRequest::Range({matcher}, t0, t1),
+                            &materialized).ok());
       if (want.empty()) {
         EXPECT_EQ(materialized.size(), 0u);
       } else {
@@ -188,7 +189,8 @@ TEST_P(BatchDrainDifferentialTest, BatchPathMatchesScalarModel) {
 
       // Pure batch drain through the public iterator API.
       std::vector<TimeUnionDB::SeriesIterResult> iters;
-      ASSERT_TRUE(db->QueryIterators({matcher}, t0, t1, &iters).ok());
+      ASSERT_TRUE(db->QueryIterators(
+          query::ReadRequest::Range({matcher}, t0, t1), &iters).ok());
       ASSERT_EQ(iters.size(), 1u);
       const auto got = DrainBatches(iters[0].iter.get());
       ASSERT_TRUE(iters[0].iter->status().ok());
@@ -198,7 +200,8 @@ TEST_P(BatchDrainDifferentialTest, BatchPathMatchesScalarModel) {
       if (!want.empty()) {
         const size_t k = rng.Uniform(static_cast<uint32_t>(want.size()));
         std::vector<TimeUnionDB::SeriesIterResult> mixed;
-        ASSERT_TRUE(db->QueryIterators({matcher}, t0, t1, &mixed).ok());
+        ASSERT_TRUE(db->QueryIterators(
+            query::ReadRequest::Range({matcher}, t0, t1), &mixed).ok());
         ASSERT_EQ(mixed.size(), 1u);
         auto* it = mixed[0].iter.get();
         std::vector<compress::Sample> combined;
@@ -219,8 +222,8 @@ TEST_P(BatchDrainDifferentialTest, BatchPathMatchesScalarModel) {
       const auto want = Expected(gmodels[g], t0, t1);
       std::vector<TimeUnionDB::SeriesIterResult> iters;
       ASSERT_TRUE(
-          db->QueryIterators({TagMatcher::Equal("mem", mems[g])}, t0, t1,
-                             &iters)
+          db->QueryIterators(query::ReadRequest::Range(
+              {TagMatcher::Equal("mem", mems[g])}, t0, t1), &iters)
               .ok());
       ASSERT_EQ(iters.size(), 1u);
       // Group rewrites are checked bitwise like series: compaction
@@ -322,7 +325,8 @@ TEST(CompactionRestampTest, SingleRowRewriteIntoCompactedWindowWins) {
   // The rewrites must win bitwise everywhere — materialized and batched.
   const int64_t span = (kRounds + 600) * kStepMs;
   QueryResult result;
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 0, span, &result)
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 0, span), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   ExpectSamplesEqual(result[0].samples, Expected(model, 0, span), "series");
@@ -330,8 +334,8 @@ TEST(CompactionRestampTest, SingleRowRewriteIntoCompactedWindowWins) {
   const char* mems[] = {"a", "b"};
   for (int g = 0; g < 2; ++g) {
     std::vector<TimeUnionDB::SeriesIterResult> iters;
-    ASSERT_TRUE(db->QueryIterators({TagMatcher::Equal("mem", mems[g])}, 0,
-                                   span, &iters)
+    ASSERT_TRUE(db->QueryIterators(query::ReadRequest::Range(
+        {TagMatcher::Equal("mem", mems[g])}, 0, span), &iters)
                     .ok());
     ASSERT_EQ(iters.size(), 1u);
     const auto got = DrainBatches(iters[0].iter.get());
@@ -384,16 +388,16 @@ TEST(BatchDrainPartialReadTest, BreakerOpenBatchesMatchMaterialized) {
   ASSERT_EQ(slow.breaker().state(), cloud::BreakerState::kOpen);
 
   QueryResult materialized;
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 0, kTotal * 250LL,
-                        &materialized)
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 0, kTotal * 250LL), &materialized)
                   .ok());
   EXPECT_FALSE(materialized.complete);
   ASSERT_FALSE(materialized.missing_ranges.empty());
   ASSERT_EQ(materialized.size(), 1u);
 
   std::vector<TimeUnionDB::SeriesIterResult> iters;
-  ASSERT_TRUE(db->QueryIterators({TagMatcher::Equal("m", "cpu")}, 0,
-                                 kTotal * 250LL, &iters)
+  ASSERT_TRUE(db->QueryIterators(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 0, kTotal * 250LL), &iters)
                   .ok());
   ASSERT_EQ(iters.size(), 1u);
   EXPECT_FALSE(iters[0].complete);
@@ -434,7 +438,8 @@ TEST(BatchDrainUpperBoundTest, MidDataWindowPrunesAndStaysExact) {
   // Reference: the full window touches every block and decodes everything.
   QueryResult full;
   ASSERT_TRUE(
-      db->Query({TagMatcher::Equal("m", "cpu")}, 0, kTotal * 250LL, &full)
+      db->Query(query::ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                          kTotal * 250LL), &full)
           .ok());
   ASSERT_EQ(full.size(), 1u);
   ExpectSamplesEqual(full[0].samples, Expected(model, 0, kTotal * 250LL),
@@ -446,7 +451,8 @@ TEST(BatchDrainUpperBoundTest, MidDataWindowPrunesAndStaysExact) {
   // decoded, with the batch results still exact at the clip.
   const int64_t t1 = kTotal / 10 * 250LL;
   QueryResult result;
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 0, t1, &result).ok());
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 0, t1), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   ExpectSamplesEqual(result[0].samples, Expected(model, 0, t1), "bounded");
   EXPECT_LT(result.stats.blocks_read, full.stats.blocks_read / 2);

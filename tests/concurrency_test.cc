@@ -132,8 +132,9 @@ TEST(ConcurrencyTest, ParallelInsertersThroughDb) {
 
   for (size_t i = 0; i < refs.size(); ++i) {
     core::QueryResult result;
-    ASSERT_TRUE(db->Query({index::TagMatcher::Equal("t", std::to_string(i))},
-                          0, kSamples * kMin, &result)
+    ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+        {index::TagMatcher::Equal("t", std::to_string(i))}, 0, kSamples * kMin),
+                          &result)
                     .ok());
     ASSERT_EQ(result.size(), 1u) << i;
     EXPECT_EQ(result[0].samples.size(), static_cast<size_t>(kSamples)) << i;
@@ -194,8 +195,9 @@ TEST(ConcurrencyTest, MultiWriterDisjointSeriesLosesNothing) {
   EXPECT_EQ(db->NumSeries(), refs.size());
   for (size_t i = 0; i < refs.size(); ++i) {
     core::QueryResult result;
-    ASSERT_TRUE(db->Query({index::TagMatcher::Equal("d", std::to_string(i))},
-                          0, kSamples * kMin, &result)
+    ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+        {index::TagMatcher::Equal("d", std::to_string(i))}, 0, kSamples * kMin),
+                          &result)
                     .ok());
     ExpectCompleteSeries(result, kSamples);
   }
@@ -237,8 +239,9 @@ TEST(ConcurrencyTest, MultiWriterSharedSeriesLosesNothing) {
 
   core::QueryResult result;
   const int total = kThreads * kSamplesPerThread;
-  ASSERT_TRUE(db->Query({index::TagMatcher::Equal("m", "shared")}, 0,
-                        static_cast<int64_t>(total) * kMin, &result)
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+      {index::TagMatcher::Equal("m", "shared")}, 0,
+      static_cast<int64_t>(total) * kMin), &result)
                   .ok());
   ExpectCompleteSeries(result, total);
   RemoveDirRecursive(opts.workspace);
@@ -263,8 +266,8 @@ TEST(ConcurrencyTest, QueriesDuringSlowPathRegistration) {
   std::thread reader([&] {
     while (!stop.load()) {
       core::QueryResult result;
-      if (!db->Query({index::TagMatcher::Equal("job", "ingest")}, 0,
-                     1'000'000, &result)
+      if (!db->Query(query::ReadRequest::Range(
+          {index::TagMatcher::Equal("job", "ingest")}, 0, 1'000'000), &result)
                .ok()) {
         ++errors;
       }
@@ -350,8 +353,9 @@ TEST(ConcurrencyTest, ConcurrentFlushAndRetentionTicks) {
   EXPECT_EQ(db->NumSeries(), static_cast<uint64_t>(kSeries));
   for (int i = 0; i < kSeries; ++i) {
     core::QueryResult result;
-    ASSERT_TRUE(db->Query({index::TagMatcher::Equal("f", std::to_string(i))},
-                          0, kSamples * kMin, &result)
+    ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+        {index::TagMatcher::Equal("f", std::to_string(i))}, 0, kSamples * kMin),
+                          &result)
                     .ok());
     ExpectCompleteSeries(result, kSamples);
   }
@@ -473,8 +477,9 @@ TEST(ConcurrencyTest, MultiWriterWithWalSurvivesReopen) {
   EXPECT_TRUE(db->recovery_report().wal.Clean());
   for (size_t i = 0; i < refs.size(); ++i) {
     core::QueryResult result;
-    ASSERT_TRUE(db->Query({index::TagMatcher::Equal("w", std::to_string(i))},
-                          0, kSamples * kMin, &result)
+    ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+        {index::TagMatcher::Equal("w", std::to_string(i))}, 0, kSamples * kMin),
+                          &result)
                     .ok());
     ExpectCompleteSeries(result, kSamples);
   }
@@ -527,8 +532,9 @@ TEST(ConcurrencyTest, MultiWriterGroupFastPath) {
   for (int t = 0; t < kThreads; ++t) {
     core::QueryResult result;
     ASSERT_TRUE(
-        db->Query({index::TagMatcher::Equal("host", std::to_string(t))}, 0,
-                  (kRows + 1) * kMin, &result)
+        db->Query(query::ReadRequest::Range(
+            {index::TagMatcher::Equal("host", std::to_string(t))}, 0,
+            (kRows + 1) * kMin), &result)
             .ok());
     ASSERT_EQ(result.size(), static_cast<size_t>(kMembers));
     for (const auto& series : result) {
@@ -616,17 +622,21 @@ TEST(ConcurrencyTest, FaultCountersConsistentUnderConcurrentWriters) {
   EXPECT_EQ(stats.deferred_tables_created.load(),
             stats.deferred_uploads_drained.load());
 
-  // Admission control is off: the health report must show no outcomes.
-  core::HealthReport health = db->HealthReport();
-  EXPECT_EQ(health.writers_delayed, 0u);
-  EXPECT_EQ(health.writes_rejected, 0u);
-  EXPECT_TRUE(health.last_background_error.ok());
+  // Admission control is off: the snapshot must show no outcomes, and no
+  // flush or compaction failed (drain failures during the fault window are
+  // only noted).
+  const obs::MetricsSnapshot health = db->Metrics();
+  EXPECT_EQ(health.CounterOr0("admission.writers_delayed"), 0u);
+  EXPECT_EQ(health.CounterOr0("admission.writes_rejected"), 0u);
+  EXPECT_EQ(health.CounterOr0("error_handler.errors_by_scope.flush"), 0u);
+  EXPECT_EQ(health.CounterOr0("error_handler.errors_by_scope.compaction"), 0u);
 
   // With the backlog drained every write is durable and fully readable.
   for (int t = 0; t < kThreads; ++t) {
     core::QueryResult result;
-    ASSERT_TRUE(db->Query({index::TagMatcher::Equal("w", std::to_string(t))},
-                          0, kSamples * 250LL, &result)
+    ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+        {index::TagMatcher::Equal("w", std::to_string(t))}, 0,
+        kSamples * 250LL), &result)
                     .ok());
     EXPECT_TRUE(result.complete);
     ASSERT_EQ(result.size(), 1u) << t;

@@ -53,7 +53,8 @@ class DifferentialTest : public ::testing::TestWithParam<int> {
         matchers.push_back(TagMatcher::Equal(l.name, l.value));
       }
       QueryResult result;
-      ASSERT_TRUE(db->Query(matchers, 0, t1, &result).ok()) << key;
+      ASSERT_TRUE(db->Query(query::ReadRequest::Range(matchers, 0, t1),
+                            &result).ok()) << key;
       ASSERT_EQ(result.size(), 1u) << key;
       std::map<int64_t, double> got;
       for (const auto& s : result[0].samples) got[s.timestamp] = s.value;
@@ -61,7 +62,8 @@ class DifferentialTest : public ::testing::TestWithParam<int> {
 
       // Streaming path must agree with the materialized path.
       std::vector<TimeUnionDB::SeriesIterResult> streaming;
-      ASSERT_TRUE(db->QueryIterators(matchers, 0, t1, &streaming).ok());
+      ASSERT_TRUE(db->QueryIterators(query::ReadRequest::Range(matchers, 0, t1),
+                                     &streaming).ok());
       ASSERT_EQ(streaming.size(), 1u) << key;
       std::map<int64_t, double> drained;
       auto* it = streaming[0].iter.get();

@@ -337,9 +337,12 @@ TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {
   const auto matcher = index::TagMatcher::Equal("metric", "cpu");
   {
     core::QueryResult degraded, reference;
-    ASSERT_TRUE(db->Query({matcher}, 0, acked * kStepMs, &degraded).ok());
+    ASSERT_TRUE(db->Query(query::ReadRequest::Range({matcher}, 0,
+                                                    acked * kStepMs),
+                          &degraded).ok());
     ASSERT_TRUE(
-        control->Query({matcher}, 0, acked * kStepMs, &reference).ok());
+        control->Query(query::ReadRequest::Range({matcher}, 0, acked * kStepMs),
+                       &reference).ok());
     ASSERT_EQ(degraded.size(), 1u);
     ASSERT_EQ(reference.size(), 1u);
     ASSERT_EQ(degraded[0].samples.size(), reference[0].samples.size());
@@ -368,10 +371,10 @@ TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {
   }
   ASSERT_EQ(db->Health(), DbHealth::kHealthy) << "auto-resume never fired";
   {
-    const core::HealthReport health = db->HealthReport();
-    EXPECT_GT(health.resume_attempts, 0u);
-    EXPECT_GT(health.resumes_succeeded, 0u);
-    EXPECT_TRUE(health.last_background_error.ok());
+    const obs::MetricsSnapshot health = db->Metrics();
+    EXPECT_GT(health.CounterOr0("error_handler.resume_attempts"), 0u);
+    EXPECT_GT(health.CounterOr0("error_handler.resumes_succeeded"), 0u);
+    EXPECT_EQ(*health.FindString("db.last_background_error"), "OK");
   }
 
   // Phase 4: ingest continues where it left off; both DBs flush and must
@@ -386,8 +389,10 @@ TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {
   ASSERT_TRUE(control->Flush().ok());
 
   core::QueryResult got, want;
-  ASSERT_TRUE(db->Query({matcher}, 0, total * kStepMs, &got).ok());
-  ASSERT_TRUE(control->Query({matcher}, 0, total * kStepMs, &want).ok());
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range({matcher}, 0,
+                                                  total * kStepMs), &got).ok());
+  ASSERT_TRUE(control->Query(
+      query::ReadRequest::Range({matcher}, 0, total * kStepMs), &want).ok());
   ASSERT_EQ(got.size(), 1u);
   ASSERT_EQ(want.size(), 1u);
   ASSERT_EQ(got[0].samples.size(), want[0].samples.size());
@@ -486,8 +491,9 @@ TEST(CrashWhileDegradedTest, AckedSamplesSurviveCrashDuringQuiesce) {
   EXPECT_EQ(db->Health(), DbHealth::kHealthy);
 
   core::QueryResult result;
-  ASSERT_TRUE(db->Query({index::TagMatcher::Equal("metric", "cpu")}, 0,
-                        100'000 * kCrashStepMs, &result)
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+      {index::TagMatcher::Equal("metric", "cpu")}, 0, 100'000 * kCrashStepMs),
+                        &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   std::map<int64_t, double> samples;

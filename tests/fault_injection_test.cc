@@ -286,8 +286,8 @@ TEST(FaultInjectionDbTest, TransientSlowTierFaultsAbsorbedByRetries) {
   EXPECT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
   core::QueryResult result;
-  ASSERT_TRUE(db->Query({index::TagMatcher::Equal("metric", "cpu")}, 0,
-                        n * 250LL, &result)
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+      {index::TagMatcher::Equal("metric", "cpu")}, 0, n * 250LL), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples.size(), static_cast<size_t>(n));
@@ -297,9 +297,9 @@ TEST(FaultInjectionDbTest, TransientSlowTierFaultsAbsorbedByRetries) {
   EXPECT_GT(slow.faults_injected.load(), 0u);
   EXPECT_GT(slow.retries.load(), 0u);
   EXPECT_EQ(slow.retry_give_ups.load(), 0u);
-  const std::string report = db->env().CountersReport();
-  EXPECT_NE(report.find("retries="), std::string::npos);
-  EXPECT_NE(report.find("give_ups="), std::string::npos);
+  const obs::MetricsSnapshot snap = db->Metrics();
+  EXPECT_EQ(snap.CounterOr0("slow.retries"), slow.retries.load());
+  EXPECT_EQ(snap.CounterOr0("slow.give_ups"), 0u);
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -410,25 +410,33 @@ TEST(OutageLifecycleTest, IngestQueryDeferDrainAcrossSlowTierOutage) {
   ASSERT_TRUE(control->Flush().ok());
   ASSERT_TRUE(db->Flush().ok());
 
-  core::HealthReport health = db->HealthReport();
-  EXPECT_EQ(health.slow_breaker, cloud::BreakerState::kOpen);
-  EXPECT_GT(health.breaker_opens, 0u);
-  EXPECT_GT(health.breaker_rejections, 0u);
-  EXPECT_GT(health.deferred_tables, 0u);
-  EXPECT_GT(health.deferred_bytes, 0u);
-  EXPECT_TRUE(health.last_background_error.ok())
-      << health.last_background_error.ToString();
+  // Deferral is not a failure: writes stay healthy, and no flush or
+  // compaction error reached the error handler (drain attempts against
+  // the open breaker are only noted).
+  obs::MetricsSnapshot health = db->Metrics();
+  EXPECT_EQ(health.GaugeOr0("breaker.state"),
+            static_cast<int64_t>(cloud::BreakerState::kOpen));
+  EXPECT_GT(health.CounterOr0("slow.breaker_opens"), 0u);
+  EXPECT_GT(health.CounterOr0("slow.breaker_rejections"), 0u);
+  EXPECT_GT(health.GaugeOr0("lsm.deferred_tables"), 0);
+  EXPECT_GT(health.GaugeOr0("lsm.deferred_bytes"), 0);
+  EXPECT_EQ(*health.FindString("db.health"), "healthy");
+  EXPECT_EQ(health.CounterOr0("error_handler.errors_by_scope.flush"), 0u);
+  EXPECT_EQ(health.CounterOr0("error_handler.errors_by_scope.compaction"), 0u);
 
   // Mid-outage query: answers from the fast tier, flags the L2 gap.
   core::QueryResult control_result;
   ASSERT_TRUE(
-      control->Query({matcher}, 0, kTotal * kStepMs, &control_result).ok());
+      control->Query(query::ReadRequest::Range({matcher}, 0, kTotal * kStepMs),
+                     &control_result).ok());
   ASSERT_EQ(control_result.size(), 1u);
   ASSERT_EQ(control_result[0].samples.size(), static_cast<size_t>(kTotal));
 
   auto check_partial = [&](core::TimeUnionDB* target) {
     core::QueryResult partial;
-    ASSERT_TRUE(target->Query({matcher}, 0, kTotal * kStepMs, &partial).ok());
+    ASSERT_TRUE(target->Query(query::ReadRequest::Range({matcher}, 0,
+                                                        kTotal * kStepMs),
+                              &partial).ok());
     EXPECT_FALSE(partial.complete);
     ASSERT_FALSE(partial.missing_ranges.empty());
     ASSERT_EQ(partial.size(), 1u);
@@ -451,7 +459,9 @@ TEST(OutageLifecycleTest, IngestQueryDeferDrainAcrossSlowTierOutage) {
     // The streaming path reports the same degradation.
     std::vector<core::TimeUnionDB::SeriesIterResult> iters;
     ASSERT_TRUE(
-        target->QueryIterators({matcher}, 0, kTotal * kStepMs, &iters).ok());
+        target->QueryIterators(query::ReadRequest::Range({matcher}, 0,
+                                                         kTotal * kStepMs),
+                               &iters).ok());
     ASSERT_EQ(iters.size(), 1u);
     EXPECT_FALSE(iters[0].complete);
     EXPECT_FALSE(iters[0].missing_ranges.empty());
@@ -482,14 +492,16 @@ TEST(OutageLifecycleTest, IngestQueryDeferDrainAcrossSlowTierOutage) {
   EXPECT_EQ(drained, deferred_after_reopen);
   EXPECT_EQ(db->time_lsm()->NumDeferredTables(), 0u);
   EXPECT_EQ(db->env().slow().breaker().state(), cloud::BreakerState::kClosed);
-  health = db->HealthReport();
-  EXPECT_EQ(health.deferred_tables, 0u);
-  EXPECT_EQ(health.deferred_uploads_drained, deferred_after_reopen);
+  health = db->Metrics();
+  EXPECT_EQ(health.GaugeOr0("lsm.deferred_tables"), 0);
+  EXPECT_EQ(health.CounterOr0("lsm.deferred_uploads_drained"),
+            deferred_after_reopen);
 
   // Post-outage query: complete again, identical to the no-fault control.
   core::QueryResult final_result;
   ASSERT_TRUE(
-      db->Query({matcher}, 0, kTotal * kStepMs, &final_result).ok());
+      db->Query(query::ReadRequest::Range({matcher}, 0, kTotal * kStepMs),
+                &final_result).ok());
   EXPECT_TRUE(final_result.complete);
   EXPECT_TRUE(final_result.missing_ranges.empty());
   ASSERT_EQ(final_result.size(), 1u);
@@ -625,10 +637,10 @@ TEST(FaultInjectionDbTest, BackgroundFlushErrorIsStickyAndObservable) {
   }
   ASSERT_GT(callbacks.load(), 0) << "background flush error never surfaced";
 
-  // The same error is latched for polling callers and in HealthReport, and
-  // the error handler classified it as soft (write-quiesce, auto-resume).
-  EXPECT_FALSE(db->time_lsm()->last_background_error().ok());
-  EXPECT_FALSE(db->HealthReport().last_background_error.ok());
+  // The error handler latched the error (Metrics() shows it as
+  // db.last_background_error) and classified it as soft (write-quiesce,
+  // auto-resume).
+  EXPECT_NE(*db->Metrics().FindString("db.last_background_error"), "OK");
   EXPECT_EQ(db->Health(), core::DbHealth::kDegradedWrites);
   EXPECT_FALSE(db->error_handler().LastError().ok());
 
@@ -637,8 +649,7 @@ TEST(FaultInjectionDbTest, BackgroundFlushErrorIsStickyAndObservable) {
   fi->Clear();
   ASSERT_TRUE(db->Resume().ok());
   EXPECT_EQ(db->Health(), core::DbHealth::kHealthy);
-  EXPECT_TRUE(db->time_lsm()->last_background_error().ok());
-  EXPECT_TRUE(db->HealthReport().last_background_error.ok());
+  EXPECT_EQ(*db->Metrics().FindString("db.last_background_error"), "OK");
   ASSERT_TRUE(db->InsertFast(ref, 200'000, 1.0).ok());
 
   db.reset();
@@ -671,9 +682,9 @@ TEST(FaultInjectionDbTest, AdmissionControlDelaysThenRejectsWrites) {
     for (int i = 200; i < 400; ++i) {
       ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
     }
-    core::HealthReport health = db->HealthReport();
-    EXPECT_GT(health.writers_delayed, 0u);
-    EXPECT_EQ(health.writes_rejected, 0u);
+    const obs::MetricsSnapshot health = db->Metrics();
+    EXPECT_GT(health.CounterOr0("admission.writers_delayed"), 0u);
+    EXPECT_EQ(health.CounterOr0("admission.writes_rejected"), 0u);
     db.reset();
   }
 
@@ -701,7 +712,7 @@ TEST(FaultInjectionDbTest, AdmissionControlDelaysThenRejectsWrites) {
     }
   }
   EXPECT_TRUE(rejected.IsResourceExhausted()) << rejected.ToString();
-  EXPECT_GT(db->HealthReport().writes_rejected, 0u);
+  EXPECT_GT(db->Metrics().CounterOr0("admission.writes_rejected"), 0u);
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -810,8 +821,9 @@ TEST_P(CrashRecoveryTest, AcknowledgedSamplesSurviveCrash) {
       << c.site;
 
   core::QueryResult result;
-  ASSERT_TRUE(db->Query({index::TagMatcher::Equal("metric", "cpu")}, 0,
-                        kCrashSamples * kCrashIntervalMs, &result)
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+      {index::TagMatcher::Equal("metric", "cpu")}, 0,
+      kCrashSamples * kCrashIntervalMs), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u) << c.site;
   // No duplicated data: timestamps strictly ascending.
@@ -918,8 +930,8 @@ TEST(TooOldFlushMarkTest, OpenChunkSamplesSurviveCrash) {
       {0, -1.0}, {10'000, 1.0}, {10'250, 2.0}, {10'500, 3.0}, {10'750, 4.0}};
   for (const char* metric : {"cpu", "mem"}) {
     core::QueryResult result;
-    ASSERT_TRUE(db->Query({index::TagMatcher::Equal("metric", metric)}, 0,
-                          20'000, &result)
+    ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+        {index::TagMatcher::Equal("metric", metric)}, 0, 20'000), &result)
                     .ok());
     ASSERT_EQ(result.size(), 1u) << metric;
     std::vector<std::pair<int64_t, double>> got;

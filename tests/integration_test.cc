@@ -43,8 +43,8 @@ TEST(TuLdbBackendTest, SameApiSameAnswers) {
     EXPECT_TRUE(db->Flush().ok());
 
     QueryResult result;
-    EXPECT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 2 * kHour,
-                          8 * kHour, &result)
+    EXPECT_TRUE(db->Query(query::ReadRequest::Range(
+        {TagMatcher::Equal("m", "cpu")}, 2 * kHour, 8 * kHour), &result)
                     .ok());
     std::map<int64_t, double> samples;
     for (const auto& s : result[0].samples) samples[s.timestamp] = s.value;
@@ -80,8 +80,8 @@ TEST(TuLdbBackendTest, GroupsWorkOnLeveledBackend) {
   }
   ASSERT_TRUE(db->Flush().ok());
   QueryResult result;
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "b")}, 0, 200 * kMin,
-                        &result)
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range({TagMatcher::Equal("m", "b")},
+                                                  0, 200 * kMin), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples.size(), 200u);
@@ -257,9 +257,10 @@ TEST(DevOpsIntegration, FullPipelineSmall) {
   // Spot-check 10 series end to end.
   for (int s = 0; s < 10; ++s) {
     QueryResult result;
-    ASSERT_TRUE(db->Query({TagMatcher::Equal("hostname", gen.HostName(1)),
-                           TagMatcher::Equal("fieldname", gen.FieldName(s))},
-                          0, gen.end_ts(), &result)
+    ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+        {TagMatcher::Equal("hostname", gen.HostName(1)),
+         TagMatcher::Equal("fieldname", gen.FieldName(s))}, 0, gen.end_ts()),
+                          &result)
                     .ok());
     ASSERT_EQ(result.size(), 1u) << s;
     ASSERT_EQ(result[0].samples.size(), gen.num_steps()) << s;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
+#include "cloud/fault_injector.h"
 #include "compress/chunk.h"
 #include "lsm/key_format.h"
 #include "util/mmap_file.h"
@@ -16,10 +18,19 @@ class LeveledLsmTest : public ::testing::Test {
  protected:
   void SetUp() override {
     workspace_ = "/tmp/timeunion_test/leveled_lsm";
-    RemoveDirRecursive(workspace_);
-    env_ = std::make_unique<cloud::TieredEnv>(workspace_,
-                                              cloud::TieredEnvOptions::Instant());
     cache_ = std::make_unique<BlockCache>(8 << 20);
+    OpenTree(nullptr);
+  }
+
+  /// (Re)opens an empty tree whose slow tier consults `slow_fault`
+  /// (nullable).
+  void OpenTree(std::shared_ptr<cloud::FaultInjector> slow_fault) {
+    lsm_.reset();
+    env_.reset();
+    RemoveDirRecursive(workspace_);
+    cloud::TieredEnvOptions env_options = cloud::TieredEnvOptions::Instant();
+    env_options.slow_sim.fault = std::move(slow_fault);
+    env_ = std::make_unique<cloud::TieredEnv>(workspace_, env_options);
     LeveledLsmOptions opts;
     opts.memtable_bytes = 64 << 10;  // small, to force flushes
     opts.base_level_bytes = 128 << 10;
@@ -106,6 +117,43 @@ TEST_F(LeveledLsmTest, DeepLevelsLandOnSlowTier) {
   ASSERT_GT(deep_tables, 0u) << "test needs enough data to reach level 2";
   EXPECT_GT(env_->slow().counters().put_ops.load(), 0u);
   EXPECT_GT(lsm_->stats().slow_bytes_written.load(), 0u);
+}
+
+TEST_F(LeveledLsmTest, FailedCompactionKeepsItsInputs) {
+  // Levels >= 2 live on the slow tier, so the first failing slow-tier Put
+  // is an L1 -> L2 compaction output. The failed merge must install
+  // nothing and remove nothing: every acked key stays readable, and the
+  // next compaction retries the same inputs.
+  auto fault = std::make_shared<cloud::FaultInjector>();
+  OpenTree(fault);
+  fault->AddRule(
+      cloud::FaultRule::Permanent(cloud::FaultOpMask(cloud::FaultOp::kPut), 1));
+  const std::string big_value(1024, 'x');
+  std::vector<std::string> acked;
+  Status s;
+  for (int i = 0; i < 3000 && s.ok(); ++i) {
+    std::string payload;
+    compress::EncodeSeriesChunk(
+        i, {compress::Sample{i, static_cast<double>(i)}}, &payload);
+    const std::string key = MakeChunkKey(i % 100, i * 1000);
+    s = lsm_->Put(key, MakeChunkValue(ChunkType::kSeries, payload + big_value));
+    if (s.ok()) acked.push_back(key);
+  }
+  ASSERT_FALSE(s.ok()) << "no compaction reached the slow tier";
+  EXPECT_EQ(env_->slow().counters().faults_injected.load(), 1u);
+
+  fault->Clear();
+  ASSERT_TRUE(lsm_->FlushAll().ok());
+  std::unique_ptr<Iterator> it;
+  ASSERT_TRUE(lsm_->NewFullIterator(&it).ok());
+  std::set<std::string> scanned;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    scanned.insert(InternalKeyUserKey(it->key()).ToString());
+  }
+  ASSERT_TRUE(it->status().ok());
+  size_t missing = 0;
+  for (const std::string& key : acked) missing += scanned.count(key) == 0;
+  EXPECT_EQ(missing, 0u) << "of " << acked.size() << " acked keys";
 }
 
 TEST_F(LeveledLsmTest, DuplicateUserKeysBothSurvive) {

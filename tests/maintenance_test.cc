@@ -104,10 +104,11 @@ TEST(DbMaintenanceTest, BackgroundRetentionPurgesOldData) {
 
   QueryResult result;
   ASSERT_TRUE(
-      db->Query({TagMatcher::Equal("m", "cpu")}, 0, 20 * kHour, &result).ok());
+      db->Query(query::ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                          20 * kHour), &result).ok());
   EXPECT_TRUE(result.empty()) << "data older than the watermark must be gone";
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 26 * kHour,
-                        28 * kHour, &result)
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 26 * kHour, 28 * kHour), &result)
                   .ok());
   EXPECT_FALSE(result.empty()) << "recent data must survive";
 

@@ -8,8 +8,8 @@
 //   - MetricsSnapshot::ToJson schema stability (exact string) and
 //     Prometheus text exposition.
 //   - DB-level: TimeUnionDB::Metrics() covers ingest/flush/compaction/
-//     query/slow-tier instruments after a real workload; HealthReport and
-//     CountersReport are views over the same snapshot; metrics.jsonl
+//     query/slow-tier instruments after a real workload and carries every
+//     health, tier, cache, scrub and query name operators read; metrics.jsonl
 //     emission; DBOptions::Validate rejections.
 #include <gtest/gtest.h>
 
@@ -269,8 +269,8 @@ TEST(DbMetricsTest, SnapshotCoversWholePipeline) {
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
   QueryResult result;
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 0, kTotal * 250LL,
-                        &result)
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 0, kTotal * 250LL), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
 
@@ -458,7 +458,8 @@ TEST(DbMetricsTest, QueryFetchInstrumentsSurfaceInJsonAndPrometheus) {
 
   QueryResult result;
   ASSERT_TRUE(
-      db->Query({TagMatcher::Equal("m", "cpu")}, 0, 2000 * 250LL, &result)
+      db->Query(query::ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                          2000 * 250LL), &result)
           .ok());
   ASSERT_EQ(result.size(), 1u);
   const uint64_t prefetched = result.stats.prefetch_blocks;
@@ -497,10 +498,12 @@ TEST(DbMetricsTest, QueryFetchInstrumentsSurfaceInJsonAndPrometheus) {
   RemoveDirRecursive(ws);
 }
 
-// HealthReport is a typed view over Metrics(); on a quiesced DB the two
-// must agree field by field.
-TEST(DbMetricsTest, HealthReportMatchesMetricsSnapshot) {
-  const std::string ws = "/tmp/timeunion_test/obs_health";
+// Metrics() is the only introspection view: every name an operator or a
+// bench reads for breaker, deferred-upload, fast-tier, admission, cache,
+// scrub, integrity, tier I/O, query and health state is present after a
+// plain write + flush + query workload (presence, not a zero default).
+TEST(DbMetricsTest, IntrospectionNamesPresentAfterWorkload) {
+  const std::string ws = "/tmp/timeunion_test/obs_names";
   RemoveDirRecursive(ws);
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(SmallPartitionOptions(ws), &db).ok());
@@ -512,49 +515,89 @@ TEST(DbMetricsTest, HealthReportMatchesMetricsSnapshot) {
   }
   ASSERT_TRUE(db->Flush().ok());
   QueryResult result;
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 0, 500 * 250LL,
-                        &result)
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 0, 500 * 250LL), &result)
                   .ok());
 
-  const core::HealthReport health = db->HealthReport();
   const obs::MetricsSnapshot snap = db->Metrics();
-  EXPECT_EQ(health.breaker_enabled, snap.GaugeOr0("breaker.enabled") != 0);
-  EXPECT_EQ(static_cast<int64_t>(health.slow_breaker),
-            snap.GaugeOr0("breaker.state"));
-  EXPECT_EQ(health.breaker_rejections,
-            snap.CounterOr0("slow.breaker_rejections"));
-  EXPECT_EQ(health.breaker_opens, snap.CounterOr0("slow.breaker_opens"));
-  EXPECT_EQ(health.deferred_tables,
-            static_cast<size_t>(snap.GaugeOr0("lsm.deferred_tables")));
-  EXPECT_EQ(health.fast_bytes,
-            static_cast<uint64_t>(snap.GaugeOr0("lsm.fast_bytes")));
-  EXPECT_EQ(health.writers_delayed,
-            snap.CounterOr0("admission.writers_delayed"));
-  EXPECT_EQ(health.writes_rejected,
-            snap.CounterOr0("admission.writes_rejected"));
-  EXPECT_EQ(health.block_cache_enabled, snap.GaugeOr0("cache.enabled") != 0);
-  EXPECT_EQ(health.block_cache_hits, snap.CounterOr0("cache.hits"));
-  EXPECT_EQ(health.block_cache_misses, snap.CounterOr0("cache.misses"));
-  EXPECT_TRUE(health.last_background_error.ok());
-  // server.* fields exist (and are zero) even with no server attached —
-  // the HealthReport schema does not depend on the front door running.
-  EXPECT_EQ(health.server_open_connections,
-            static_cast<uint64_t>(snap.GaugeOr0("server.open_connections")));
-  EXPECT_EQ(health.server_inflight_requests,
-            static_cast<uint64_t>(snap.GaugeOr0("server.inflight_requests")));
-  EXPECT_EQ(health.server_tenant_rejects,
-            snap.CounterOr0("server.tenant_rejects"));
-  EXPECT_EQ(health.server_open_connections, 0u);
-  EXPECT_EQ(health.server_tenant_rejects, 0u);
+  std::vector<std::string> counters = {
+      "slow.breaker_rejections",
+      "slow.breaker_opens",
+      "lsm.deferred_tables_created",
+      "lsm.deferred_uploads_drained",
+      "lsm.deferred_drain_failures",
+      "lsm.fast_bytes_written",
+      "admission.writers_delayed",
+      "admission.writes_rejected",
+      "cache.hits",
+      "cache.misses",
+      "cache.evictions",
+      "scrub.passes",
+      "scrub.corruptions_found",
+      "scrub.repaired",
+      "scrub.quarantined",
+      "integrity.read_corruptions_detected",
+      "integrity.read_corruptions_healed",
+      "error_handler.errors_total",
+      "error_handler.errors_soft",
+      "error_handler.errors_hard",
+      "error_handler.resume_attempts",
+      "error_handler.resumes_succeeded",
+      "error_handler.resume_failures",
+      "query.runs",
+      "query.partitions_pruned",
+      "query.tables_considered",
+      "query.tables_pruned_id",
+      "query.tables_pruned_time",
+      "query.tables_pruned_bloom",
+      "query.tables_skipped_unreachable",
+      "query.blocks_read",
+      "query.blocks_pruned",
+      "query.cache_hits",
+      "query.cache_misses",
+      "query.slow_tier_fetches",
+      "query.block_bytes_read",
+      "query.prefetch_blocks",
+      "query.chunks_decoded",
+      "query.bytes_decoded",
+      "query.batches_decoded",
+      "query.samples_decoded",
+      "query.rollup_buckets_served",
+      "query.raw_edge_samples",
+      "query.setup_us_total",
+      "query.drain_us_total",
+  };
+  for (const char* tier : {"fast", "slow"}) {
+    for (const char* op : {"gets", "puts", "deletes", "read_bytes",
+                           "written_bytes", "charged_us", "faults", "retries",
+                           "give_ups", "breaker_rejections", "breaker_opens"}) {
+      counters.push_back(std::string(tier) + "." + op);
+    }
+  }
+  for (const std::string& name : counters) {
+    EXPECT_NE(snap.FindCounter(name), nullptr) << name;
+  }
+  for (const char* name :
+       {"breaker.enabled", "breaker.state", "lsm.deferred_tables",
+        "lsm.deferred_bytes", "lsm.fast_bytes", "lsm.fast_limit_bytes",
+        "cache.enabled", "cache.usage", "scrub.enabled", "db.health_state"}) {
+    EXPECT_NE(snap.FindGauge(name), nullptr) << name;
+  }
+  const std::string* health = snap.FindString("db.health");
+  ASSERT_NE(health, nullptr);
+  EXPECT_EQ(*health, "healthy");
+  const std::string* last_error = snap.FindString("db.last_background_error");
+  ASSERT_NE(last_error, nullptr);
+  EXPECT_EQ(*last_error, "OK");
+  EXPECT_EQ(*snap.FindCounter("query.runs"), 1u);
 
   db.reset();
   RemoveDirRecursive(ws);
 }
 
 // With the network front door attached, the server.* instruments land in
-// the same registry: Metrics() picks them up without any schema change
-// and HealthReport's typed server fields track them exactly.
-TEST(DbMetricsTest, ServerInstrumentsSurfaceInHealthAndMetrics) {
+// the same registry: Metrics() picks them up without any schema change.
+TEST(DbMetricsTest, ServerInstrumentsSurfaceInMetrics) {
   const std::string ws = "/tmp/timeunion_test/obs_server";
   RemoveDirRecursive(ws);
   std::unique_ptr<TimeUnionDB> db;
@@ -585,11 +628,7 @@ TEST(DbMetricsTest, ServerInstrumentsSurfaceInHealthAndMetrics) {
   EXPECT_GE(snap.CounterOr0("server.tenant.acme.samples"), 1u);
   EXPECT_GE(snap.CounterOr0("server.tenant.acme.rejects"), 1u);
 
-  const core::HealthReport health = db->HealthReport();
-  EXPECT_EQ(health.server_open_connections,
-            static_cast<uint64_t>(snap.GaugeOr0("server.open_connections")));
-  EXPECT_EQ(health.server_tenant_rejects,
-            snap.CounterOr0("server.tenant_rejects"));
+  EXPECT_NE(snap.FindGauge("server.inflight_requests"), nullptr);
 
   // The snapshot still serializes under the pinned schema — server.*
   // names are plain counters/gauges, not a new section.
@@ -602,59 +641,7 @@ TEST(DbMetricsTest, ServerInstrumentsSurfaceInHealthAndMetrics) {
   srv.reset();
   // Instruments outlive the server (registry owns them); the gauge drops
   // back to zero on drain.
-  EXPECT_EQ(db->HealthReport().server_open_connections, 0u);
-  db.reset();
-  RemoveDirRecursive(ws);
-}
-
-// CountersReport is a formatter over the same snapshot: its tier lines
-// must match the TieredEnv's own report exactly on a quiesced DB.
-TEST(DbMetricsTest, CountersReportMatchesEnvReport) {
-  const std::string ws = "/tmp/timeunion_test/obs_counters";
-  RemoveDirRecursive(ws);
-  std::unique_ptr<TimeUnionDB> db;
-  ASSERT_TRUE(TimeUnionDB::Open(SmallPartitionOptions(ws), &db).ok());
-
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 1000; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
-  ASSERT_TRUE(db->Flush().ok());
-
-  const std::string env_report = db->env().CountersReport();
-  const std::string db_report = db->CountersReport();
-  EXPECT_EQ(db_report.substr(0, env_report.size()), env_report);
-  EXPECT_NE(db_report.find("\nblock_cache: hits="), std::string::npos);
-  EXPECT_NE(db_report.find("\nqueries: run=0 "), std::string::npos);
-
-  db.reset();
-  RemoveDirRecursive(ws);
-}
-
-// metrics.enabled = false: hot paths record nothing, but Metrics() still
-// reports the externally-derived counters.
-TEST(DbMetricsTest, DisabledMetricsStillReportExternalCounters) {
-  const std::string ws = "/tmp/timeunion_test/obs_disabled";
-  RemoveDirRecursive(ws);
-  DBOptions opts = SmallPartitionOptions(ws);
-  opts.metrics.enabled = false;
-  std::unique_ptr<TimeUnionDB> db;
-  ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
-
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 200; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
-  ASSERT_TRUE(db->Flush().ok());
-
-  const obs::MetricsSnapshot snap = db->Metrics();
-  EXPECT_EQ(snap.FindHistogram("ingest.append_us"), nullptr);
-  EXPECT_EQ(snap.CounterOr0("ingest.samples"), 0u);
-  EXPECT_GT(snap.CounterOr0("fast.puts"), 0u);  // external tier counters
-  EXPECT_GT(snap.CounterOr0("lsm.flushes"), 0u);
-
+  EXPECT_EQ(db->Metrics().GaugeOr0("server.open_connections"), 0);
   db.reset();
   RemoveDirRecursive(ws);
 }

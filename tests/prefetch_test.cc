@@ -233,10 +233,11 @@ TEST_P(PrefetchDifferentialTest, MatchesFastTierAndFetchesDrainedBlocks) {
   // Open every reader once, so Gets below are block reads only.
   QueryResult warm;
   ASSERT_TRUE(
-      sim->Query(Selector(4), INT64_MIN / 2, INT64_MAX / 2, &warm).ok());
+      sim->Query(query::ReadRequest::Range(Selector(4), INT64_MIN / 2,
+                                           INT64_MAX / 2), &warm).ok());
   TimeUnionDB::AggregateResult warm_agg;
-  ASSERT_TRUE(sim->AggregateQuery(Selector(4), 0, kSpanMs, 2 * kRollupMs,
-                                  query::AggFn::kSum, &warm_agg)
+  ASSERT_TRUE(sim->AggregateQuery(query::ReadRequest::Aggregate(
+      Selector(4), 0, kSpanMs, 2 * kRollupMs, query::AggFn::kSum), &warm_agg)
                   .ok());
 
   const cloud::TierCounters& slow = sim->env().slow().counters();
@@ -261,20 +262,23 @@ TEST_P(PrefetchDifferentialTest, MatchesFastTierAndFetchesDrainedBlocks) {
     // iterator took first and the cache has since evicted.
     uint64_t gets = slow.get_ops.load();
     QueryResult got;
-    ASSERT_TRUE(sim->Query(matchers, t0, t1, &got).ok()) << what;
+    ASSERT_TRUE(sim->Query(query::ReadRequest::Range(matchers, t0, t1),
+                           &got).ok()) << what;
     EXPECT_EQ(slow.get_ops.load() - gets, got.stats.slow_tier_fetches)
         << what;
     EXPECT_LE(got.stats.prefetch_blocks, got.stats.slow_tier_fetches) << what;
     prefetched += got.stats.prefetch_blocks;
     QueryResult want;
-    ASSERT_TRUE(ref->Query(matchers, t0, t1, &want).ok()) << what;
+    ASSERT_TRUE(ref->Query(query::ReadRequest::Range(matchers, t0, t1),
+                           &want).ok()) << what;
     EXPECT_EQ(want.stats.prefetch_blocks, 0u);
     ExpectSameQuery(got, want, what);
 
     // Streaming read, drained through the public iterator API.
     query::QueryStats stats;
     std::vector<TimeUnionDB::SeriesIterResult> iters;
-    ASSERT_TRUE(sim->QueryIterators(matchers, t0, t1, &iters, &stats).ok());
+    ASSERT_TRUE(sim->QueryIterators(query::ReadRequest::Range(matchers, t0, t1),
+                                    &iters, &stats).ok());
     ExpectSameQuery(DrainIterators(&iters), want, what + " (iterators)");
 
     // Aggregate over rollups + raw edges.
@@ -282,13 +286,16 @@ TEST_P(PrefetchDifferentialTest, MatchesFastTierAndFetchesDrainedBlocks) {
     const int64_t step = kRollupMs * (1 + static_cast<int64_t>(rng.Uniform(4)));
     gets = slow.get_ops.load();
     TimeUnionDB::AggregateResult agg;
-    ASSERT_TRUE(sim->AggregateQuery(matchers, t0, t1, step, fn, &agg).ok());
+    ASSERT_TRUE(sim->AggregateQuery(
+        query::ReadRequest::Aggregate(matchers, t0, t1, step, fn), &agg).ok());
     // Rollup blocks are served from whole-object downloads made at reader
     // open, so they count as slow_tier_fetches without a Get.
     EXPECT_LE(slow.get_ops.load() - gets, agg.stats.slow_tier_fetches) << what;
     EXPECT_LE(agg.stats.prefetch_blocks, slow.get_ops.load() - gets) << what;
     TimeUnionDB::AggregateResult ref_agg;
-    ASSERT_TRUE(ref->AggregateQuery(matchers, t0, t1, step, fn, &ref_agg).ok());
+    ASSERT_TRUE(ref->AggregateQuery(query::ReadRequest::Aggregate(matchers, t0,
+                                                                  t1, step, fn),
+                                    &ref_agg).ok());
     ExpectSameAggregate(agg, ref_agg, what + " (aggregate)");
   }
   EXPECT_GT(prefetched, 0u) << "no query exercised the read I/O pool";
@@ -504,14 +511,16 @@ TEST(PrefetchWindowTest, WideStreamingReadStaysWithinOneWindow) {
   Load(db.get(), 11);
   // Open every reader once, so the Gets below are block reads only.
   QueryResult warm;
-  ASSERT_TRUE(db->Query(Selector(4), 0, kSpanMs, &warm).ok());
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range(Selector(4), 0, kSpanMs),
+                        &warm).ok());
 
   constexpr uint64_t kWindow = lsm::BlockPrefetch::kWindow;
   const cloud::TierCounters& slow = db->env().slow().counters();
   const uint64_t base = slow.get_ops.load();
   query::QueryStats stats;
   std::vector<TimeUnionDB::SeriesIterResult> iters;
-  ASSERT_TRUE(db->QueryIterators(Selector(4), 0, kSpanMs, &iters, &stats).ok());
+  ASSERT_TRUE(db->QueryIterators(
+      query::ReadRequest::Range(Selector(4), 0, kSpanMs), &iters, &stats).ok());
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (slow.get_ops.load() - base < kWindow &&
@@ -563,7 +572,8 @@ TEST(PrefetchLifetimeTest, DroppedIteratorsRaceRetentionAndCompaction) {
     query::QueryStats stats;
     std::vector<TimeUnionDB::SeriesIterResult> iters;
     ASSERT_TRUE(
-        db->QueryIterators(Selector(4), 0, kSpanMs, &iters, &stats).ok());
+        db->QueryIterators(query::ReadRequest::Range(Selector(4), 0, kSpanMs),
+                           &iters, &stats).ok());
     ASSERT_FALSE(iters.empty());
     if (round % 3 != 0) {
       // Pull one batch: the first blocks land, the rest stay in flight.
@@ -590,7 +600,8 @@ TEST(PrefetchLifetimeTest, DroppedIteratorsRaceRetentionAndCompaction) {
   // Fetches of the last round may still be running: the DB must wait for
   // them on close.
   std::vector<TimeUnionDB::SeriesIterResult> iters;
-  ASSERT_TRUE(db->QueryIterators(Selector(4), 0, kSpanMs, &iters).ok());
+  ASSERT_TRUE(db->QueryIterators(
+      query::ReadRequest::Range(Selector(4), 0, kSpanMs), &iters).ok());
   iters.clear();
   db.reset();
   RemoveDirRecursive(ws);

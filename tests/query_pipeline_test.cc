@@ -8,9 +8,8 @@
 //   - Pruning counters: a query over a window whose data is entirely on the
 //     fast tier must not fetch a single slow-tier object even when older
 //     L2-resident partitions exist (QueryStats + env counter deltas).
-//   - Block cache surfacing: hits/misses/evictions through QueryStats,
-//     HealthReport and CountersReport; block_cache_bytes = 0 disables
-//     caching entirely.
+//   - Block cache surfacing: hits/misses/evictions through QueryStats and
+//     Metrics(); block_cache_bytes = 0 disables caching entirely.
 //   - TableReader upper-bound pruning: a bounded blind drain stops reading
 //     data blocks once the index key passes the bound.
 #include <gtest/gtest.h>
@@ -131,14 +130,19 @@ TEST(QueryValidationTest, RejectsInvertedRangeAndEmptyMatchers) {
   std::vector<TimeUnionDB::SeriesIterResult> iters;
   const auto matcher = TagMatcher::Equal("m", "cpu");
 
-  EXPECT_TRUE(db->Query({matcher}, 10, 5, &result).IsInvalidArgument());
-  EXPECT_TRUE(db->Query({}, 0, 10, &result).IsInvalidArgument());
+  EXPECT_TRUE(db->Query(query::ReadRequest::Range({matcher}, 10, 5),
+                        &result).IsInvalidArgument());
+  EXPECT_TRUE(db->Query(query::ReadRequest::Range({}, 0, 10),
+                        &result).IsInvalidArgument());
   EXPECT_TRUE(
-      db->QueryIterators({matcher}, 10, 5, &iters).IsInvalidArgument());
-  EXPECT_TRUE(db->QueryIterators({}, 0, 10, &iters).IsInvalidArgument());
+      db->QueryIterators(query::ReadRequest::Range({matcher}, 10, 5),
+                         &iters).IsInvalidArgument());
+  EXPECT_TRUE(db->QueryIterators(query::ReadRequest::Range({}, 0, 10),
+                                 &iters).IsInvalidArgument());
 
   // A single-point range (t0 == t1) is legal.
-  EXPECT_TRUE(db->Query({matcher}, 0, 0, &result).ok());
+  EXPECT_TRUE(db->Query(query::ReadRequest::Range({matcher}, 0, 0),
+                        &result).ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples.size(), 1u);
 
@@ -199,12 +203,13 @@ TEST_P(QueryDifferentialTest, RandomWorkloadIdenticalAcrossEntryPoints) {
   for (const auto& [t0, t1] : windows) {
     QueryResult materialized;
     ASSERT_TRUE(
-        db->Query({TagMatcher::Equal("dc", "east")}, t0, t1, &materialized)
+        db->Query(query::ReadRequest::Range({TagMatcher::Equal("dc", "east")},
+                                            t0, t1), &materialized)
             .ok());
     query::QueryStats stats;
     std::vector<TimeUnionDB::SeriesIterResult> iters;
-    ASSERT_TRUE(db->QueryIterators({TagMatcher::Equal("dc", "east")}, t0, t1,
-                                   &iters, &stats)
+    ASSERT_TRUE(db->QueryIterators(query::ReadRequest::Range(
+        {TagMatcher::Equal("dc", "east")}, t0, t1), &iters, &stats)
                     .ok());
     Materialized streamed = Drain(std::move(iters));
     ASSERT_TRUE(streamed.status.ok()) << streamed.status.ToString();
@@ -266,8 +271,8 @@ TEST(QueryDifferentialTest, BreakerOpenPartialReadsIdentical) {
   ASSERT_EQ(slow.breaker().state(), cloud::BreakerState::kOpen);
 
   QueryResult materialized;
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 0, kTotal * 250LL,
-                        &materialized)
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 0, kTotal * 250LL), &materialized)
                   .ok());
   EXPECT_FALSE(materialized.complete);
   ASSERT_FALSE(materialized.missing_ranges.empty());
@@ -275,8 +280,8 @@ TEST(QueryDifferentialTest, BreakerOpenPartialReadsIdentical) {
 
   std::vector<TimeUnionDB::SeriesIterResult> iters;
   query::QueryStats stats;
-  ASSERT_TRUE(db->QueryIterators({TagMatcher::Equal("m", "cpu")}, 0,
-                                 kTotal * 250LL, &iters, &stats)
+  ASSERT_TRUE(db->QueryIterators(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 0, kTotal * 250LL), &iters, &stats)
                   .ok());
   EXPECT_GT(stats.tables_skipped_unreachable, 0u);
   Materialized streamed = Drain(std::move(iters));
@@ -318,8 +323,9 @@ TEST(QueryPruningTest, FastWindowQueryFetchesNothingFromSlowTier) {
   // table pruning must keep the read entirely on the fast tier.
   const uint64_t gets_before = slow.get_ops.load();
   QueryResult recent;
-  ASSERT_TRUE(db->Query({matcher}, kOld * kStepMs,
-                        (kOld + kRecent) * kStepMs, &recent)
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range({matcher}, kOld * kStepMs,
+                                                  (kOld + kRecent) * kStepMs),
+                        &recent)
                   .ok());
   ASSERT_EQ(recent.size(), 1u);
   EXPECT_EQ(recent[0].samples.size(), static_cast<size_t>(kRecent));
@@ -333,16 +339,18 @@ TEST(QueryPruningTest, FastWindowQueryFetchesNothingFromSlowTier) {
   // were not trivially zero.
   const uint64_t gets_mid = slow.get_ops.load();
   QueryResult old;
-  ASSERT_TRUE(db->Query({matcher}, 0, 8000, &old).ok());
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range({matcher}, 0, 8000),
+                        &old).ok());
   ASSERT_EQ(old.size(), 1u);
   EXPECT_EQ(old[0].samples.size(), static_cast<size_t>(8000 / kStepMs + 1));
   EXPECT_GT(slow.get_ops.load(), gets_mid);
   EXPECT_GT(old.stats.slow_tier_fetches, 0u);
   EXPECT_GT(old.stats.blocks_read, 0u);
 
-  const std::string report = db->CountersReport();
-  EXPECT_NE(report.find("queries: run="), std::string::npos);
-  EXPECT_NE(report.find("block_cache:"), std::string::npos);
+  const obs::MetricsSnapshot snap = db->Metrics();
+  EXPECT_EQ(snap.CounterOr0("query.runs"), 2u);
+  EXPECT_EQ(snap.CounterOr0("query.slow_tier_fetches"),
+            old.stats.slow_tier_fetches);
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -367,28 +375,28 @@ TEST(BlockCacheSurfacingTest, HitsAndMissesReachReports) {
 
   const auto matcher = TagMatcher::Equal("m", "cpu");
   QueryResult cold;
-  ASSERT_TRUE(db->Query({matcher}, 0, 2000 * 250LL, &cold).ok());
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range({matcher}, 0, 2000 * 250LL),
+                        &cold).ok());
   EXPECT_GT(cold.stats.cache_misses, 0u);
 
-  core::HealthReport health = db->HealthReport();
-  EXPECT_TRUE(health.block_cache_enabled);
-  EXPECT_GT(health.block_cache_misses, 0u);
-  EXPECT_GT(health.block_cache_usage, 0u);
+  obs::MetricsSnapshot snap = db->Metrics();
+  EXPECT_EQ(snap.GaugeOr0("cache.enabled"), 1);
+  EXPECT_GT(snap.CounterOr0("cache.misses"), 0u);
+  EXPECT_GT(snap.GaugeOr0("cache.usage"), 0);
 
   // Identical warm query: data blocks come from the cache, not the tier.
   const cloud::TierCounters& slow = db->env().slow().counters();
   const uint64_t gets_before = slow.get_ops.load();
   QueryResult warm;
-  ASSERT_TRUE(db->Query({matcher}, 0, 2000 * 250LL, &warm).ok());
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range({matcher}, 0, 2000 * 250LL),
+                        &warm).ok());
   EXPECT_GT(warm.stats.cache_hits, 0u);
   EXPECT_EQ(warm.stats.slow_tier_fetches, 0u);
   EXPECT_EQ(slow.get_ops.load(), gets_before);
   ExpectIdentical(cold, warm);
 
-  health = db->HealthReport();
-  EXPECT_GT(health.block_cache_hits, 0u);
-  const std::string report = db->CountersReport();
-  EXPECT_NE(report.find("block_cache: hits="), std::string::npos);
+  snap = db->Metrics();
+  EXPECT_GT(snap.CounterOr0("cache.hits"), 0u);
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -411,15 +419,15 @@ TEST(BlockCacheSurfacingTest, TinyCacheReportsEvictions) {
 
   QueryResult result;
   ASSERT_TRUE(
-      db->Query({TagMatcher::Equal("m", "cpu")}, 0, 2000 * 250LL, &result)
+      db->Query(query::ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                          2000 * 250LL), &result)
           .ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples.size(), 2000u);
 
-  core::HealthReport health = db->HealthReport();
-  EXPECT_TRUE(health.block_cache_enabled);
-  EXPECT_GT(health.block_cache_evictions, 0u);
-  EXPECT_NE(db->CountersReport().find("evictions="), std::string::npos);
+  const obs::MetricsSnapshot snap = db->Metrics();
+  EXPECT_EQ(snap.GaugeOr0("cache.enabled"), 1);
+  EXPECT_GT(snap.CounterOr0("cache.evictions"), 0u);
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -444,8 +452,10 @@ TEST(BlockCacheSurfacingTest, ZeroBytesDisablesCaching) {
   // Queries work — every cold block is re-fetched, none is cached.
   const auto matcher = TagMatcher::Equal("m", "cpu");
   QueryResult first, second;
-  ASSERT_TRUE(db->Query({matcher}, 0, 2000 * 250LL, &first).ok());
-  ASSERT_TRUE(db->Query({matcher}, 0, 2000 * 250LL, &second).ok());
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range({matcher}, 0, 2000 * 250LL),
+                        &first).ok());
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range({matcher}, 0, 2000 * 250LL),
+                        &second).ok());
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].samples.size(), 2000u);
   ExpectIdentical(first, second);
@@ -453,11 +463,11 @@ TEST(BlockCacheSurfacingTest, ZeroBytesDisablesCaching) {
   EXPECT_EQ(first.stats.cache_misses, 0u);
   EXPECT_EQ(second.stats.cache_hits, 0u);
 
-  core::HealthReport health = db->HealthReport();
-  EXPECT_FALSE(health.block_cache_enabled);
-  EXPECT_EQ(health.block_cache_usage, 0u);
-  EXPECT_NE(db->CountersReport().find("block_cache: disabled"),
-            std::string::npos);
+  const obs::MetricsSnapshot snap = db->Metrics();
+  EXPECT_EQ(snap.GaugeOr0("cache.enabled"), 0);
+  EXPECT_EQ(snap.GaugeOr0("cache.usage"), 0);
+  EXPECT_EQ(snap.CounterOr0("cache.hits") + snap.CounterOr0("cache.misses"),
+            0u);
 
   db.reset();
   RemoveDirRecursive(ws);

@@ -111,12 +111,14 @@ void ExpectMatchesRawDrain(TimeUnionDB* db, const DBOptions& opts,
                            int64_t t1, int64_t step_ms,
                            TimeUnionDB::AggregateResult* last = nullptr) {
   QueryResult raw;
-  EXPECT_TRUE(db->Query(matchers, t0, t1, &raw).ok());
+  EXPECT_TRUE(db->Query(query::ReadRequest::Range(matchers, t0, t1),
+                        &raw).ok());
   const int64_t g = ServingGranularity(opts, step_ms);
 
   TimeUnionDB::AggregateResult agg;
   for (AggFn fn : kAllFns) {
-    EXPECT_TRUE(db->AggregateQuery(matchers, t0, t1, step_ms, fn, &agg).ok());
+    EXPECT_TRUE(db->AggregateQuery(query::ReadRequest::Aggregate(
+        matchers, t0, t1, step_ms, fn), &agg).ok());
     EXPECT_EQ(agg.complete, raw.complete);
     EXPECT_EQ(agg.missing_ranges, raw.missing_ranges);
     ASSERT_EQ(agg.series.size(), raw.size())
@@ -309,13 +311,17 @@ TEST(RollupValidationTest, AggregateQueryRejectsBadArgs) {
 
   TimeUnionDB::AggregateResult out;
   const auto matcher = TagMatcher::Equal("m", "cpu");
-  EXPECT_TRUE(db->AggregateQuery({matcher}, 10, 5, 1000, AggFn::kMax, &out)
+  EXPECT_TRUE(db->AggregateQuery(query::ReadRequest::Aggregate(
+      {matcher}, 10, 5, 1000, AggFn::kMax), &out)
                   .IsInvalidArgument());
-  EXPECT_TRUE(db->AggregateQuery({}, 0, 10, 1000, AggFn::kMax, &out)
+  EXPECT_TRUE(db->AggregateQuery(
+      query::ReadRequest::Aggregate({}, 0, 10, 1000, AggFn::kMax), &out)
                   .IsInvalidArgument());
-  EXPECT_TRUE(db->AggregateQuery({matcher}, 0, 10, 0, AggFn::kMax, &out)
+  EXPECT_TRUE(db->AggregateQuery(
+      query::ReadRequest::Aggregate({matcher}, 0, 10, 0, AggFn::kMax), &out)
                   .IsInvalidArgument());
-  EXPECT_TRUE(db->AggregateQuery({matcher}, 0, 10, -5, AggFn::kMax, &out)
+  EXPECT_TRUE(db->AggregateQuery(
+      query::ReadRequest::Aggregate({matcher}, 0, 10, -5, AggFn::kMax), &out)
                   .IsInvalidArgument());
 
   db.reset();
@@ -427,9 +433,13 @@ TEST_P(RollupDifferentialTest, RandomWorkloadMatchesRawDrain) {
   for (const AggFn fn : {AggFn::kMin, AggFn::kMax, AggFn::kCount}) {
     TimeUnionDB::AggregateResult with_rollups, without;
     ASSERT_TRUE(
-        db->AggregateQuery({matcher}, 0, span, 2000, fn, &with_rollups).ok());
+        db->AggregateQuery(query::ReadRequest::Aggregate({matcher}, 0, span,
+                                                         2000, fn),
+                           &with_rollups).ok());
     ASSERT_TRUE(
-        control->AggregateQuery({matcher}, 0, span, 2000, fn, &without).ok());
+        control->AggregateQuery(query::ReadRequest::Aggregate({matcher}, 0,
+                                                              span, 2000, fn),
+                                &without).ok());
     ASSERT_EQ(with_rollups.series.size(), without.series.size());
     for (size_t i = 0; i < without.series.size(); ++i) {
       EXPECT_EQ(with_rollups.series[i].points, without.series[i].points)
@@ -500,7 +510,8 @@ TEST(RollupPlannerTest, InteriorFromRollupsEdgesRawFewerSlowGets) {
   const uint64_t before_cold_agg = slow2.get_ops.load();
   TimeUnionDB::AggregateResult cold_agg;
   ASSERT_TRUE(
-      db->AggregateQuery({matcher}, t0, t1, 2000, AggFn::kSum, &cold_agg)
+      db->AggregateQuery(query::ReadRequest::Aggregate({matcher}, t0, t1, 2000,
+                                                       AggFn::kSum), &cold_agg)
           .ok());
   const uint64_t cold_agg_gets = slow2.get_ops.load() - before_cold_agg;
 
@@ -509,7 +520,8 @@ TEST(RollupPlannerTest, InteriorFromRollupsEdgesRawFewerSlowGets) {
   const cloud::TierCounters& slow3 = db->env().slow().counters();
   const uint64_t before_cold_raw = slow3.get_ops.load();
   QueryResult cold_raw;
-  ASSERT_TRUE(db->Query({matcher}, t0, t1, &cold_raw).ok());
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range({matcher}, t0, t1),
+                        &cold_raw).ok());
   const uint64_t cold_raw_gets = slow3.get_ops.load() - before_cold_raw;
 
   EXPECT_LT(cold_agg_gets * 2, cold_raw_gets)
@@ -572,7 +584,9 @@ TEST(RollupDirtyTest, OooRewriteInvalidatesThenMaintenanceRederives) {
   ExpectMatchesRawDrain(db.get(), opts, {matcher}, 0, span, 2000, &after);
   TimeUnionDB::AggregateResult max_res;
   ASSERT_TRUE(
-      db->AggregateQuery({matcher}, 0, span, 2000, AggFn::kMax, &max_res).ok());
+      db->AggregateQuery(query::ReadRequest::Aggregate({matcher}, 0, span, 2000,
+                                                       AggFn::kMax),
+                         &max_res).ok());
   ASSERT_EQ(max_res.series.size(), 1u);
   bool saw_rewrite = false;
   for (const AggPoint& p : max_res.series[0].points) {
@@ -634,7 +648,8 @@ TEST(RollupPartialReadTest, BreakerOpenMissingRangesMatchRawQuery) {
   const auto matcher = TagMatcher::Equal("m", "cpu");
   const int64_t t1 = (kTotal + 64) * 250LL;
   QueryResult raw;
-  ASSERT_TRUE(db->Query({matcher}, 0, t1, &raw).ok());
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range({matcher}, 0, t1),
+                        &raw).ok());
   ASSERT_FALSE(raw.complete);
   ASSERT_FALSE(raw.missing_ranges.empty());
 
@@ -644,7 +659,9 @@ TEST(RollupPartialReadTest, BreakerOpenMissingRangesMatchRawQuery) {
   // silently treated as "empty but complete".
   TimeUnionDB::AggregateResult agg;
   ASSERT_TRUE(
-      db->AggregateQuery({matcher}, 0, t1, 2000, AggFn::kMax, &agg).ok());
+      db->AggregateQuery(query::ReadRequest::Aggregate({matcher}, 0, t1, 2000,
+                                                       AggFn::kMax),
+                         &agg).ok());
   EXPECT_FALSE(agg.complete);
   EXPECT_EQ(agg.missing_ranges, raw.missing_ranges);
   EXPECT_EQ(agg.stats.rollup_buckets_served, 0u);
@@ -688,7 +705,9 @@ TEST(RollupPersistenceTest, ReopenPreservesRollupsAndDirtySpans) {
   const int64_t span = kTotal * 250LL;
   TimeUnionDB::AggregateResult before;
   ASSERT_TRUE(
-      db->AggregateQuery({matcher}, 0, span, 2000, AggFn::kSum, &before).ok());
+      db->AggregateQuery(query::ReadRequest::Aggregate({matcher}, 0, span, 2000,
+                                                       AggFn::kSum),
+                         &before).ok());
 
   db.reset();
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
@@ -697,7 +716,9 @@ TEST(RollupPersistenceTest, ReopenPreservesRollupsAndDirtySpans) {
 
   TimeUnionDB::AggregateResult after;
   ASSERT_TRUE(
-      db->AggregateQuery({matcher}, 0, span, 2000, AggFn::kSum, &after).ok());
+      db->AggregateQuery(query::ReadRequest::Aggregate({matcher}, 0, span, 2000,
+                                                       AggFn::kSum),
+                         &after).ok());
   ASSERT_EQ(after.series.size(), before.series.size());
   ASSERT_EQ(after.series.size(), 1u);
   EXPECT_EQ(after.series[0].points, before.series[0].points);

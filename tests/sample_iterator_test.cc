@@ -55,12 +55,12 @@ TEST_F(SampleIteratorTest, StreamsMatchMaterializedQuery) {
   ASSERT_TRUE(db_->Flush().ok());
 
   QueryResult materialized;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("m", "cpu")}, 0, n * kMin,
-                         &materialized)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 0, n * kMin), &materialized)
                   .ok());
   std::vector<TimeUnionDB::SeriesIterResult> streaming;
-  ASSERT_TRUE(db_->QueryIterators({TagMatcher::Equal("m", "cpu")}, 0,
-                                  n * kMin, &streaming)
+  ASSERT_TRUE(db_->QueryIterators(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 0, n * kMin), &streaming)
                   .ok());
   ASSERT_EQ(streaming.size(), 1u);
   const auto drained = Drain(streaming[0].iter.get());
@@ -77,8 +77,8 @@ TEST_F(SampleIteratorTest, TimeBoundsRespected) {
     ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 1.0 * i).ok());
   }
   std::vector<TimeUnionDB::SeriesIterResult> streaming;
-  ASSERT_TRUE(db_->QueryIterators({TagMatcher::Equal("m", "cpu")}, 2 * kHour,
-                                  3 * kHour, &streaming)
+  ASSERT_TRUE(db_->QueryIterators(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 2 * kHour, 3 * kHour), &streaming)
                   .ok());
   const auto drained = Drain(streaming[0].iter.get());
   ASSERT_EQ(drained.size(), 61u);
@@ -99,8 +99,8 @@ TEST_F(SampleIteratorTest, NewestWinsAcrossOverlappingChunks) {
   ASSERT_TRUE(db_->Flush().ok());
 
   std::vector<TimeUnionDB::SeriesIterResult> streaming;
-  ASSERT_TRUE(db_->QueryIterators({TagMatcher::Equal("m", "cpu")}, 0,
-                                  300 * kMin, &streaming)
+  ASSERT_TRUE(db_->QueryIterators(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 0, 300 * kMin), &streaming)
                   .ok());
   const auto drained = Drain(streaming[0].iter.get());
   EXPECT_EQ(drained.at(10 * kMin), 99.0);
@@ -123,8 +123,8 @@ TEST_F(SampleIteratorTest, GroupMemberStreaming) {
   ASSERT_TRUE(db_->Flush().ok());
 
   std::vector<TimeUnionDB::SeriesIterResult> streaming;
-  ASSERT_TRUE(db_->QueryIterators({TagMatcher::Equal("m", "b")}, 0,
-                                  200 * kMin, &streaming)
+  ASSERT_TRUE(db_->QueryIterators(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "b")}, 0, 200 * kMin), &streaming)
                   .ok());
   ASSERT_EQ(streaming.size(), 1u);
   const auto drained = Drain(streaming[0].iter.get());
@@ -136,8 +136,8 @@ TEST_F(SampleIteratorTest, EmptyRangeIsImmediatelyInvalid) {
   uint64_t ref = 0;
   ASSERT_TRUE(db_->Insert({{"m", "cpu"}}, 0, 1.0, &ref).ok());
   std::vector<TimeUnionDB::SeriesIterResult> streaming;
-  ASSERT_TRUE(db_->QueryIterators({TagMatcher::Equal("m", "cpu")}, 5 * kHour,
-                                  6 * kHour, &streaming)
+  ASSERT_TRUE(db_->QueryIterators(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "cpu")}, 5 * kHour, 6 * kHour), &streaming)
                   .ok());
   ASSERT_EQ(streaming.size(), 1u);
   EXPECT_FALSE(streaming[0].iter->Valid());
@@ -174,12 +174,12 @@ TEST_P(IteratorPropertyTest, RandomWorkloadStreamEqualsMaterialized) {
   if (GetParam() % 2) ASSERT_TRUE(db_->Flush().ok());
 
   QueryResult materialized;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("m", "x")}, 0, 2000 * kMin,
-                         &materialized)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "x")}, 0, 2000 * kMin), &materialized)
                   .ok());
   std::vector<TimeUnionDB::SeriesIterResult> streaming;
-  ASSERT_TRUE(db_->QueryIterators({TagMatcher::Equal("m", "x")}, 0,
-                                  2000 * kMin, &streaming)
+  ASSERT_TRUE(db_->QueryIterators(query::ReadRequest::Range(
+      {TagMatcher::Equal("m", "x")}, 0, 2000 * kMin), &streaming)
                   .ok());
   const auto drained = Drain(streaming[0].iter.get());
   ASSERT_EQ(drained.size(), materialized[0].samples.size());

@@ -231,8 +231,7 @@ TEST_F(ServerTest, ConcurrentRoundtripMatchesEmbeddedControl) {
   auto client = Connect("acme");
   ASSERT_NE(client, nullptr);
   ASSERT_TRUE(client->Ping().ok());
-  const auto report = db_->HealthReport();
-  EXPECT_GE(report.server_open_connections, 1u);
+  EXPECT_GE(db_->Metrics().GaugeOr0("server.open_connections"), 1);
 
   // Raw queries: remote reply must match the embedded control byte for
   // byte — same labels (tenant tag stripped), timestamps and values.
@@ -431,7 +430,7 @@ TEST_F(ServerTest, MalformedFramesDoNotPoisonOtherConnections) {
   ASSERT_TRUE(s.ok()) << s.ToString();
   ASSERT_TRUE(reply.remote_status.ok());
   ASSERT_EQ(reply.series.size(), 1u);
-  EXPECT_GE(db_->HealthReport().server_open_connections, 1u);
+  EXPECT_GE(db_->Metrics().GaugeOr0("server.open_connections"), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -582,7 +581,7 @@ TEST_F(ServerTest, QuotaExceededIsStructuredReject) {
   EXPECT_EQ(ack.appended, 0u);
   EXPECT_EQ(ack.rejected, 1000u);
   EXPECT_TRUE(client->Ping().ok());
-  EXPECT_GE(db_->HealthReport().server_tenant_rejects, 1u);
+  EXPECT_GE(db_->Metrics().CounterOr0("server.tenant_rejects"), 1u);
 
   // The bucket refills: after a pause a modest burst is admitted again.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));

@@ -57,8 +57,8 @@ TEST_F(TimeUnionDBTest, InsertAndQuerySingleSeries) {
   EXPECT_EQ(db_->NumSeries(), 1u);
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 0, 100 * kMin,
-                         &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("metric", "cpu")}, 0, 100 * kMin), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), 100u);
@@ -76,7 +76,8 @@ TEST_F(TimeUnionDBTest, FastPathMatchesSlowPath) {
   }
   QueryResult result;
   ASSERT_TRUE(
-      db_->Query({TagMatcher::Equal("metric", "mem")}, 0, 200 * kMin, &result)
+      db_->Query(query::ReadRequest::Range({TagMatcher::Equal("metric", "mem")},
+                                           0, 200 * kMin), &result)
           .ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples.size(), 200u);
@@ -101,28 +102,29 @@ TEST_F(TimeUnionDBTest, MultipleSeriesSelectors) {
 
   QueryResult result;
   // Exact: one host, one metric.
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("hostname", "host_2"),
-                          TagMatcher::Equal("metric", "cpu")},
-                         0, kHour, &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("hostname", "host_2"),
+       TagMatcher::Equal("metric", "cpu")}, 0, kHour), &result)
                   .ok());
   EXPECT_EQ(result.size(), 1u);
 
   // Regex across metrics.
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("hostname", "host_1"),
-                          TagMatcher::Regex("metric", "cpu|mem")},
-                         0, kHour, &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("hostname", "host_1"),
+       TagMatcher::Regex("metric", "cpu|mem")}, 0, kHour), &result)
                   .ok());
   EXPECT_EQ(result.size(), 2u);
 
   // Regex prefix (the paper's metric="disk.*" example).
-  ASSERT_TRUE(db_->Query({TagMatcher::Regex("metric", "disk.*")}, 0, kHour,
-                         &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Regex("metric", "disk.*")}, 0, kHour), &result)
                   .ok());
   EXPECT_EQ(result.size(), 4u);
 
   // No match.
   ASSERT_TRUE(
-      db_->Query({TagMatcher::Equal("metric", "nope")}, 0, kHour, &result)
+      db_->Query(query::ReadRequest::Range(
+          {TagMatcher::Equal("metric", "nope")}, 0, kHour), &result)
           .ok());
   EXPECT_TRUE(result.empty());
 }
@@ -139,8 +141,8 @@ TEST_F(TimeUnionDBTest, LongRangeSpillsToLsmAndQueriesBack) {
   EXPECT_GT(db_->time_lsm()->NumL2Partitions(), 0u);
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 0,
-                         n * kMin, &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("metric", "cpu")}, 0, n * kMin), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), static_cast<size_t>(n));
@@ -149,8 +151,8 @@ TEST_F(TimeUnionDBTest, LongRangeSpillsToLsmAndQueriesBack) {
   }
 
   // Bounded window query over old (L2) data.
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 2 * kHour,
-                         3 * kHour, &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("metric", "cpu")}, 2 * kHour, 3 * kHour), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples.size(), 61u);
@@ -169,8 +171,8 @@ TEST_F(TimeUnionDBTest, OutOfOrderSamples) {
   ASSERT_TRUE(db_->InsertFast(ref, 10 * kMin, 9.0).ok());
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 0, 4 * kHour,
-                         &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("metric", "cpu")}, 0, 4 * kHour), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   std::map<int64_t, double> samples;
@@ -207,24 +209,24 @@ TEST_F(TimeUnionDBTest, GroupInsertAndQuery) {
 
   // Query one member by its unique tags.
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("hostname", "host_9"),
-                          TagMatcher::Equal("metric", "cpu"),
-                          TagMatcher::Equal("core", "1")},
-                         0, kHour, &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("hostname", "host_9"),
+       TagMatcher::Equal("metric", "cpu"), TagMatcher::Equal("core", "1")}, 0,
+      kHour), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), 50u);
   EXPECT_EQ(result[0].samples[10].value, 20.0);
 
   // Query spanning members: both cores.
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 0, kHour,
-                         &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("metric", "cpu")}, 0, kHour), &result)
                   .ok());
   EXPECT_EQ(result.size(), 2u);
 
   // Group-tag query returns all members.
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("hostname", "host_9")}, 0, kHour,
-                         &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("hostname", "host_9")}, 0, kHour), &result)
                   .ok());
   EXPECT_EQ(result.size(), 3u);
 }
@@ -251,16 +253,16 @@ TEST_F(TimeUnionDBTest, GroupMissingAndNewMembers) {
                   .ok());
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "b")}, 0, kHour,
-                         &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("metric", "b")}, 0, kHour), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), 2u);  // missing round yields no sample
   EXPECT_EQ(result[0].samples[0].timestamp, 0);
   EXPECT_EQ(result[0].samples[1].timestamp, 2 * kMin);
 
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "c")}, 0, kHour,
-                         &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("metric", "c")}, 0, kHour), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), 1u);
@@ -290,8 +292,8 @@ TEST_F(TimeUnionDBTest, GroupLongRangeThroughLsm) {
   ASSERT_TRUE(db_->Flush().ok());
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "m3")}, 0, n * kMin,
-                         &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("metric", "m3")}, 0, n * kMin), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), static_cast<size_t>(n));
@@ -308,12 +310,12 @@ TEST_F(TimeUnionDBTest, RetentionPurgesSeries) {
 
   EXPECT_EQ(db_->NumSeries(), 1u);
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "old")}, 0, 20 * kHour,
-                         &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("metric", "old")}, 0, 20 * kHour), &result)
                   .ok());
   EXPECT_TRUE(result.empty());
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "new")}, 0, 20 * kHour,
-                         &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("metric", "new")}, 0, 20 * kHour), &result)
                   .ok());
   EXPECT_EQ(result.size(), 1u);
 }
@@ -340,15 +342,15 @@ TEST_F(TimeUnionDBTest, WalRecoveryRestoresUnflushedData) {
   Recreate(opts, /*wipe=*/false);
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 0, kHour,
-                         &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("metric", "cpu")}, 0, kHour), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), 10u);
   EXPECT_EQ(result[0].samples[3].value, 45.0);
 
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "g2")}, 0, kHour,
-                         &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("metric", "g2")}, 0, kHour), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples[0].value, 8.0);
@@ -373,8 +375,8 @@ TEST_F(TimeUnionDBTest, WalRecoverySkipsFlushedData) {
   Recreate(opts, /*wipe=*/false);
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 0, n * kMin,
-                         &result)
+  ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+      {TagMatcher::Equal("metric", "cpu")}, 0, n * kMin), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples.size(), static_cast<size_t>(n));
@@ -414,9 +416,9 @@ TEST_P(DBPropertyTest, RandomWorkloadMatchesReference) {
     const std::string metric = key.substr(m0, m1 - m0);
 
     QueryResult result;
-    ASSERT_TRUE(db_->Query({TagMatcher::Equal("hostname", host),
-                            TagMatcher::Equal("metric", metric)},
-                           0, 1000 * kMin, &result)
+    ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
+        {TagMatcher::Equal("hostname", host),
+         TagMatcher::Equal("metric", metric)}, 0, 1000 * kMin), &result)
                     .ok());
     ASSERT_EQ(result.size(), 1u) << key;
     std::map<int64_t, double> got;

@@ -9,7 +9,6 @@
 #include "util/bitmap.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
-#include "util/histogram.h"
 #include "util/interval_set.h"
 #include "util/lru_cache.h"
 #include "util/memory_tracker.h"
@@ -233,23 +232,6 @@ TEST(MemoryTrackerTest, CategoriesIndependent) {
   EXPECT_EQ(tracker.Total(), 120);
   tracker.Reset();
   EXPECT_EQ(tracker.Total(), 0);
-}
-
-TEST(HistogramTest, PercentilesAndMerge) {
-  Histogram h;
-  for (int i = 1; i <= 100; ++i) h.Add(i);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.Average(), 50.5);
-  EXPECT_EQ(h.Min(), 1);
-  EXPECT_EQ(h.Max(), 100);
-  EXPECT_NEAR(h.Percentile(50), 50.5, 1.0);
-  EXPECT_NEAR(h.Percentile(99), 99, 1.5);
-
-  Histogram other;
-  other.Add(1000);
-  h.Merge(other);
-  EXPECT_EQ(h.Max(), 1000);
-  EXPECT_EQ(h.count(), 101u);
 }
 
 TEST(ThreadPoolTest, RunsAllTasksAndWaitsIdle) {

@@ -372,8 +372,8 @@ std::map<std::string, std::vector<std::pair<int64_t, uint64_t>>> Dump(
     TimeUnionDB* db) {
   std::map<std::string, std::vector<std::pair<int64_t, uint64_t>>> out;
   QueryResult result;
-  EXPECT_TRUE(db->Query({index::TagMatcher::Regex("metric", ".*")}, 0,
-                        int64_t{1} << 40, &result)
+  EXPECT_TRUE(db->Query(query::ReadRequest::Range(
+      {index::TagMatcher::Regex("metric", ".*")}, 0, int64_t{1} << 40), &result)
                   .ok());
   for (const SeriesResult& s : result) {
     auto& samples = out[index::LabelsKey(s.labels)];
@@ -500,8 +500,8 @@ TEST(WalDbTest, LiveLogBudgetForcesFlush) {
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
   QueryResult result;
-  ASSERT_TRUE(db->Query({index::TagMatcher::Equal("metric", "idle")}, 0, 10,
-                        &result)
+  ASSERT_TRUE(db->Query(query::ReadRequest::Range(
+      {index::TagMatcher::Equal("metric", "idle")}, 0, 10), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), 1u);

@@ -2,8 +2,7 @@
 //  (a) samples-per-chunk sweep — §3.2's "adjusted by users for the
 //      trade-off between compression ratio and memory usage";
 //  (b) patch-threshold sweep — §3.3's adjustable patch merge trigger:
-//      more patches = cheaper OOO absorption but more S3 Gets per query;
-//  (c) SSTable block compression on/off — the Table 3 Snappy effect.
+//      more patches = cheaper OOO absorption but more S3 Gets per query.
 #include <cstdio>
 #include <vector>
 
@@ -96,34 +95,6 @@ Status RunPatchThreshold(int threshold, uint64_t* patch_merges,
   return Status::OK();
 }
 
-Status RunBlockCompression(bool compress, double* persisted_mb) {
-  core::DBOptions opts;
-  opts.workspace =
-      FreshWorkspace(std::string("ablation_snappy") + (compress ? "1" : "0"));
-  opts.lsm.memtable_bytes = 128 << 10;
-  opts.lsm.table_options.compress_blocks = compress;
-  std::unique_ptr<core::TimeUnionDB> db;
-  TU_RETURN_IF_ERROR(core::TimeUnionDB::Open(opts, &db));
-  std::vector<uint64_t> refs(32);
-  Random rng(2);
-  for (int64_t ts = 0; ts < 12LL * 3600 * 1000; ts += kMin) {
-    for (int s = 0; s < 32; ++s) {
-      if (ts == 0) {
-        TU_RETURN_IF_ERROR(db->Insert({{"s", std::to_string(s)}}, 0,
-                                      50 + rng.Uniform(10) * 1.0, &refs[s]));
-      } else {
-        TU_RETURN_IF_ERROR(
-            db->InsertFast(refs[s], ts, 50 + rng.Uniform(10) * 1.0));
-      }
-    }
-  }
-  TU_RETURN_IF_ERROR(db->Flush());
-  *persisted_mb = (db->time_lsm()->FastBytesUsed() +
-                   db->time_lsm()->SlowBytesUsed()) /
-                  1048576.0;
-  return Status::OK();
-}
-
 }  // namespace
 
 int main() {
@@ -152,14 +123,5 @@ int main() {
   }
   std::printf("  (low threshold: frequent merges, fewer tables per query; "
               "high: patches pile up — §3.3)\n");
-
-  PrintHeader("Ablation (c)", "SSTable block compression (Table 3 effect)");
-  double with_mb, without_mb;
-  if (!RunBlockCompression(true, &with_mb).ok()) return 1;
-  if (!RunBlockCompression(false, &without_mb).ok()) return 1;
-  PrintRow("persisted with SnappyLite", with_mb, "MB");
-  PrintRow("persisted without", without_mb, "MB");
-  PrintRow("block compression saving",
-           100.0 * (1.0 - with_mb / without_mb), "%");
   return 0;
 }

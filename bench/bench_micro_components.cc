@@ -1,11 +1,10 @@
 // Micro-benchmarks of the core components (google-benchmark): Gorilla
-// codecs, SnappyLite, double-array trie, postings ops, skiplist memtable,
-// SSTable block build/read. Useful for spotting regressions in the pieces
+// codecs, double-array trie, postings ops, skiplist memtable, SSTable
+// block build/read. Useful for spotting regressions in the pieces
 // the system figures are built from.
 #include <benchmark/benchmark.h>
 
 #include "compress/chunk.h"
-#include "compress/snappy_lite.h"
 #include "index/double_array_trie.h"
 #include "index/postings.h"
 #include "lsm/block.h"
@@ -55,25 +54,6 @@ void BM_GorillaDecodeSeries(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_GorillaDecodeSeries)->Arg(32)->Arg(1024);
-
-void BM_SnappyLiteRoundTrip(benchmark::State& state) {
-  // Block-compression workload: prefix-compressed key/value bytes.
-  std::string input;
-  Random rng(2);
-  for (int i = 0; i < 256; ++i) {
-    input += "series_chunk_payload_" + std::to_string(rng.Uniform(32));
-  }
-  std::string compressed, out;
-  for (auto _ : state) {
-    compress::SnappyLiteCompress(input, &compressed);
-    compress::SnappyLiteUncompress(compressed, &out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(state.iterations() * input.size());
-  state.counters["ratio"] =
-      static_cast<double>(input.size()) / compressed.size();
-}
-BENCHMARK(BM_SnappyLiteRoundTrip);
 
 void BM_TrieInsert(benchmark::State& state) {
   const std::string dir = "/tmp/timeunion_bench/micro_trie";

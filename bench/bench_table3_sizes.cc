@@ -1,7 +1,8 @@
 // Table 3: persisted index and data sizes, tsdb vs TU vs TU-Group
 // (paper, at 2M series: index 3.27 / 2.70 / 2.20 GB; data 20.28 / 8.61 /
-// 2.42 GB — tsdb's per-partition indexes duplicate data; SSTable blocks
-// are further compressed; group chunks deduplicate timestamps).
+// 2.42 GB — tsdb's per-partition indexes duplicate data; the paper's
+// SSTable blocks get a further LZ compression pass, which this repo leaves
+// out (DESIGN.md "SSTable format"); group chunks deduplicate timestamps).
 #include <cstdio>
 
 #include "bench_util.h"
@@ -51,7 +52,7 @@ int main() {
   PrintRow("data: TU / TU-Group", data_tu / data_group, "x");
   std::printf(
       "\n  shape checks: tsdb > TU on both rows (duplicate per-partition\n"
-      "  indexes; no SSTable block compression); TU-Group smallest (shared\n"
+      "  indexes; TU's compaction merges chunks); TU-Group smallest (shared\n"
       "  timestamp columns).\n");
   return 0;
 }

@@ -36,6 +36,9 @@ int64_t SteadyNowMs() {
 /// The WAL's directory on the fast tier.
 constexpr char kWalDir[] = "wal";
 
+/// Slot size of the group timestamp and value chunk arrays.
+constexpr size_t kGroupChunkBytes = 192;
+
 /// Segment size under a live-log budget: the full segment, or a quarter of
 /// the budget when that is smaller, so the budget always spans several
 /// segments and forcing a flush can retire one.
@@ -161,8 +164,7 @@ Status DBOptions::Validate() const {
 
 TimeUnionDB::TimeUnionDB(DBOptions options)
     : options_(std::move(options)),
-      metrics_(std::make_unique<obs::MetricsRegistry>(
-          options_.metrics.event_trace_capacity)),
+      metrics_(std::make_unique<obs::MetricsRegistry>()),
       error_handler_(options_.error_handler),
       append_locks_(std::max<uint32_t>(1, options_.append_lock_stripes)),
       sample_cells_(std::make_unique<StripeCell[]>(append_locks_.stripes())) {
@@ -243,9 +245,9 @@ Status TimeUnionDB::Init() {
   series_chunks_ = std::make_unique<mem::ChunkArray>(
       mmap_dir, "series_chunks", options_.series_chunk_bytes);
   group_ts_chunks_ = std::make_unique<mem::ChunkArray>(
-      mmap_dir, "group_ts_chunks", options_.group_ts_chunk_bytes);
+      mmap_dir, "group_ts_chunks", kGroupChunkBytes);
   group_val_chunks_ = std::make_unique<mem::ChunkArray>(
-      mmap_dir, "group_val_chunks", options_.group_val_chunk_bytes);
+      mmap_dir, "group_val_chunks", kGroupChunkBytes);
 
   if (options_.backend == DBOptions::Backend::kLeveled) {
     // TU-LDB baseline: TimeUnion data model over a classic leveled LSM

@@ -64,8 +64,6 @@ struct DBOptions {
   /// memory for compression ratio).
   uint32_t samples_per_chunk = 32;
   size_t series_chunk_bytes = 256;
-  size_t group_ts_chunk_bytes = 192;
-  size_t group_val_chunk_bytes = 192;
 
   /// Storage backend: the paper's time-partitioned tree (TU) or a classic
   /// leveled LSM with the first two levels on fast storage (TU-LDB).
@@ -141,8 +139,6 @@ struct DBOptions {
     /// Append a `{"ts_ms":...,"metrics":{...}}` JSON line per maintenance
     /// tick to <workspace>/metrics.jsonl (requires background_maintenance).
     bool emit_jsonl = false;
-    /// Ring-buffer capacity of the background-job event trace.
-    size_t event_trace_capacity = 256;
   };
   MetricsOptions metrics;
 

@@ -1,18 +1,24 @@
 #include "lsm/table_builder.h"
 
-#include "compress/snappy_lite.h"
 #include "lsm/key_format.h"
 #include "lsm/memtable.h"
 #include "util/crc32c.h"
 
 namespace tu::lsm {
 
+namespace {
+
+constexpr int kRestartInterval = 16;
+constexpr int kBloomBitsPerKey = 10;
+
+}  // namespace
+
 TableBuilder::TableBuilder(TableBuilderOptions options, BufferTableSink* sink)
     : options_(options),
       sink_(sink),
-      data_block_(options.restart_interval),
+      data_block_(kRestartInterval),
       index_block_(1),
-      filter_(options.bloom_bits_per_key) {}
+      filter_(kBloomBitsPerKey) {}
 
 void TableBuilder::Add(const Slice& key, const Slice& value) {
   if (pending_index_entry_) {
@@ -63,24 +69,13 @@ void TableBuilder::FlushDataBlock() {
 }
 
 void TableBuilder::WriteBlock(const Slice& contents, BlockHandle* handle) {
-  Slice payload = contents;
-  BlockCompression type = BlockCompression::kNone;
-  if (options_.compress_blocks) {
-    compress::SnappyLiteCompress(contents, &compress_scratch_);
-    // Keep compression only if it saves at least 1/8th (LevelDB policy).
-    if (compress_scratch_.size() < contents.size() - contents.size() / 8) {
-      payload = Slice(compress_scratch_);
-      type = BlockCompression::kSnappyLite;
-    }
-  }
-
   handle->offset = sink_->Size();
-  handle->size = payload.size();
-  sink_->Append(payload);
+  handle->size = contents.size();
+  sink_->Append(contents);
 
   char trailer[kBlockTrailerSize];
-  trailer[0] = static_cast<char>(type);
-  uint32_t crc = crc32c::Value(payload.data(), payload.size());
+  trailer[0] = static_cast<char>(BlockCompression::kNone);
+  uint32_t crc = crc32c::Value(contents.data(), contents.size());
   crc = crc32c::Extend(crc, trailer, 1);
   EncodeFixed32(trailer + 1, crc32c::Mask(crc));
   sink_->Append(Slice(trailer, kBlockTrailerSize));

@@ -1,8 +1,9 @@
 // TableBuilder: writes an SSTable — 4 KB prefix-compressed data blocks
-// (optionally SnappyLite-compressed), a bloom filter block, an index block
-// and the footer. Tables are built whole in memory and written to a tier
-// in one operation, matching the paper's "new SSTables are uploaded to
-// slow cloud storage" flow and its bytes-over-bandwidth cost model.
+// (stored as is: the chunks inside are already Gorilla-coded), a bloom
+// filter block, an index block and the footer. Tables are built whole in
+// memory and written to a tier in one operation, matching the paper's
+// "new SSTables are uploaded to slow cloud storage" flow and its
+// bytes-over-bandwidth cost model.
 #pragma once
 
 #include <string>
@@ -28,9 +29,6 @@ class BufferTableSink {
 
 struct TableBuilderOptions {
   size_t block_size = 4096;  // S_block of the cost model
-  int restart_interval = 16;
-  bool compress_blocks = true;
-  int bloom_bits_per_key = 10;
 };
 
 class TableBuilder {
@@ -61,7 +59,6 @@ class TableBuilder {
   uint64_t last_filter_id_ = 0;
   bool pending_index_entry_ = false;
   BlockHandle pending_handle_;
-  std::string compress_scratch_;
 };
 
 }  // namespace tu::lsm

@@ -2,10 +2,13 @@
 //
 //   [data block]* [filter block] [index block] [footer]
 //
-// Each block is stored as: contents | 1-byte compression type | 4-byte
-// masked CRC32C(contents + type). Index entries map the last key of each
-// data block to its BlockHandle. The footer (fixed size, at file end)
-// holds the filter and index handles plus a magic number.
+// Each block is stored as: contents | 1-byte block type | 4-byte masked
+// CRC32C(contents + type). Blocks are never compressed, so kNone (0) is the
+// only valid type; a reader rejects any other type byte as corruption.
+// Index entries map the last key of each data block to its BlockHandle.
+// The footer (fixed size, at file end) holds the filter and index handles
+// plus a magic number. The handles carry no checksum of their own: the
+// reader bounds them by the file size before it reads anything.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +24,9 @@ constexpr uint64_t kTableMagic = 0x7475736d67726b76ull;  // "tusmgrkv"
 constexpr size_t kBlockTrailerSize = 5;                  // type + crc32
 constexpr size_t kFooterSize = 48;
 
+/// The block-type byte of the trailer. Only uncompressed blocks exist.
 enum class BlockCompression : char {
   kNone = 0,
-  kSnappyLite = 1,
 };
 
 struct BlockHandle {

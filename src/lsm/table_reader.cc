@@ -4,7 +4,6 @@
 #include <deque>
 
 #include "cloud/retry_policy.h"
-#include "compress/snappy_lite.h"
 #include "lsm/bloom.h"
 #include "lsm/memtable.h"
 #include "util/crc32c.h"
@@ -93,6 +92,18 @@ Status SlowTableSource::ReadAt(uint64_t offset, size_t n,
 
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// True if `handle`'s bytes plus `extra` trailing bytes lie within
+/// [0, limit), computed without overflow: footer and index handles are
+/// plain varints, so a corrupt one can hold any 64-bit value.
+bool HandleWithin(const BlockHandle& handle, uint64_t extra, uint64_t limit) {
+  return handle.offset <= limit && handle.size <= limit - handle.offset &&
+         extra <= limit - handle.offset - handle.size;
+}
+
+}  // namespace
+
 Status TableReader::Open(TableReaderOptions options,
                          std::unique_ptr<TableSource> source,
                          std::unique_ptr<TableReader>* out) {
@@ -104,6 +115,11 @@ Status TableReader::Open(TableReaderOptions options,
       source->ReadAt(size - kFooterSize, kFooterSize, &footer_bytes));
   Footer footer;
   TU_RETURN_IF_ERROR(footer.DecodeFrom(footer_bytes));
+  if (!HandleWithin(footer.index_handle, kBlockTrailerSize,
+                    size - kFooterSize) ||
+      !HandleWithin(footer.filter_handle, 0, size - kFooterSize)) {
+    return Status::Corruption("footer handle past end of table");
+  }
 
   std::unique_ptr<TableReader> reader(
       new TableReader(std::move(options), std::move(source)));
@@ -127,30 +143,26 @@ Status TableReader::Open(TableReaderOptions options,
 
 Status TableReader::ReadBlockContents(const BlockHandle& handle,
                                       std::string* out) const {
+  if (!HandleWithin(handle, kBlockTrailerSize, source_->Size())) {
+    return Status::Corruption("block handle past end of table");
+  }
   std::string raw;
   TU_RETURN_IF_ERROR(
       source_->ReadAt(handle.offset, handle.size + kBlockTrailerSize, &raw));
   const char* trailer = raw.data() + handle.size;
 
-  if (options_.verify_checksums) {
-    const uint32_t expected = crc32c::Unmask(DecodeFixed32(trailer + 1));
-    uint32_t actual = crc32c::Value(raw.data(), handle.size);
-    actual = crc32c::Extend(actual, trailer, 1);
-    if (expected != actual) {
-      return Status::Corruption("block checksum mismatch");
-    }
+  const uint32_t expected = crc32c::Unmask(DecodeFixed32(trailer + 1));
+  uint32_t actual = crc32c::Value(raw.data(), handle.size);
+  actual = crc32c::Extend(actual, trailer, 1);
+  if (expected != actual) {
+    return Status::Corruption("block checksum mismatch");
   }
-
-  const auto type = static_cast<BlockCompression>(trailer[0]);
-  switch (type) {
-    case BlockCompression::kNone:
-      out->assign(raw.data(), handle.size);
-      return Status::OK();
-    case BlockCompression::kSnappyLite:
-      return compress::SnappyLiteUncompress(Slice(raw.data(), handle.size),
-                                            out);
+  if (static_cast<BlockCompression>(trailer[0]) != BlockCompression::kNone) {
+    return Status::Corruption("unknown block type");
   }
-  return Status::Corruption("unknown block compression");
+  raw.resize(handle.size);
+  *out = std::move(raw);
+  return Status::OK();
 }
 
 std::string TableReader::CacheKey(const BlockHandle& handle) const {

@@ -125,7 +125,6 @@ struct TableReaderOptions {
   /// Whether this table's source is the slow object tier — lets per-query
   /// stats attribute block fetches to the tier that served them.
   bool on_slow = false;
-  bool verify_checksums = true;
   /// Self-healing reads: on a corrupt block, evict the (possibly poisoned)
   /// cache entry and re-read from the source up to this many extra times —
   /// a transient on-read flip heals, at-rest rot keeps failing. 0 disables.

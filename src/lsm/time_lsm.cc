@@ -18,6 +18,11 @@ namespace tu::lsm {
 
 namespace {
 
+/// Cap on merged chunk size during compaction ("merged into larger
+/// key-value pairs", §3.3). Kept moderate: per-chunk overhead is what the
+/// group model amortizes across members (Table 3).
+constexpr uint32_t kMaxSamplesPerMergedChunk = 64;
+
 uint64_t NowUs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -838,12 +843,8 @@ Status TimePartitionedLsm::OpenReaderOnTier(
   opts.cache_id = name_ + ":" + std::to_string(handle.meta.table_id);
   opts.on_slow = use_slow;
   opts.prefetch_wait_us = h_prefetch_wait_us_;
-  if (options_.integrity.self_healing_reads) {
-    opts.corruptions_detected = &stats_.read_corruptions_detected;
-    opts.corruptions_healed = &stats_.read_corruptions_healed;
-  } else {
-    opts.corrupt_read_retries = 0;
-  }
+  opts.corruptions_detected = &stats_.read_corruptions_detected;
+  opts.corruptions_healed = &stats_.read_corruptions_healed;
   return TableReader::Open(opts, std::move(source), reader);
 }
 
@@ -865,7 +866,7 @@ Status TimePartitionedLsm::OpenTableReader(
                               " quarantined");
   }
   Status s = OpenReaderOnTier(*handle, handle->on_slow, cache, scan, reader);
-  if (!s.IsCorruption() || !options_.integrity.self_healing_reads) return s;
+  if (!s.IsCorruption()) return s;
 
   // The handle's tier holds rotten bytes. The other tier may still hold a
   // healthy duplicate — a deferred upload's fast-tier copy not yet
@@ -969,7 +970,7 @@ Status TimePartitionedLsm::MergePartitionTables(
     std::vector<MergedChunk> merged_chunks;
     const uint64_t merge_start_us = NowUs();
     TU_RETURN_IF_ERROR(MergeChunks(chunk_inputs, &boundaries,
-                                   options_.max_samples_per_merged_chunk,
+                                   kMaxSamplesPerMergedChunk,
                                    &merged_chunks,
                                    build_rollups ? &rollup_out : nullptr));
     merge_us += NowUs() - merge_start_us;
@@ -2258,7 +2259,6 @@ class BufferTableSource : public TableSource {
 /// walk every data block so each per-block CRC is checked.
 Status VerifyTableBlocks(const std::string& data) {
   TableReaderOptions opts;
-  opts.verify_checksums = true;
   opts.corrupt_read_retries = 0;  // the source is a buffer; retries are moot
   std::unique_ptr<TableSource> source =
       std::make_unique<BufferTableSource>(&data);

@@ -62,10 +62,6 @@ struct TimeLsmOptions {
   int patch_threshold = 3;
   size_t memtable_bytes = 4 << 20;
   size_t max_output_table_bytes = 2 << 20;
-  /// Cap on merged chunk size during compaction ("merged into larger
-  /// key-value pairs", Â§3.3). Kept moderate: per-chunk overhead is what
-  /// the group model amortizes across members (Table 3).
-  uint32_t max_samples_per_merged_chunk = 64;
   /// Fast-tier budget for Algorithm 1; 0 disables dynamic size control.
   uint64_t fast_storage_limit_bytes = 0;
   /// Continuous-aggregate granularities (ms), ascending. When non-empty,
@@ -91,7 +87,10 @@ struct TimeLsmOptions {
   bool persist_manifest = false;
   /// Silent-corruption defenses (DESIGN.md "Data integrity and scrubbing").
   /// Whole-file CRC32C checksums are always recorded in the manifest at
-  /// build time; these knobs control where they are re-verified.
+  /// build time; these knobs control where they are re-verified. Reads
+  /// always self-heal: a corrupt block is evicted from the block cache and
+  /// re-read, a corrupt table opens from the other tier's copy, and only
+  /// then is the table quarantined and the result degraded to partial.
   struct IntegrityOptions {
     /// After an L2 upload, read the object back and verify its whole-file
     /// CRC against the builder's checksum before committing (over and
@@ -103,11 +102,6 @@ struct TimeLsmOptions {
     /// file read per open; off by default — the scrub job covers at-rest
     /// verification without the per-open tax.
     bool verify_fast_open = false;
-    /// On a corrupt block or object during a read: evict the poisoned
-    /// block-cache entry and re-fetch bypassing the cache, fall back to
-    /// the other tier's copy at open, and only then quarantine the table
-    /// and degrade to a partial result.
-    bool self_healing_reads = true;
   };
   IntegrityOptions integrity;
   /// Observability registry (owned by the DB, outlives the LSM). When set,
@@ -432,8 +426,8 @@ class TimePartitionedLsm : public ChunkStore {
   /// Opens a reader of `handle` without storing it, reading through
   /// `cache` (nullable). `scan` marks a compaction's in-order scan: its
   /// fast-tier reads go through a ReadAheadTableSource. On a corrupt
-  /// primary copy (with self_healing_reads) falls back to the other
-  /// tier's duplicate, else quarantines the handle.
+  /// primary copy falls back to the other tier's duplicate, else
+  /// quarantines the handle.
   Status OpenTableReader(TableHandle* handle, BlockCache* cache, bool scan,
                          std::unique_ptr<TableReader>* reader);
   /// One tier-specific open attempt, including the manifest size check and

@@ -11,6 +11,9 @@
 //   - Upload verification: a write-side flip on the L2 upload path is
 //     caught by the read-back CRC (Status::Corruption) and healed by the
 //     retry re-putting the source bytes.
+//   - Fast-open verification: a flipped byte in a fast-tier table fails
+//     the whole-file CRC when its reader opens, and the table is
+//     quarantined (a partial read) or the query fails (a strict read).
 //   - Deterministic corruption-fuzz smoke: seeded random single-byte flips
 //     across a table file are all detected by the scrub.
 #include <gtest/gtest.h>
@@ -27,7 +30,10 @@
 #include "cloud/tiered_env.h"
 #include "core/scrub.h"
 #include "core/timeunion_db.h"
+#include "lsm/key_format.h"
+#include "lsm/memtable.h"
 #include "lsm/table_format.h"
+#include "lsm/table_reader.h"
 #include "util/interval_set.h"
 #include "util/mmap_file.h"
 
@@ -638,6 +644,81 @@ TEST(UploadVerifyTest, WriteSideFlipCaughtByCrcAndHealedByRetry) {
   EXPECT_EQ(report.corruptions_found, 0u);
   db.reset();
   RemoveDirRecursive(ws);
+}
+
+// -- Fast-tier open verification --------------------------------------------
+
+TEST(FastOpenVerifyTest, AtRestFlipQuarantinesTableWhenItsReaderOpens) {
+  for (const bool strict : {false, true}) {
+    SCOPED_TRACE(strict ? "strict_reads" : "partial reads");
+    const std::string ws = "/tmp/timeunion_test/integrity_fast_open";
+    RemoveDirRecursive(ws);
+    core::DBOptions opts = IntegrityWorkloadOptions(ws);
+    opts.lsm.integrity.verify_fast_open = true;
+    opts.strict_reads = strict;
+    opts.enable_wal = true;  // the reopen recovers the series registry
+    std::unique_ptr<core::TimeUnionDB> db;
+    ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
+    IngestWorkload(db.get());
+    const core::QueryResult control = QueryAll(db.get());
+
+    // An L0/L1 table: the only copy lives on the fast tier.
+    uint64_t victim = 0;
+    for (const auto& t : db->time_lsm()->ListTables()) {
+      if (!t.on_slow) {
+        victim = t.table_id;
+        break;
+      }
+    }
+    ASSERT_NE(victim, 0u);
+    const std::string fname = "lsm/" + lsm::TableFileName(victim);
+
+    // The table's span: its first and last chunk start.
+    int64_t first_ts = INT64_MAX;
+    int64_t last_ts = INT64_MIN;
+    {
+      std::unique_ptr<lsm::TableSource> source;
+      ASSERT_TRUE(
+          lsm::FastTableSource::Open(&db->env().fast(), fname, &source).ok());
+      std::unique_ptr<lsm::TableReader> reader;
+      ASSERT_TRUE(lsm::TableReader::Open(lsm::TableReaderOptions{},
+                                         std::move(source), &reader)
+                      .ok());
+      auto it = reader->NewIterator();
+      for (it->SeekToFirst(); it->Valid(); it->Next()) {
+        const int64_t ts =
+            lsm::ChunkKeyTimestamp(lsm::InternalKeyUserKey(it->key()));
+        first_ts = std::min(first_ts, ts);
+        last_ts = std::max(last_ts, ts);
+      }
+      ASSERT_TRUE(it->status().ok());
+    }
+    ASSERT_LE(first_ts, last_ts);
+
+    // Flip one byte of the first data block, then reopen so the next query
+    // opens a fresh reader of the table.
+    ASSERT_TRUE(db->env().fast().CorruptFileAtRest(fname, 10).ok());
+    db.reset();
+    ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
+
+    core::QueryResult result;
+    const Status s = db->Query(
+        query::ReadRequest::Range({index::TagMatcher::Equal("metric", "cpu")},
+                                  0, kSamples * kStepMs),
+        &result);
+    if (strict) {
+      EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    } else {
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_FALSE(result.complete);
+      EXPECT_TRUE(util::IntervalsContain(result.missing_ranges, first_ts));
+      EXPECT_TRUE(util::IntervalsContain(result.missing_ranges, last_ts));
+      ExpectMatchesControlModuloMissing(result, control);
+    }
+    EXPECT_EQ(db->Metrics().CounterOr0("integrity.runtime_quarantines"), 1u);
+    db.reset();
+    RemoveDirRecursive(ws);
+  }
 }
 
 // -- Deterministic corruption-fuzz smoke -------------------------------------

@@ -10,6 +10,7 @@
 #include "lsm/merging_iterator.h"
 #include "lsm/table_builder.h"
 #include "lsm/table_reader.h"
+#include "util/crc32c.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
 
@@ -93,6 +94,22 @@ TEST(MemTableTest, OrderedWithDuplicateUserKeysNewestFirst) {
   EXPECT_EQ(mem.max_ts(), 200);
 }
 
+/// Builds a table of n chunk entries: series i / 10, chunk start
+/// 1000 * (i % 10). Returns its bytes and, if `meta` is set, its meta.
+std::string BuildTableBytes(int n, TableMeta* meta = nullptr) {
+  BufferTableSink sink;
+  TableBuilder builder(TableBuilderOptions{}, &sink);
+  uint64_t seq = 0;
+  for (int i = 0; i < n; ++i) {
+    builder.Add(MakeInternalKey(MakeChunkKey(i / 10, 1000 * (i % 10)), ++seq),
+                "chunk-" + std::to_string(i));
+  }
+  TableMeta built;
+  builder.Finish(&built);
+  if (meta != nullptr) *meta = built;
+  return sink.buffer();
+}
+
 class SSTableTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -108,17 +125,9 @@ class SSTableTest : public ::testing::Test {
 
   /// Builds a table of n chunk entries on the fast tier; returns the meta.
   TableMeta BuildTable(const std::string& fname, int n) {
-    BufferTableSink sink;
-    TableBuilder builder(TableBuilderOptions{}, &sink);
-    uint64_t seq = 0;
-    for (int i = 0; i < n; ++i) {
-      const std::string key =
-          MakeInternalKey(MakeChunkKey(i / 10, 1000 * (i % 10)), ++seq);
-      builder.Add(key, "chunk-" + std::to_string(i));
-    }
     TableMeta meta;
-    builder.Finish(&meta);
-    EXPECT_TRUE(fast_->WriteStringToFile(fname, sink.buffer()).ok());
+    EXPECT_TRUE(
+        fast_->WriteStringToFile(fname, BuildTableBytes(n, &meta)).ok());
     return meta;
   }
 
@@ -260,6 +269,113 @@ TEST_F(SSTableTest, CorruptBlockDetected) {
   it->SeekToFirst();
   while (it->Valid()) it->Next();
   EXPECT_FALSE(it->status().ok());
+}
+
+// -- Corrupt footer handles and block types ---------------------------------
+
+/// In-memory table bytes that refuse reads past their end and remember the
+/// longest read asked of them, so a test sees both a wild pointer (ASan)
+/// and a huge read sent to the tier.
+class BoundedBufferSource : public TableSource {
+ public:
+  BoundedBufferSource(std::string data, uint64_t* max_read)
+      : data_(std::move(data)), max_read_(max_read) {}
+
+  Status ReadAt(uint64_t offset, size_t n, std::string* out) const override {
+    *max_read_ = std::max<uint64_t>(*max_read_, n);
+    if (offset > data_.size() || n > data_.size() - offset) {
+      return Status::Corruption("read past end of buffer");
+    }
+    out->assign(data_.data() + offset, n);
+    return Status::OK();
+  }
+  uint64_t Size() const override { return data_.size(); }
+
+ private:
+  const std::string data_;
+  uint64_t* max_read_;
+};
+
+Footer ReadFooter(const std::string& table) {
+  Footer footer;
+  EXPECT_TRUE(
+      footer.DecodeFrom(Slice(table.data() + table.size() - kFooterSize,
+                              kFooterSize))
+          .ok());
+  return footer;
+}
+
+void WriteFooter(const Footer& footer, std::string* table) {
+  std::string bytes;
+  footer.EncodeTo(&bytes);
+  ASSERT_EQ(bytes.size(), kFooterSize);
+  table->replace(table->size() - kFooterSize, kFooterSize, bytes);
+}
+
+/// Opens the corrupt `table` and, if that succeeds, scans it; no entry may
+/// be served. Returns the first error.
+Status OpenAndScan(std::string table, uint64_t* max_read) {
+  std::unique_ptr<TableReader> reader;
+  TU_RETURN_IF_ERROR(TableReader::Open(
+      TableReaderOptions{},
+      std::make_unique<BoundedBufferSource>(std::move(table), max_read),
+      &reader));
+  auto it = reader->NewIterator();
+  int entries = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) ++entries;
+  EXPECT_EQ(entries, 0) << "entries served from a corrupt table";
+  return it->status();
+}
+
+TEST(TableFooterTest, HandlesPastTheTableAreCorruption) {
+  const std::string intact = BuildTableBytes(50);
+  const uint64_t size = intact.size();
+  struct Case {
+    const char* name;
+    void (*edit)(Footer*, uint64_t size);
+  };
+  const Case cases[] = {
+      // handle.size + trailer wraps around to a tiny read.
+      {"index size 2^64-3",
+       [](Footer* f, uint64_t) { f->index_handle.size = UINT64_MAX - 2; }},
+      {"index offset past end",
+       [](Footer* f, uint64_t size) { f->index_handle.offset = size + 100; }},
+      {"filter size past end",
+       [](Footer* f, uint64_t size) { f->filter_handle.size = size; }},
+  };
+  for (const Case& c : cases) {
+    std::string table = intact;
+    Footer footer = ReadFooter(table);
+    c.edit(&footer, size);
+    WriteFooter(footer, &table);
+    uint64_t max_read = 0;
+    const Status s = OpenAndScan(std::move(table), &max_read);
+    EXPECT_TRUE(s.IsCorruption()) << c.name << ": " << s.ToString();
+    // The handle was refused before any read of its length went out.
+    EXPECT_LE(max_read, size) << c.name;
+  }
+}
+
+TEST(TableFooterTest, UnknownBlockTypeIsCorruption) {
+  // One data block: it starts the file and ends where the filter begins.
+  const std::string intact = BuildTableBytes(20);
+  const Footer footer = ReadFooter(intact);
+  const uint64_t block_size = footer.filter_handle.offset - kBlockTrailerSize;
+  ASSERT_GT(footer.index_handle.offset, footer.filter_handle.offset);
+
+  for (const char type : {char{1}, char{7}}) {
+    std::string table = intact;
+    // Rewrite the type byte and re-seal the trailer, so the CRC passes and
+    // only the type check stands between the reader and the bytes.
+    table[block_size] = type;
+    uint32_t crc = crc32c::Value(table.data(), block_size);
+    crc = crc32c::Extend(crc, &table[block_size], 1);
+    EncodeFixed32(&table[block_size + 1], crc32c::Mask(crc));
+    uint64_t max_read = 0;
+    const Status s = OpenAndScan(std::move(table), &max_read);
+    EXPECT_TRUE(s.IsCorruption())
+        << "type " << static_cast<int>(type) << ": " << s.ToString();
+  }
 }
 
 TEST(MergingIteratorTest, MergesSortedStreams) {

@@ -249,12 +249,12 @@ Status BlockStore::ReadFileToString(const std::string& fname,
 }
 
 Status BlockStore::WriteStringToFile(const std::string& fname,
-                                     const Slice& data) {
+                                     const Slice& data, bool sync) {
   const std::string tmp = fname + ".tmp";
   std::unique_ptr<WritableFile> file;
   TU_RETURN_IF_ERROR(NewWritableFile(tmp, &file));
   TU_RETURN_IF_ERROR(file->Append(data));
-  TU_RETURN_IF_ERROR(file->Sync());
+  if (sync) TU_RETURN_IF_ERROR(file->Sync());
   TU_RETURN_IF_ERROR(file->Close());
   return RenameFile(tmp, fname);
 }

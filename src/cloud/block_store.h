@@ -55,7 +55,10 @@ class BlockStore {
   /// Reads a whole file into *out (metadata/manifest loading).
   Status ReadFileToString(const std::string& fname, std::string* out);
   /// Writes `data` as the complete contents of `fname` (atomic via rename).
-  Status WriteStringToFile(const std::string& fname, const Slice& data);
+  /// With `sync`, the data is fdatasync'ed before the rename; a file that
+  /// nothing durable will ever point at can skip that.
+  Status WriteStringToFile(const std::string& fname, const Slice& data,
+                           bool sync = true);
 
   Status DeleteFile(const std::string& fname);
   Status RenameFile(const std::string& src, const std::string& dst);

@@ -1,5 +1,6 @@
 #include "cloud/storage_sim.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -50,14 +51,35 @@ void TierCounters::Reset() {
   breaker_opens = 0;
 }
 
+namespace {
+
+/// Oversleep a thread carries into its next sleep, capped so that one long
+/// stall does not make many later requests free.
+constexpr int64_t kMaxOversleptNs = 1'000'000;
+thread_local int64_t overslept_ns = 0;
+
+}  // namespace
+
 void ChargeLatency(const TierSimOptions& opts, TierCounters* counters,
                    double us) {
   counters->charged_us.fetch_add(static_cast<uint64_t>(us),
                                  std::memory_order_relaxed);
-  if (opts.real_sleep && us * opts.sleep_scale >= 1.0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        static_cast<int64_t>(us * opts.sleep_scale)));
+  if (!opts.real_sleep || us * opts.sleep_scale < 1.0) return;
+  // A sleep wakes late by timer slack plus a scheduling delay that varies
+  // from run to run. The excess shortens, or skips, this thread's next
+  // sleep, so its real sleeping tracks its scaled charges.
+  const int64_t want_ns = static_cast<int64_t>(us * opts.sleep_scale) * 1000;
+  if (overslept_ns >= want_ns) {
+    overslept_ns -= want_ns;
+    return;
   }
+  const int64_t sleep_ns = want_ns - overslept_ns;
+  const auto start = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns));
+  const std::chrono::nanoseconds slept =
+      std::chrono::steady_clock::now() - start;
+  overslept_ns =
+      std::clamp<int64_t>(slept.count() - sleep_ns, 0, kMaxOversleptNs);
 }
 
 }  // namespace tu::cloud

@@ -26,7 +26,9 @@ class FaultInjector;
 /// object. With `real_sleep`, the calling thread actually sleeps for the
 /// charged latency (scaled by `sleep_scale`), so foreground/background
 /// interference is physically reproduced; simulated time is accounted
-/// either way.
+/// either way. Sleeps are paced per thread: a sleep that wakes late
+/// shortens the thread's next one (up to 1 ms is carried), so wake-up
+/// delays do not add up over many small requests.
 struct TierSimOptions {
   double per_op_latency_us = 0.0;
   double bandwidth_mb_per_s = 1e9;  // effectively unlimited by default
@@ -87,7 +89,8 @@ struct TierCounters {
   void Reset();
 };
 
-/// Charges `us` of latency against `counters`, sleeping if the model says so.
+/// Charges `us` of latency against `counters`, sleeping if the model says so
+/// (paced per thread, see TierSimOptions).
 void ChargeLatency(const TierSimOptions& opts, TierCounters* counters,
                    double us);
 

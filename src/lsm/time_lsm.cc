@@ -611,10 +611,13 @@ Status TimePartitionedLsm::WriteFastTable(uint64_t table_id,
   // (discard-and-rebuild): a failed Append or a poisoned fsync leaves
   // nothing at the final name, so the retried build starts from scratch
   // instead of trusting pages the kernel may have dropped. The open-time
-  // sweep reclaims .tmp leftovers after a crash.
+  // sweep reclaims .tmp leftovers after a crash. Without a persisted
+  // manifest no reopen can find the table, so it is not synced: the
+  // fdatasync would wait on the disk for a file a crash orphans anyway.
   const uint64_t start_us = NowUs();
   const std::string fname = FastName(table_id);
-  Status s = env_->fast().WriteStringToFile(fname, data);
+  Status s = env_->fast().WriteStringToFile(fname, data,
+                                            options_.persist_manifest);
   if (!s.ok()) {
     (void)env_->fast().DeleteFile(fname + ".tmp");
     return s;

@@ -83,7 +83,8 @@ struct TimeLsmOptions {
   /// the DB's ErrorHandler classifies and latches what this reports.
   std::function<void(BgWorkKind, const Status&)> on_background_error;
   /// Persist the level manifest to the fast tier after each mutation so a
-  /// reopen recovers the tree.
+  /// reopen recovers the tree. Fast-tier tables are fdatasync'ed only when
+  /// set: without it no reopen can reach them.
   bool persist_manifest = false;
   /// Silent-corruption defenses (DESIGN.md "Data integrity and scrubbing").
   /// Whole-file CRC32C checksums are always recorded in the manifest at

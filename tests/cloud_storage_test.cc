@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "cloud/block_store.h"
 #include "cloud/cost_model.h"
 #include "cloud/object_store.h"
@@ -179,6 +181,30 @@ TEST(TierSimTest, ChargeFormula) {
   const auto ebs = TierSimOptions::EbsDefaults();
   const auto s3 = TierSimOptions::S3Defaults();
   EXPECT_GT(s3.per_op_latency_us / ebs.per_op_latency_us, 10);
+}
+
+// Sleeps are paced per thread: a late wake-up shortens the next sleep
+// instead of adding to it, so many small charges cost about their sum in
+// wall time rather than one timer slack (~50 us on Linux) each.
+TEST(TierSimTest, SleepsArePacedPerThread) {
+  TierSimOptions sim;
+  sim.per_op_latency_us = 5;
+  sim.real_sleep = true;
+  TierCounters counters;
+  constexpr int kOps = 2000;  // 10 ms charged
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kOps; ++i) {
+    ChargeLatency(sim, &counters, sim.ChargeUs(0, false));
+  }
+  const double elapsed_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(counters.charged_us.load(), 5u * kOps);
+  // Up to 1 ms carried in from earlier sleeps on this thread may be spent.
+  EXPECT_GE(elapsed_ms, 9.0);
+  // Unpaced, each 5 us sleep also takes its timer slack: over 100 ms.
+  EXPECT_LT(elapsed_ms, 60.0);
 }
 
 TEST(CostModelTest, PricingRatios) {

@@ -278,6 +278,46 @@ TEST(WalMarkFailureTest, FailedMarkAppendReachesErrorHandler) {
   RemoveDirRecursive(ws);
 }
 
+// Fast-tier tables are fdatasync'ed only when a persisted manifest can
+// reach them after a reopen, which the WAL turns on. A sync fault on the
+// table files therefore fails the flush with the WAL and is never hit
+// without it.
+TEST(TableSyncTest, TablesSyncOnlyUnderPersistedManifest) {
+  for (const bool wal : {false, true}) {
+    SCOPED_TRACE(wal ? "wal on" : "wal off");
+    const std::string ws = "/tmp/timeunion_test/table_sync";
+    RemoveDirRecursive(ws);
+    auto fi = std::make_shared<FaultInjector>(17);
+    core::DBOptions opts = DrillOptions(ws);
+    opts.enable_wal = wal;
+    opts.env_options.fast_sim.fault = fi;
+    opts.lsm.memtable_bytes = 1 << 20;  // nothing flushes before Flush()
+    std::unique_ptr<core::TimeUnionDB> db;
+    ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
+    uint64_t ref = 0;
+    ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
+    for (int i = 1; i < 50; ++i) {
+      ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+    }
+    // Table files are "lsm/<8-digit id>.sst"; the manifest is not matched.
+    fi->AddRule(FaultRule::NoSpace(FaultOpMask(FaultOp::kSync), "lsm/0"));
+    const Status s = db->Flush();
+    if (wal) {
+      EXPECT_FALSE(s.ok());
+      EXPECT_GE(fi->faults_injected(), 1u);
+    } else {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      EXPECT_EQ(fi->faults_injected(), 0u);
+      const lsm::TimePartitionedLsm* tree = db->time_lsm();
+      EXPECT_GT(tree->NumL0Partitions() + tree->NumL1Partitions() +
+                    tree->NumL2Partitions(),
+                0u);
+    }
+    db.reset();
+    RemoveDirRecursive(ws);
+  }
+}
+
 TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {
   const std::string ws = "/tmp/timeunion_test/enospc_drill";
   const std::string control_ws = ws + "_control";

@@ -134,7 +134,7 @@ bool RunPass(core::TimeUnionDB* db, const Placement& placement, int threads,
                            &result).ok() &&
                  result.size() == 1;
             if (ok) {
-              samples = result[0].samples.size();
+              samples = result[0].timestamps.size();
               local.Add(result.stats);
             }
           }

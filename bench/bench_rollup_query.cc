@@ -127,18 +127,11 @@ void PrintPass(const char* path, const char* cache, size_t points,
 
 /// Folds one raw series drain through the same two-stage kernel the
 /// planner uses (samples -> serving-granularity buckets -> step windows).
-std::vector<query::AggPoint> FoldRaw(
-    const std::vector<compress::Sample>& samples, query::AggFn fn) {
-  std::vector<int64_t> ts;
-  std::vector<double> vs;
-  ts.reserve(samples.size());
-  vs.reserve(samples.size());
-  for (const compress::Sample& s : samples) {
-    ts.push_back(s.timestamp);
-    vs.push_back(s.value);
-  }
+std::vector<query::AggPoint> FoldRaw(const core::SeriesResult& series,
+                                     query::AggFn fn) {
   std::vector<compress::RollupBucket> buckets;
-  query::AccumulateIntoBuckets(ts.data(), vs.data(), ts.size(), kWindowStepMs,
+  query::AccumulateIntoBuckets(series.timestamps.data(), series.values.data(),
+                               series.timestamps.size(), kWindowStepMs,
                                &buckets);
   return query::FoldBuckets(buckets, kWindowStepMs, fn);
 }
@@ -172,7 +165,7 @@ int Main() {
       }
       size_t points = 0;
       for (const auto& series : raw) {
-        points += FoldRaw(series.samples, query::AggFn::kMax).size();
+        points += FoldRaw(series, query::AggFn::kMax).size();
       }
       const double elapsed_us = static_cast<double>(NowUs() - t_start);
       const uint64_t gets = slow.get_ops.load() - gets_before;
@@ -225,7 +218,7 @@ int Main() {
     }
     for (size_t i = 0; i < check.series.size() && equal; ++i) {
       const std::vector<query::AggPoint> expect =
-          FoldRaw(raw[i].samples, fn);
+          FoldRaw(raw[i], fn);
       const std::vector<query::AggPoint>& got = check.series[i].points;
       equal = got.size() == expect.size();
       for (size_t p = 0; p < expect.size() && equal; ++p) {

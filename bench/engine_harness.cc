@@ -191,10 +191,10 @@ Status EngineHarness::RunQuery(const tsbs::DevOpsGenerator& gen,
         const auto agg = pattern.lastpoint
                              ? std::vector<tsbs::AggPoint>{}
                              : tsbs::AggregateMax(
-                                   series.samples,
+                                   series.timestamps, series.values,
                                    tsbs::QueryPattern::kAggWindowMs);
         (void)agg;
-        report->samples_returned += series.samples.size();
+        report->samples_returned += series.timestamps.size();
       }
       report->series_returned += result.size();
     } else {
@@ -204,10 +204,10 @@ Status EngineHarness::RunQuery(const tsbs::DevOpsGenerator& gen,
         const auto agg = pattern.lastpoint
                              ? std::vector<tsbs::AggPoint>{}
                              : tsbs::AggregateMax(
-                                   series.samples,
+                                   series.timestamps, series.values,
                                    tsbs::QueryPattern::kAggWindowMs);
         (void)agg;
-        report->samples_returned += series.samples.size();
+        report->samples_returned += series.timestamps.size();
       }
       report->series_returned += result.size();
     }

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   if (!st.ok()) return 1;
   std::printf("%s on %s: %zu series, %zu samples\n",
               gen.FieldName(0).c_str(), gen.HostName(2).c_str(),
-              result.size(), result.empty() ? 0 : result[0].samples.size());
+              result.size(), result.empty() ? 0 : result[0].timestamps.size());
 
   // A cross-host aggregate: MAX cpu_usage_0 over all hosts, 5-min windows.
   st = db->Query(
@@ -99,7 +99,8 @@ int main(int argc, char** argv) {
   if (!st.ok()) return 1;
   double max_v = 0;
   for (const auto& series : result) {
-    const auto agg = tu::tsbs::AggregateMax(series.samples, 5 * 60 * 1000);
+    const auto agg = tu::tsbs::AggregateMax(series.timestamps,
+                                            series.values, 5 * 60 * 1000);
     for (const auto& point : agg) max_v = std::max(max_v, point.max_value);
   }
   std::printf("fleet-wide max %s over 6h: %.2f (%zu member series)\n",

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
                  &result);
   if (!st.ok()) return 1;
   std::printf("sensor-17, hour 2-3: %zu samples after backfill\n",
-              result.empty() ? 0 : result[0].samples.size());
+              result.empty() ? 0 : result[0].timestamps.size());
 
   // Retention: keep only the last 12 hours.
   st = db->ApplyRetention(24 * kHour);

@@ -72,11 +72,11 @@ int main(int argc, char** argv) {
       std::printf(" %s=%s", label.name.c_str(), label.value.c_str());
     }
     std::printf("\n  %zu samples; first=(%lld, %.1f) last=(%lld, %.1f)\n",
-                series.samples.size(),
-                static_cast<long long>(series.samples.front().timestamp),
-                series.samples.front().value,
-                static_cast<long long>(series.samples.back().timestamp),
-                series.samples.back().value);
+                series.timestamps.size(),
+                static_cast<long long>(series.timestamps.front()),
+                series.values.front(),
+                static_cast<long long>(series.timestamps.back()),
+                series.values.back());
   }
 
   std::printf("index memory: %llu bytes for %llu series\n",

@@ -422,7 +422,13 @@ Status TsdbEngine::Query(const std::vector<index::TagMatcher>& matchers,
                          std::vector<TsdbSeriesResult>* out) {
   out->clear();
   std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, TsdbSeriesResult> results;  // by labels key
+  // Rows by labels key: chunks arrive in no time order, so each series is
+  // sorted, then split into the result's columns, at the end.
+  struct Rows {
+    index::Labels labels;
+    std::vector<compress::Sample> samples;
+  };
+  std::map<std::string, Rows> results;
 
   auto matches = [&](const index::Labels& labels) {
     for (const auto& m : matchers) {
@@ -470,7 +476,7 @@ Status TsdbEngine::Query(const std::vector<index::TagMatcher>& matchers,
     for (uint64_t id : candidates) {
       const HeadSeries& series = series_.at(id);
       if (!matches(series.labels)) continue;
-      TsdbSeriesResult result;
+      Rows result;
       result.labels = series.labels;
       for (const auto& payload : series.closed) {
         uint64_t seq = 0;
@@ -533,7 +539,7 @@ Status TsdbEngine::Query(const std::vector<index::TagMatcher>& matchers,
       const index::Labels& labels = meta.series_labels[ord];
       if (!matches(labels)) continue;
       const std::string key = index::LabelsKey(labels);
-      TsdbSeriesResult& result = results[key];
+      Rows& result = results[key];
       if (result.labels.empty()) result.labels = labels;
       for (const ChunkRef& ref : meta.chunks) {
         if (ref.series_ord != ord || ref.min_ts > t1 || ref.max_ts < t0) {
@@ -555,11 +561,19 @@ Status TsdbEngine::Query(const std::vector<index::TagMatcher>& matchers,
     }
   }
 
-  for (auto& [key, result] : results) {
-    std::sort(result.samples.begin(), result.samples.end(),
+  for (auto& [key, rows] : results) {
+    std::sort(rows.samples.begin(), rows.samples.end(),
               [](const compress::Sample& a, const compress::Sample& b) {
                 return a.timestamp < b.timestamp;
               });
+    TsdbSeriesResult result;
+    result.labels = std::move(rows.labels);
+    result.timestamps.reserve(rows.samples.size());
+    result.values.reserve(rows.samples.size());
+    for (const compress::Sample& s : rows.samples) {
+      result.timestamps.push_back(s.timestamp);
+      result.values.push_back(s.value);
+    }
     out->push_back(std::move(result));
   }
   return Status::OK();

@@ -61,10 +61,12 @@ struct TsdbStats {
   std::atomic<uint64_t> rejected_out_of_order{0};
 };
 
-/// Query result shape shared with TimeUnionDB.
+/// Query result shape shared with TimeUnionDB: ascending timestamp and
+/// value columns.
 struct TsdbSeriesResult {
   index::Labels labels;
-  std::vector<compress::Sample> samples;
+  std::vector<int64_t> timestamps;
+  std::vector<double> values;
 };
 
 class TsdbEngine {

@@ -94,7 +94,8 @@ void EncodeSeriesChunk(uint64_t seq_id, const std::vector<Sample>& samples,
 void EncodeSeriesChunk(uint64_t seq_id, const int64_t* timestamps,
                        const double* values, size_t n, std::string* out);
 
-/// Decodes a serialized series chunk.
+/// Decodes a serialized series chunk into rows (through
+/// DecodeSeriesChunkBatch).
 Status DecodeSeriesChunk(const Slice& data, uint64_t* seq_id,
                          std::vector<Sample>* samples);
 
@@ -112,35 +113,6 @@ Status DecodeSeriesChunkBatch(const Slice& data, query::SampleBatch* batch);
 /// yields an empty batch, OK.
 Status DecodeGroupMemberBatch(const Slice& data, uint32_t member_index,
                               query::SampleBatch* batch);
-
-/// Iterator over a serialized series chunk (avoids materializing vectors on
-/// the query path).
-class SeriesChunkIterator {
- public:
-  explicit SeriesChunkIterator(const Slice& data);
-
-  bool Valid() const { return ok_ && pos_ < count_; }
-  Status status() const {
-    return ok_ ? Status::OK() : Status::Corruption("bad series chunk");
-  }
-  uint64_t seq_id() const { return seq_id_; }
-  uint32_t count() const { return count_; }
-
-  /// Advances and returns the next sample. Requires Valid().
-  Sample Next();
-
- private:
-  bool ok_ = false;
-  uint64_t seq_id_ = 0;
-  uint32_t count_ = 0;
-  uint32_t pos_ = 0;
-  std::string ts_bits_;
-  std::string val_bits_;
-  BitReader ts_reader_{nullptr, 0};
-  BitReader val_reader_{nullptr, 0};
-  TimestampDecoder ts_dec_;
-  ValueDecoder val_dec_;
-};
 
 // ---------------------------------------------------------------------------
 // Group chunks

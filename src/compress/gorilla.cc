@@ -20,10 +20,12 @@ double BitsToDouble(uint64_t bits) {
 }
 
 /// Register-resident MSB-first bit cursor for the bulk decode loops: a
-/// 64-bit accumulator refilled a byte at a time, so the per-field cost is
-/// a shift and a subtract instead of BitReader's per-byte loop. Constructed
-/// from a BitReader's raw state and synced back with SyncTo(), so bulk and
-/// per-sample decoding interleave losslessly.
+/// 64-bit accumulator refilled a whole word at a time, so the per-field
+/// cost is a shift and a subtract instead of BitReader's per-byte loop.
+/// Constructed from a BitReader's raw state and synced back with SyncTo(),
+/// so bulk and per-sample decoding interleave losslessly. It never loads a
+/// byte at or past `end_`; a read past the end yields zero bits and is
+/// reported to the BitReader as an overrun.
 class BulkBitCursor {
  public:
   BulkBitCursor(const uint8_t* buf, size_t size_bits, size_t bit_pos)
@@ -40,7 +42,10 @@ class BulkBitCursor {
   bool ReadBit() {
     if (n_ == 0) {
       Fill();
-      if (n_ == 0) return false;  // corrupt stream: read past the end
+      if (n_ == 0) {
+        overrun_ = true;
+        return false;
+      }
     }
     const bool bit = (acc_ >> 63) & 1;
     acc_ <<= 1;
@@ -49,14 +54,19 @@ class BulkBitCursor {
   }
 
   /// Reads 0..57 bits. (Fill() tops the accumulator up to >= 57 bits
-  /// whenever bytes remain, so a 57-bit read never splits; reads past the
-  /// end of a corrupt stream yield zero bits instead of overrunning.)
+  /// whenever bytes remain, so a 57-bit read never splits.)
   uint64_t ReadSmall(unsigned nbits) {
     if (nbits == 0) return 0;
-    if (n_ < nbits) Fill();
+    if (n_ < nbits) {
+      Fill();
+      if (n_ < nbits) {
+        overrun_ = true;
+        n_ = nbits;  // the bits below the last byte are zero
+      }
+    }
     const uint64_t v = acc_ >> (64 - nbits);
     acc_ <<= nbits;
-    n_ = n_ >= nbits ? n_ - nbits : 0;
+    n_ -= nbits;
     return v;
   }
 
@@ -69,11 +79,33 @@ class BulkBitCursor {
 
   /// Writes the cursor position back into the BitReader.
   void SyncTo(BitReader* r) const {
+    if (overrun_) {
+      r->MarkOverrun();
+      return;
+    }
     r->set_bit_pos(static_cast<size_t>(next_ - base_) * 8 - n_);
   }
 
  private:
+  // Called with n_ <= 56. With 8 or more bytes left, one unaligned
+  // big-endian word load tops acc_ up with every whole byte that fits
+  // (n_ ends at 57..64). The word's extra low bits land below the valid
+  // ones; they are the high bits of *next_, which the next fill ORs in
+  // again at the same place, so they never disturb a read. The last 7
+  // bytes are loaded one at a time so no load crosses end_.
   void Fill() {
+    if (end_ - next_ >= 8) {
+      uint64_t word;
+      std::memcpy(&word, next_, sizeof(word));
+      if constexpr (std::endian::native == std::endian::little) {
+        word = __builtin_bswap64(word);
+      }
+      acc_ |= word >> n_;
+      const unsigned take = (64 - n_) >> 3;
+      next_ += take;
+      n_ += take * 8;
+      return;
+    }
     while (n_ <= 56 && next_ < end_) {
       acc_ |= static_cast<uint64_t>(*next_++) << (56 - n_);
       n_ += 8;
@@ -85,6 +117,7 @@ class BulkBitCursor {
   const uint8_t* end_;
   uint64_t acc_ = 0;  // left-aligned pending bits
   unsigned n_ = 0;    // valid bits in acc_
+  bool overrun_ = false;
 };
 
 /// Streaming XOR-decode state shared by the plain and nullable bulk value

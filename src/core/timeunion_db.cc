@@ -1493,32 +1493,31 @@ Status TimeUnionDB::Query(const query::ReadRequest& request,
       AllowPartialReads(request.strictness), &iters, &out->stats));
 
   const uint64_t drain_start_us = obs::MonotonicUs();
-  std::vector<query::SampleBatch> batches;
+  query::SampleBatch batch;
   for (SeriesIterResult& r : iters) {
     SeriesResult result;
     result.id = r.id;
     result.labels = std::move(r.labels);
-    // Vectorized drain: pull whole finalized column runs, then materialize
-    // with one exact reservation (the batch sizes are the sample-count
-    // metadata) instead of growing the vector sample by sample.
-    batches.clear();
-    size_t total = 0;
-    query::SampleBatch batch;
+    // Vectorized drain: each finalized column run lands straight on the
+    // result's columns (the first one is moved in), with no per-sample
+    // work between the iterators and the caller.
     while (r.iter->NextBatch(&batch)) {
-      total += batch.size();
-      batches.push_back(std::move(batch));
+      if (result.timestamps.empty()) {
+        result.timestamps.swap(batch.timestamps);
+        result.values.swap(batch.values);
+        continue;
+      }
+      result.timestamps.insert(result.timestamps.end(),
+                               batch.timestamps.begin(),
+                               batch.timestamps.end());
+      result.values.insert(result.values.end(), batch.values.begin(),
+                           batch.values.end());
     }
     TU_RETURN_IF_ERROR(r.iter->status());
-    result.samples.reserve(total);
-    for (const query::SampleBatch& b : batches) {
-      for (size_t i = 0; i < b.size(); ++i) {
-        result.samples.push_back(Sample{b.timestamps[i], b.values[i]});
-      }
-    }
     // Per-iterator spans are already clamped; the merge unions them across
     // series.
     out->MergeCompleteness(r);
-    if (!result.samples.empty()) out->push_back(std::move(result));
+    if (!result.timestamps.empty()) out->push_back(std::move(result));
   }
   out->stats.drain_us += obs::MonotonicUs() - drain_start_us;
 

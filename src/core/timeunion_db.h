@@ -6,6 +6,10 @@
 //   InsertGroup / InsertGroupFast — Put(Group), slow/fast path
 //   Query                         — Get with time range + tag selectors
 //
+// Query results are columnar (SeriesResult: ascending `timestamps` and
+// parallel `values`), the shape the read pipeline and the wire protocol
+// use, so a read is never copied into per-sample rows on its way out.
+//
 // Concurrency model (see DESIGN.md "Threading model"): the front door is
 // sharded, not globally locked. Key→ref and ref→entry registries are split
 // into power-of-two shards, each behind its own reader/writer lock, and
@@ -165,11 +169,16 @@ struct RecoveryReport {
   uint64_t orphans_swept = 0;
 };
 
-/// One series in a query result.
+/// One series in a query result. The samples are two parallel columns in
+/// ascending timestamp order, the shape of query::SampleBatch and of the
+/// wire's server::QueryResp::Series: Query appends the iterators' column
+/// batches straight onto them, and the server moves them into its
+/// response, so no layer between the LSM and a client copies per sample.
 struct SeriesResult {
   uint64_t id = 0;
   index::Labels labels;
-  std::vector<compress::Sample> samples;  // ascending timestamps
+  std::vector<int64_t> timestamps;  // ascending
+  std::vector<double> values;       // values[i] was written at timestamps[i]
 };
 
 /// Query output: the matched series plus the shared completeness marker
@@ -280,9 +289,10 @@ class TimeUnionDB {
   /// matched entry is snapshotted under its shard/entry locks (labels +
   /// open chunk), then the LSM is read lock-free, so the result is a
   /// consistent point-in-time view per series. A thin materializer over
-  /// QueryIterators — there is exactly one read pipeline — that also fills
-  /// `out->stats`. Returns InvalidArgument when t0 > t1, the matchers are
-  /// empty, or the request is an aggregate (step_ms > 0: use
+  /// QueryIterators — there is exactly one read pipeline — that moves or
+  /// appends each iterator's column batches onto its SeriesResult and
+  /// fills `out->stats`. Returns InvalidArgument when t0 > t1, the
+  /// matchers are empty, or the request is an aggregate (step_ms > 0: use
   /// AggregateQuery). The wire protocol's query handler maps onto this 1:1.
   Status Query(const query::ReadRequest& request, QueryResult* out);
 

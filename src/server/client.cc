@@ -6,9 +6,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
+#include "util/coding.h"
 #include "util/slice.h"
 
 namespace tu::server {
@@ -63,18 +65,26 @@ Status Client::SendAll(const std::string& data) {
   return Status::OK();
 }
 
-Status Client::ReadFrame(MsgType* type, std::string* body) {
-  char buf[64 * 1024];
+Status Client::ReadFrame(MsgType* type, Slice* body) {
+  in_.erase(0, consumed_);
+  consumed_ = 0;
   for (;;) {
-    bool have = false;
-    TU_RETURN_IF_ERROR(
-        ExtractFrame(&in_, kDefaultMaxFrameBytes, type, body, &have));
-    if (have) return Status::OK();
-    const ssize_t r = ::read(fd_, buf, sizeof(buf));
-    if (r > 0) {
-      in_.append(buf, static_cast<size_t>(r));
-      continue;
+    TU_RETURN_IF_ERROR(ExtractFrame(Slice(in_), kDefaultMaxFrameBytes, type,
+                                    body, &consumed_));
+    if (consumed_ > 0) return Status::OK();
+    // Read straight into the buffer's tail. Once the header is in (its
+    // length already checked by ExtractFrame), one read can take the rest
+    // of the frame.
+    size_t want = 64 * 1024;
+    if (in_.size() >= kFrameHeaderBytes) {
+      want = std::max(want, kFrameHeaderBytes + DecodeFixed32(in_.data()) -
+                                in_.size());
     }
+    const size_t have = in_.size();
+    in_.resize(have + want);
+    const ssize_t r = ::read(fd_, in_.data() + have, want);
+    in_.resize(have + static_cast<size_t>(std::max<ssize_t>(r, 0)));
+    if (r > 0) continue;
     if (r < 0 && errno == EINTR) continue;
     if (r == 0) return Status::IOError("connection closed by server");
     return Status::IOError("read: " + std::string(strerror(errno)));
@@ -82,7 +92,7 @@ Status Client::ReadFrame(MsgType* type, std::string* body) {
 }
 
 Status Client::Call(MsgType req_type, const std::string& body, MsgType expect,
-                    std::string* resp_body) {
+                    Slice* resp_body) {
   if (fd_ < 0) return Status::InvalidArgument("client closed");
   std::string frame;
   EncodeFrame(req_type, body, &frame);
@@ -91,7 +101,7 @@ Status Client::Call(MsgType req_type, const std::string& body, MsgType expect,
   TU_RETURN_IF_ERROR(ReadFrame(&resp_type, resp_body));
   if (resp_type == MsgType::kError) {
     ErrorResp err;
-    TU_RETURN_IF_ERROR(DecodeErrorResp(Slice(*resp_body), &err));
+    TU_RETURN_IF_ERROR(DecodeErrorResp(*resp_body, &err));
     return MakeStatus(err.code, "server: " + err.message);
   }
   if (resp_type != expect) {
@@ -104,11 +114,11 @@ Status Client::Write(const core::WriteBatch& batch, WriteAck* ack) {
   const uint64_t id = next_id_++;
   std::string body;
   EncodeWriteReq(id, tenant_, batch, &body);
-  std::string resp_body;
+  Slice resp_body;
   TU_RETURN_IF_ERROR(
       Call(MsgType::kWriteReq, body, MsgType::kWriteResp, &resp_body));
   WriteResp resp;
-  TU_RETURN_IF_ERROR(DecodeWriteResp(Slice(resp_body), &resp));
+  TU_RETURN_IF_ERROR(DecodeWriteResp(resp_body, &resp));
   if (resp.request_id != id) return Status::Corruption("response id mismatch");
   ack->remote_status = MakeStatus(resp.code, resp.message);
   ack->appended = resp.appended;
@@ -131,11 +141,11 @@ Status Client::Query(const query::ReadRequest& request, QueryReply* reply) {
   req.fn = static_cast<uint8_t>(request.fn);
   std::string body;
   EncodeQueryReq(req, &body);
-  std::string resp_body;
+  Slice resp_body;
   TU_RETURN_IF_ERROR(
       Call(MsgType::kQueryReq, body, MsgType::kQueryResp, &resp_body));
   QueryResp resp;
-  TU_RETURN_IF_ERROR(DecodeQueryResp(Slice(resp_body), &resp));
+  TU_RETURN_IF_ERROR(DecodeQueryResp(resp_body, &resp));
   if (resp.request_id != id) return Status::Corruption("response id mismatch");
   reply->remote_status = MakeStatus(resp.code, resp.message);
   reply->series = std::move(resp.series);
@@ -148,10 +158,10 @@ Status Client::Ping() {
   const uint64_t id = next_id_++;
   std::string body;
   EncodePingBody(id, &body);
-  std::string resp_body;
+  Slice resp_body;
   TU_RETURN_IF_ERROR(Call(MsgType::kPing, body, MsgType::kPong, &resp_body));
   uint64_t echoed = 0;
-  TU_RETURN_IF_ERROR(DecodePingBody(Slice(resp_body), &echoed));
+  TU_RETURN_IF_ERROR(DecodePingBody(resp_body, &echoed));
   if (echoed != id) return Status::Corruption("ping id mismatch");
   return Status::OK();
 }

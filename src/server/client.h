@@ -61,16 +61,22 @@ class Client {
 
  private:
   Client(int fd, std::string tenant) : fd_(fd), tenant_(std::move(tenant)) {}
+  /// `*resp_body` views the response inside in_, valid until the next
+  /// call.
   Status Call(MsgType req_type, const std::string& body, MsgType expect,
-              std::string* resp_body);
+              Slice* resp_body);
   Status SendAll(const std::string& data);
-  Status ReadFrame(MsgType* type, std::string* body);
+  /// Drops the previous response's frame from in_, then reads until in_
+  /// starts with a whole frame and views its body.
+  Status ReadFrame(MsgType* type, Slice* body);
 
   int fd_;
   const std::string tenant_;
   uint64_t next_id_ = 1;
   uint64_t bytes_sent_ = 0;
   std::string in_;
+  /// Bytes at the front of in_ holding the last response's frame.
+  size_t consumed_ = 0;
 };
 
 }  // namespace tu::server

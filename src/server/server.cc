@@ -62,7 +62,11 @@ Server::Server(core::TimeUnionDB* db, ServerOptions options)
       c_frames_(db->metrics_registry().counter("server.frames")),
       c_protocol_errors_(
           db->metrics_registry().counter("server.protocol_errors")),
-      c_tenant_rejects_(tenants_.total_rejects()) {}
+      c_tenant_rejects_(tenants_.total_rejects()),
+      h_query_execute_us_(
+          db->metrics_registry().histogram("server.query_execute_us")),
+      h_query_encode_us_(
+          db->metrics_registry().histogram("server.query_encode_us")) {}
 
 Server::~Server() { Shutdown(); }
 
@@ -256,10 +260,7 @@ void Server::ProtocolError(const std::shared_ptr<Conn>& conn,
   EncodeErrorResp(err, &body);
   std::string frame;
   EncodeFrame(MsgType::kError, body, &frame);
-  {
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    conn->out.append(frame);
-  }
+  QueueOutput(conn.get(), std::move(frame));
   conn->poisoned = true;
   conn->in.clear();
   conn->close_after_flush.store(true, std::memory_order_release);
@@ -284,27 +285,31 @@ void Server::HandleReadable(const std::shared_ptr<Conn>& conn) {
     break;
   }
   if (conn->poisoned) return;
+  size_t consumed = 0;
   for (;;) {
     MsgType type;
-    std::string body;
-    bool have = false;
-    const Status s =
-        ExtractFrame(&conn->in, options_.max_frame_bytes, &type, &body, &have);
+    Slice body;
+    size_t frame_bytes = 0;
+    const Status s = ExtractFrame(
+        Slice(conn->in.data() + consumed, conn->in.size() - consumed),
+        options_.max_frame_bytes, &type, &body, &frame_bytes);
     if (!s.ok()) {
       ProtocolError(conn, s);
       return;
     }
-    if (!have) break;
+    if (frame_bytes == 0) break;
+    consumed += frame_bytes;
     c_frames_->Add();
     conn->inflight.fetch_add(1, std::memory_order_acq_rel);
     g_inflight_->Add(1);
-    pool_->Schedule([this, conn, type, body = std::move(body)] {
+    pool_->Schedule([this, conn, type, body = body.ToString()] {
       HandleFrame(conn, type, body);
       g_inflight_->Add(-1);
       conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
       Wake();
     });
   }
+  conn->in.erase(0, consumed);
 }
 
 bool Server::FlushConn(Conn* conn) {
@@ -349,10 +354,14 @@ bool Server::FlushConn(Conn* conn) {
   return true;
 }
 
-void Server::QueueOutput(Conn* conn, const std::string& frame) {
+void Server::QueueOutput(Conn* conn, std::string frame) {
   {
     std::lock_guard<std::mutex> lock(conn->out_mu);
-    conn->out.append(frame);
+    if (conn->out.empty()) {
+      conn->out.swap(frame);
+    } else {
+      conn->out.append(frame);
+    }
   }
   // The pending list re-finds the shared_ptr by fd on the loop side, so a
   // raw pointer is never dereferenced after close.
@@ -396,7 +405,7 @@ void Server::HandleFrame(const std::shared_ptr<Conn>& conn, MsgType type,
     conn->close_after_flush.store(true, std::memory_order_release);
   }
   if (!out_frame.empty()) {
-    QueueOutput(conn.get(), out_frame);
+    QueueOutput(conn.get(), std::move(out_frame));
     {
       std::lock_guard<std::mutex> lock(pending_mu_);
       pending_.push_back(conn);
@@ -535,6 +544,7 @@ Status Server::HandleQueryReqBody(const std::string& body,
   QueryResp resp;
   resp.request_id = req.request_id;
   auto finish = [&]() {
+    obs::ScopedTimer timer(h_query_encode_us_);
     std::string b;
     EncodeQueryResp(resp, &b);
     EncodeFrame(MsgType::kQueryResp, b, out_frame);
@@ -589,7 +599,10 @@ Status Server::HandleQueryReqBody(const std::string& body,
     r.step_ms = req.step_ms;
     r.fn = static_cast<query::AggFn>(req.fn);
     core::TimeUnionDB::AggregateResult result;
-    s = db_->AggregateQuery(r, &result);
+    {
+      obs::ScopedTimer timer(h_query_execute_us_);
+      s = db_->AggregateQuery(r, &result);
+    }
     if (s.ok()) {
       resp.series.reserve(result.series.size());
       for (core::TimeUnionDB::AggregateSeries& as : result.series) {
@@ -609,20 +622,18 @@ Status Server::HandleQueryReqBody(const std::string& body,
     }
   } else {
     core::QueryResult result;
-    s = db_->Query(r, &result);
+    {
+      obs::ScopedTimer timer(h_query_execute_us_);
+      s = db_->Query(r, &result);
+    }
     if (s.ok()) {
+      // The result's columns are the response's columns: moved, not
+      // copied.
       resp.series.reserve(result.series.size());
       for (core::SeriesResult& sr : result.series) {
-        QueryResp::Series out;
         StripTenantTag(&sr.labels);
-        out.labels = std::move(sr.labels);
-        out.timestamps.reserve(sr.samples.size());
-        out.values.reserve(sr.samples.size());
-        for (const compress::Sample& sample : sr.samples) {
-          out.timestamps.push_back(sample.timestamp);
-          out.values.push_back(sample.value);
-        }
-        resp.series.push_back(std::move(out));
+        resp.series.push_back({std::move(sr.labels), std::move(sr.timestamps),
+                               std::move(sr.values)});
       }
       resp.missing_ranges = std::move(result.missing_ranges);
       FillWireStats(result.stats, &resp.stats);

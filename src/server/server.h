@@ -111,7 +111,9 @@ class Server {
   Status HandleWriteReqBody(const std::string& body, size_t wire_bytes,
                             std::string* out_frame);
   Status HandleQueryReqBody(const std::string& body, std::string* out_frame);
-  void QueueOutput(Conn* conn, const std::string& frame);
+  /// Appends a frame to the connection's output; moved in whole when
+  /// nothing is queued ahead of it.
+  void QueueOutput(Conn* conn, std::string frame);
   void Wake();
 
   core::TimeUnionDB* db_;
@@ -139,6 +141,9 @@ class Server {
   obs::Counter* c_frames_;
   obs::Counter* c_protocol_errors_;
   obs::Counter* c_tenant_rejects_;
+  /// Query stages: the DB call, and the response encode plus framing.
+  obs::Histogram* h_query_execute_us_;
+  obs::Histogram* h_query_encode_us_;
 };
 
 }  // namespace tu::server

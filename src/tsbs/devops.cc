@@ -174,18 +174,11 @@ std::vector<index::TagMatcher> PatternSelectors(const QueryPattern& pattern,
   return matchers;
 }
 
-std::vector<AggPoint> AggregateMax(const std::vector<compress::Sample>& samples,
+std::vector<AggPoint> AggregateMax(const std::vector<int64_t>& timestamps,
+                                   const std::vector<double>& values,
                                    int64_t window_ms) {
   // Deduplicated onto the shared continuous-aggregate kernels so the TSBS
   // client-side post-processing folds samples exactly like AggregateQuery.
-  std::vector<int64_t> timestamps;
-  std::vector<double> values;
-  timestamps.reserve(samples.size());
-  values.reserve(samples.size());
-  for (const compress::Sample& s : samples) {
-    timestamps.push_back(s.timestamp);
-    values.push_back(s.value);
-  }
   std::vector<compress::RollupBucket> buckets;
   query::AccumulateIntoBuckets(timestamps.data(), values.data(),
                                timestamps.size(), window_ms, &buckets);

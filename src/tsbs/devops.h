@@ -106,7 +106,8 @@ struct AggPoint {
   int64_t window_start;
   double max_value;
 };
-std::vector<AggPoint> AggregateMax(const std::vector<compress::Sample>& samples,
+std::vector<AggPoint> AggregateMax(const std::vector<int64_t>& timestamps,
+                                   const std::vector<double>& values,
                                    int64_t window_ms);
 
 }  // namespace tu::tsbs

@@ -84,6 +84,19 @@ void ExpectSamplesEqual(const std::vector<compress::Sample>& got,
   }
 }
 
+/// The same check against a materialized result's columns.
+void ExpectSamplesEqual(const core::SeriesResult& got,
+                        const std::vector<compress::Sample>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.timestamps.size(), want.size()) << what;
+  ASSERT_EQ(got.values.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.timestamps[i], want[i].timestamp) << what << " sample " << i;
+    EXPECT_EQ(Bits(got.values[i]), Bits(want[i].value))
+        << what << " sample " << i << " ts=" << got.timestamps[i];
+  }
+}
+
 /// Drains one iterator through NextBatch, checking the batch invariants:
 /// batches are non-empty, strictly ascending within and across batches,
 /// dense (validity empty) and seq-reset.
@@ -182,7 +195,7 @@ TEST_P(BatchDrainDifferentialTest, BatchPathMatchesScalarModel) {
         EXPECT_EQ(materialized.size(), 0u);
       } else {
         ASSERT_EQ(materialized.size(), 1u);
-        ExpectSamplesEqual(materialized[0].samples, want, "Query");
+        ExpectSamplesEqual(materialized[0], want, "Query");
         EXPECT_GT(materialized.stats.batches_decoded, 0u);
         EXPECT_GE(materialized.stats.samples_decoded, want.size());
       }
@@ -329,7 +342,7 @@ TEST(CompactionRestampTest, SingleRowRewriteIntoCompactedWindowWins) {
       {TagMatcher::Equal("m", "cpu")}, 0, span), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  ExpectSamplesEqual(result[0].samples, Expected(model, 0, span), "series");
+  ExpectSamplesEqual(result[0], Expected(model, 0, span), "series");
 
   const char* mems[] = {"a", "b"};
   for (int g = 0; g < 2; ++g) {
@@ -404,7 +417,7 @@ TEST(BatchDrainPartialReadTest, BreakerOpenBatchesMatchMaterialized) {
   EXPECT_EQ(iters[0].missing_ranges, materialized.missing_ranges);
   const auto got = DrainBatches(iters[0].iter.get());
   ASSERT_TRUE(iters[0].iter->status().ok());
-  ExpectSamplesEqual(got, materialized[0].samples, "partial batch drain");
+  ExpectSamplesEqual(materialized[0], got, "partial batch drain");
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -442,7 +455,7 @@ TEST(BatchDrainUpperBoundTest, MidDataWindowPrunesAndStaysExact) {
                                           kTotal * 250LL), &full)
           .ok());
   ASSERT_EQ(full.size(), 1u);
-  ExpectSamplesEqual(full[0].samples, Expected(model, 0, kTotal * 250LL),
+  ExpectSamplesEqual(full[0], Expected(model, 0, kTotal * 250LL),
                      "full");
   ASSERT_GT(full.stats.blocks_read, 4u) << "need a multi-block table";
 
@@ -454,7 +467,7 @@ TEST(BatchDrainUpperBoundTest, MidDataWindowPrunesAndStaysExact) {
   ASSERT_TRUE(db->Query(query::ReadRequest::Range(
       {TagMatcher::Equal("m", "cpu")}, 0, t1), &result).ok());
   ASSERT_EQ(result.size(), 1u);
-  ExpectSamplesEqual(result[0].samples, Expected(model, 0, t1), "bounded");
+  ExpectSamplesEqual(result[0], Expected(model, 0, t1), "bounded");
   EXPECT_LT(result.stats.blocks_read, full.stats.blocks_read / 2);
   EXPECT_LT(result.stats.samples_decoded, static_cast<uint64_t>(kTotal) / 2);
   EXPECT_GT(result.stats.batches_decoded, 0u);

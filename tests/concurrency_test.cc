@@ -137,7 +137,7 @@ TEST(ConcurrencyTest, ParallelInsertersThroughDb) {
                           &result)
                     .ok());
     ASSERT_EQ(result.size(), 1u) << i;
-    EXPECT_EQ(result[0].samples.size(), static_cast<size_t>(kSamples)) << i;
+    EXPECT_EQ(result[0].timestamps.size(), static_cast<size_t>(kSamples)) << i;
   }
   RemoveDirRecursive(opts.workspace);
 }
@@ -146,12 +146,12 @@ TEST(ConcurrencyTest, ParallelInsertersThroughDb) {
 // in strictly ascending order.
 void ExpectCompleteSeries(const core::QueryResult& result, size_t expected) {
   ASSERT_EQ(result.size(), 1u);
-  ASSERT_EQ(result[0].samples.size(), expected);
-  for (size_t i = 0; i < result[0].samples.size(); ++i) {
-    ASSERT_EQ(result[0].samples[i].timestamp, static_cast<int64_t>(i) * kMin);
+  ASSERT_EQ(result[0].timestamps.size(), expected);
+  for (size_t i = 0; i < result[0].timestamps.size(); ++i) {
+    ASSERT_EQ(result[0].timestamps[i], static_cast<int64_t>(i) * kMin);
     if (i > 0) {
-      ASSERT_GT(result[0].samples[i].timestamp,
-                result[0].samples[i - 1].timestamp);
+      ASSERT_GT(result[0].timestamps[i],
+                result[0].timestamps[i - 1]);
     }
   }
 }
@@ -272,7 +272,7 @@ TEST(ConcurrencyTest, QueriesDuringSlowPathRegistration) {
         ++errors;
       }
       for (const auto& series : result) {
-        if (series.samples.empty()) ++errors;
+        if (series.timestamps.empty()) ++errors;
       }
       std::vector<std::string> values;
       if (!db->ListTagValues("s", &values).ok()) ++errors;
@@ -538,7 +538,7 @@ TEST(ConcurrencyTest, MultiWriterGroupFastPath) {
             .ok());
     ASSERT_EQ(result.size(), static_cast<size_t>(kMembers));
     for (const auto& series : result) {
-      EXPECT_EQ(series.samples.size(), static_cast<size_t>(kRows + 1));
+      EXPECT_EQ(series.timestamps.size(), static_cast<size_t>(kRows + 1));
     }
   }
   RemoveDirRecursive(opts.workspace);
@@ -640,9 +640,9 @@ TEST(ConcurrencyTest, FaultCountersConsistentUnderConcurrentWriters) {
                     .ok());
     EXPECT_TRUE(result.complete);
     ASSERT_EQ(result.size(), 1u) << t;
-    ASSERT_EQ(result[0].samples.size(), static_cast<size_t>(kSamples)) << t;
+    ASSERT_EQ(result[0].timestamps.size(), static_cast<size_t>(kSamples)) << t;
     for (int i = 0; i < kSamples; ++i) {
-      ASSERT_EQ(result[0].samples[i].timestamp, i * 250LL) << t;
+      ASSERT_EQ(result[0].timestamps[i], i * 250LL) << t;
     }
   }
   RemoveDirRecursive(opts.workspace);

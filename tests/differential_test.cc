@@ -57,7 +57,9 @@ class DifferentialTest : public ::testing::TestWithParam<int> {
                             &result).ok()) << key;
       ASSERT_EQ(result.size(), 1u) << key;
       std::map<int64_t, double> got;
-      for (const auto& s : result[0].samples) got[s.timestamp] = s.value;
+      for (size_t i = 0; i < result[0].timestamps.size(); ++i) {
+        got[result[0].timestamps[i]] = result[0].values[i];
+      }
       ASSERT_EQ(got, samples) << key;
 
       // Streaming path must agree with the materialized path.

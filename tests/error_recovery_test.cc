@@ -385,7 +385,7 @@ TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {
                        &reference).ok());
     ASSERT_EQ(degraded.size(), 1u);
     ASSERT_EQ(reference.size(), 1u);
-    ASSERT_EQ(degraded[0].samples.size(), reference[0].samples.size());
+    ASSERT_EQ(degraded[0].timestamps.size(), reference[0].timestamps.size());
   }
 
   // The degradation is fully observable from one snapshot.
@@ -435,13 +435,13 @@ TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {
       query::ReadRequest::Range({matcher}, 0, total * kStepMs), &want).ok());
   ASSERT_EQ(got.size(), 1u);
   ASSERT_EQ(want.size(), 1u);
-  ASSERT_EQ(got[0].samples.size(), want[0].samples.size());
-  for (size_t i = 0; i < got[0].samples.size(); ++i) {
-    ASSERT_EQ(got[0].samples[i].timestamp, want[0].samples[i].timestamp)
+  ASSERT_EQ(got[0].timestamps.size(), want[0].timestamps.size());
+  for (size_t i = 0; i < got[0].timestamps.size(); ++i) {
+    ASSERT_EQ(got[0].timestamps[i], want[0].timestamps[i])
         << "sample " << i;
     uint64_t gb, wb;
-    std::memcpy(&gb, &got[0].samples[i].value, sizeof(gb));
-    std::memcpy(&wb, &want[0].samples[i].value, sizeof(wb));
+    std::memcpy(&gb, &got[0].values[i], sizeof(gb));
+    std::memcpy(&wb, &want[0].values[i], sizeof(wb));
     ASSERT_EQ(gb, wb) << "sample " << i;
   }
 
@@ -537,7 +537,9 @@ TEST(CrashWhileDegradedTest, AckedSamplesSurviveCrashDuringQuiesce) {
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   std::map<int64_t, double> samples;
-  for (const auto& s : result[0].samples) samples[s.timestamp] = s.value;
+  for (size_t i = 0; i < result[0].timestamps.size(); ++i) {
+    samples[result[0].timestamps[i]] = result[0].values[i];
+  }
   for (int i = 0; i < acked; ++i) {
     auto it = samples.find(i * kCrashStepMs);
     ASSERT_NE(it, samples.end()) << "acked sample " << i << "/" << acked

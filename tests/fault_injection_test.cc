@@ -290,7 +290,7 @@ TEST(FaultInjectionDbTest, TransientSlowTierFaultsAbsorbedByRetries) {
       {index::TagMatcher::Equal("metric", "cpu")}, 0, n * 250LL), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].samples.size(), static_cast<size_t>(n));
+  EXPECT_EQ(result[0].timestamps.size(), static_cast<size_t>(n));
 
   // The workload only completed because retries absorbed every fault.
   const cloud::TierCounters& slow = db->env().slow().counters();
@@ -430,7 +430,7 @@ TEST(OutageLifecycleTest, IngestQueryDeferDrainAcrossSlowTierOutage) {
       control->Query(query::ReadRequest::Range({matcher}, 0, kTotal * kStepMs),
                      &control_result).ok());
   ASSERT_EQ(control_result.size(), 1u);
-  ASSERT_EQ(control_result[0].samples.size(), static_cast<size_t>(kTotal));
+  ASSERT_EQ(control_result[0].timestamps.size(), static_cast<size_t>(kTotal));
 
   auto check_partial = [&](core::TimeUnionDB* target) {
     core::QueryResult partial;
@@ -440,19 +440,22 @@ TEST(OutageLifecycleTest, IngestQueryDeferDrainAcrossSlowTierOutage) {
     EXPECT_FALSE(partial.complete);
     ASSERT_FALSE(partial.missing_ranges.empty());
     ASSERT_EQ(partial.size(), 1u);
-    EXPECT_LT(partial[0].samples.size(), static_cast<size_t>(kTotal));
+    EXPECT_LT(partial[0].timestamps.size(), static_cast<size_t>(kTotal));
     // Returned samples match the control bit-for-bit; absent ones lie
     // inside the reported gaps.
     std::map<int64_t, double> got;
-    for (const auto& s : partial[0].samples) got[s.timestamp] = s.value;
-    for (const auto& s : control_result[0].samples) {
-      auto it = got.find(s.timestamp);
+    for (size_t i = 0; i < partial[0].timestamps.size(); ++i) {
+      got[partial[0].timestamps[i]] = partial[0].values[i];
+    }
+    const auto& control = control_result[0];
+    for (size_t i = 0; i < control.timestamps.size(); ++i) {
+      const int64_t ts = control.timestamps[i];
+      auto it = got.find(ts);
       if (it != got.end()) {
-        EXPECT_EQ(it->second, s.value) << "ts " << s.timestamp;
+        EXPECT_EQ(it->second, control.values[i]) << "ts " << ts;
       } else {
-        EXPECT_TRUE(
-            util::IntervalsContain(partial.missing_ranges, s.timestamp))
-            << "lost sample at ts " << s.timestamp
+        EXPECT_TRUE(util::IntervalsContain(partial.missing_ranges, ts))
+            << "lost sample at ts " << ts
             << " not covered by missing_ranges";
       }
     }
@@ -505,13 +508,13 @@ TEST(OutageLifecycleTest, IngestQueryDeferDrainAcrossSlowTierOutage) {
   EXPECT_TRUE(final_result.complete);
   EXPECT_TRUE(final_result.missing_ranges.empty());
   ASSERT_EQ(final_result.size(), 1u);
-  ASSERT_EQ(final_result[0].samples.size(),
-            control_result[0].samples.size());
-  for (size_t i = 0; i < final_result[0].samples.size(); ++i) {
-    EXPECT_EQ(final_result[0].samples[i].timestamp,
-              control_result[0].samples[i].timestamp);
-    EXPECT_EQ(final_result[0].samples[i].value,
-              control_result[0].samples[i].value);
+  ASSERT_EQ(final_result[0].timestamps.size(),
+            control_result[0].timestamps.size());
+  for (size_t i = 0; i < final_result[0].timestamps.size(); ++i) {
+    EXPECT_EQ(final_result[0].timestamps[i],
+              control_result[0].timestamps[i]);
+    EXPECT_EQ(final_result[0].values[i],
+              control_result[0].values[i]);
   }
 
   db.reset();
@@ -827,20 +830,22 @@ TEST_P(CrashRecoveryTest, AcknowledgedSamplesSurviveCrash) {
                   .ok());
   ASSERT_EQ(result.size(), 1u) << c.site;
   // No duplicated data: timestamps strictly ascending.
-  for (size_t i = 1; i < result[0].samples.size(); ++i) {
-    ASSERT_LT(result[0].samples[i - 1].timestamp,
-              result[0].samples[i].timestamp)
+  for (size_t i = 1; i < result[0].timestamps.size(); ++i) {
+    ASSERT_LT(result[0].timestamps[i - 1],
+              result[0].timestamps[i])
         << c.site;
   }
   // Byte-identical to the fault-free control: every sample is one the
   // workload wrote, with the value it wrote.
   std::map<int64_t, double> samples;
-  for (const auto& s : result[0].samples) {
-    samples[s.timestamp] = s.value;
-    ASSERT_EQ(s.timestamp % kCrashIntervalMs, 0) << c.site;
-    const int64_t i = s.timestamp / kCrashIntervalMs;
+  for (size_t k = 0; k < result[0].timestamps.size(); ++k) {
+    const int64_t ts = result[0].timestamps[k];
+    const double value = result[0].values[k];
+    samples[ts] = value;
+    ASSERT_EQ(ts % kCrashIntervalMs, 0) << c.site;
+    const int64_t i = ts / kCrashIntervalMs;
     ASSERT_LT(i, kCrashSamples) << c.site;
-    EXPECT_EQ(s.value, 1.0 * static_cast<double>(i)) << c.site;
+    EXPECT_EQ(value, 1.0 * static_cast<double>(i)) << c.site;
   }
   for (int i = 0; i < acked; ++i) {
     auto it = samples.find(i * kCrashIntervalMs);
@@ -935,8 +940,8 @@ TEST(TooOldFlushMarkTest, OpenChunkSamplesSurviveCrash) {
                     .ok());
     ASSERT_EQ(result.size(), 1u) << metric;
     std::vector<std::pair<int64_t, double>> got;
-    for (const auto& s : result[0].samples) {
-      got.emplace_back(s.timestamp, s.value);
+    for (size_t i = 0; i < result[0].timestamps.size(); ++i) {
+      got.emplace_back(result[0].timestamps[i], result[0].values[i]);
     }
     EXPECT_EQ(got, want) << metric;
   }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "compress/chunk.h"
@@ -342,6 +343,168 @@ TEST_P(BulkParityTest, NullableBulkMatchesScalar) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BulkParityTest,
                          ::testing::Values(2, 29, 71, 1234, 99991));
+
+// ---------------------------------------------------------------------------
+// Stream ends: both readers stop at the end of their buffer. Buffers here
+// are exact-size heap copies (BytesUsed(), no slack), so ASan reports any
+// load past the last byte, and every length from 1 to 70 is decoded so
+// the bulk cursor's word and last-bytes paths both run at the tail.
+// ---------------------------------------------------------------------------
+
+TEST(BitStream, ReadPastEndSetsOverrun) {
+  const char buf[2] = {static_cast<char>(0xa5), static_cast<char>(0x0f)};
+  BitReader r(buf, sizeof(buf));
+  EXPECT_EQ(r.ReadBits(12), 0xa50u);
+  EXPECT_FALSE(r.overrun());
+  EXPECT_EQ(r.ReadBits(8), 0u);  // only 4 bits left
+  EXPECT_TRUE(r.overrun());
+  EXPECT_EQ(r.RemainingBits(), 0u);
+  EXPECT_FALSE(r.ReadBit());
+  EXPECT_TRUE(r.overrun());
+}
+
+/// Copies the used bytes of an encoded stream into an exact-size buffer.
+std::unique_ptr<char[]> ExactCopy(const std::vector<char>& buf, size_t used) {
+  std::unique_ptr<char[]> out(new char[used]);
+  std::memcpy(out.get(), buf.data(), used);
+  return out;
+}
+
+/// DevOps-like columns: 10 s steps with occasional jitter, and a noisy
+/// random walk whose values need about 60 bits each.
+void MakeColumns(uint32_t seed, size_t n, std::vector<int64_t>* ts,
+                 std::vector<double>* vals) {
+  Random rng(seed);
+  int64_t t = 1600000000000;
+  double v = 50.0;
+  for (size_t i = 0; i < n; ++i) {
+    t += rng.OneIn(4) ? 10000 + static_cast<int64_t>(rng.Uniform(40)) : 10000;
+    v += rng.NextGaussian(0, 1);
+    ts->push_back(t);
+    vals->push_back(v);
+  }
+}
+
+TEST(BulkParityExactSize, EveryLengthTo70) {
+  for (size_t n = 1; n <= 70; ++n) {
+    std::vector<int64_t> ts;
+    std::vector<double> vals;
+    MakeColumns(static_cast<uint32_t>(n), n, &ts, &vals);
+    std::vector<char> tbuf(n * 12 + 16), vbuf(n * 12 + 16), nbuf(n * 12 + 16);
+    BitWriter tw(tbuf.data(), tbuf.size());
+    BitWriter vw(vbuf.data(), vbuf.size());
+    BitWriter nw(nbuf.data(), nbuf.size());
+    TimestampEncoder te;
+    ValueEncoder ve;
+    NullableValueEncoder ne;
+    for (size_t i = 0; i < n; ++i) {
+      te.Append(&tw, ts[i]);
+      ve.Append(&vw, vals[i]);
+      if (i % 3 == 1) {
+        ne.AppendNull(&nw);
+      } else {
+        ne.AppendValue(&nw, vals[i]);
+      }
+    }
+    const auto texact = ExactCopy(tbuf, tw.BytesUsed());
+    const auto vexact = ExactCopy(vbuf, vw.BytesUsed());
+    const auto nexact = ExactCopy(nbuf, nw.BytesUsed());
+
+    {
+      BitReader rb(texact.get(), tw.BytesUsed());
+      TimestampDecoder bulk;
+      std::vector<int64_t> got(n);
+      bulk.DecodeAll(&rb, n, got.data());
+      EXPECT_FALSE(rb.overrun()) << n;
+      EXPECT_EQ(got, ts) << n;
+      BitReader rs(texact.get(), tw.BytesUsed());
+      TimestampDecoder scalar;
+      for (size_t i = 0; i < n; ++i) EXPECT_EQ(scalar.Next(&rs), ts[i]) << n;
+      EXPECT_FALSE(rs.overrun()) << n;
+      EXPECT_EQ(rs.bit_pos(), rb.bit_pos()) << n;
+    }
+    {
+      BitReader rb(vexact.get(), vw.BytesUsed());
+      ValueDecoder bulk;
+      std::vector<double> got(n);
+      bulk.DecodeAll(&rb, n, got.data());
+      EXPECT_FALSE(rb.overrun()) << n;
+      BitReader rs(vexact.get(), vw.BytesUsed());
+      ValueDecoder scalar;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(Bits(got[i]), Bits(vals[i])) << n << "/" << i;
+        EXPECT_EQ(Bits(scalar.Next(&rs)), Bits(vals[i])) << n << "/" << i;
+      }
+      EXPECT_FALSE(rs.overrun()) << n;
+      EXPECT_EQ(rs.bit_pos(), rb.bit_pos()) << n;
+    }
+    {
+      BitReader rb(nexact.get(), nw.BytesUsed());
+      NullableValueDecoder bulk;
+      std::vector<double> got(n, -1.0);
+      std::vector<uint64_t> validity((n + 63) / 64, 0);
+      bulk.DecodeAll(&rb, n, got.data(), validity.data());
+      EXPECT_FALSE(rb.overrun()) << n;
+      BitReader rs(nexact.get(), nw.BytesUsed());
+      NullableValueDecoder scalar;
+      for (size_t i = 0; i < n; ++i) {
+        const bool present = i % 3 != 1;
+        EXPECT_EQ(((validity[i >> 6] >> (i & 63)) & 1) != 0, present) << n;
+        double x = 0;
+        EXPECT_EQ(scalar.Next(&rs, &x), present) << n << "/" << i;
+        if (present) {
+          EXPECT_EQ(Bits(got[i]), Bits(vals[i])) << n << "/" << i;
+          EXPECT_EQ(Bits(x), Bits(vals[i])) << n << "/" << i;
+        }
+      }
+      EXPECT_FALSE(rs.overrun()) << n;
+      EXPECT_EQ(rs.bit_pos(), rb.bit_pos()) << n;
+    }
+  }
+}
+
+// Decoding more samples than a stream holds overruns on both paths: the
+// readers stop at the end of the exact-size buffer and say so.
+TEST(BulkParityExactSize, InflatedCountOverruns) {
+  for (size_t n = 1; n <= 70; ++n) {
+    std::vector<int64_t> ts;
+    std::vector<double> vals;
+    MakeColumns(static_cast<uint32_t>(n) + 100, n, &ts, &vals);
+    std::vector<char> tbuf(n * 12 + 16), vbuf(n * 12 + 16);
+    BitWriter tw(tbuf.data(), tbuf.size());
+    BitWriter vw(vbuf.data(), vbuf.size());
+    TimestampEncoder te;
+    ValueEncoder ve;
+    for (size_t i = 0; i < n; ++i) {
+      te.Append(&tw, ts[i]);
+      ve.Append(&vw, vals[i]);
+    }
+    const auto texact = ExactCopy(tbuf, tw.BytesUsed());
+    const auto vexact = ExactCopy(vbuf, vw.BytesUsed());
+    // Past the zero padding of the last byte: at least 8 more bits.
+    const size_t inflated = n + 9;
+
+    std::vector<int64_t> tgot(inflated);
+    std::vector<double> vgot(inflated);
+    BitReader tb(texact.get(), tw.BytesUsed());
+    TimestampDecoder().DecodeAll(&tb, inflated, tgot.data());
+    EXPECT_TRUE(tb.overrun()) << n;
+    BitReader vb(vexact.get(), vw.BytesUsed());
+    ValueDecoder().DecodeAll(&vb, inflated, vgot.data());
+    EXPECT_TRUE(vb.overrun()) << n;
+
+    BitReader ts_scalar(texact.get(), tw.BytesUsed());
+    BitReader vs_scalar(vexact.get(), vw.BytesUsed());
+    TimestampDecoder tdec;
+    ValueDecoder vdec;
+    for (size_t i = 0; i < inflated; ++i) {
+      tdec.Next(&ts_scalar);
+      vdec.Next(&vs_scalar);
+    }
+    EXPECT_TRUE(ts_scalar.overrun()) << n;
+    EXPECT_TRUE(vs_scalar.overrun()) << n;
+  }
+}
 
 }  // namespace
 }  // namespace tu::compress

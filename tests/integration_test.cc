@@ -47,7 +47,9 @@ TEST(TuLdbBackendTest, SameApiSameAnswers) {
         {TagMatcher::Equal("m", "cpu")}, 2 * kHour, 8 * kHour), &result)
                     .ok());
     std::map<int64_t, double> samples;
-    for (const auto& s : result[0].samples) samples[s.timestamp] = s.value;
+    for (size_t i = 0; i < result[0].timestamps.size(); ++i) {
+      samples[result[0].timestamps[i]] = result[0].values[i];
+    }
     return samples;
   };
   const auto tp = run(DBOptions::Backend::kTimePartitioned,
@@ -84,8 +86,8 @@ TEST(TuLdbBackendTest, GroupsWorkOnLeveledBackend) {
                                                   0, 200 * kMin), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].samples.size(), 200u);
-  EXPECT_EQ(result[0].samples[10].value, 12.0);
+  EXPECT_EQ(result[0].timestamps.size(), 200u);
+  EXPECT_EQ(result[0].values[10], 12.0);
   RemoveDirRecursive(opts.workspace);
 }
 
@@ -112,7 +114,7 @@ TEST(EndToEndTest, CortexSimInsertsAndQueries) {
                                 500 * kMin, &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].samples.size(), 500u);
+  EXPECT_EQ(result[0].timestamps.size(), 500u);
   RemoveDirRecursive(opts.workspace);
 }
 
@@ -137,7 +139,7 @@ TEST(EndToEndTest, TimeUnionRemoteFastAndGroupModes) {
                                   300 * kMin, &result)
                     .ok());
     ASSERT_EQ(result.size(), 1u);
-    EXPECT_EQ(result[0].samples.size(), 300u);
+    EXPECT_EQ(result[0].timestamps.size(), 300u);
     RemoveDirRecursive(db_opts.workspace);
   }
   // Group mode: registration row then ID+slot rows.
@@ -172,8 +174,8 @@ TEST(EndToEndTest, TimeUnionRemoteFastAndGroupModes) {
                                   100 * kMin, &result)
                     .ok());
     ASSERT_EQ(result.size(), 1u);
-    EXPECT_EQ(result[0].samples.size(), 100u);
-    EXPECT_EQ(result[0].samples[50].value, 51.0);
+    EXPECT_EQ(result[0].timestamps.size(), 100u);
+    EXPECT_EQ(result[0].values[50], 51.0);
     RemoveDirRecursive(db_opts.workspace);
   }
 }
@@ -263,10 +265,10 @@ TEST(DevOpsIntegration, FullPipelineSmall) {
                           &result)
                     .ok());
     ASSERT_EQ(result.size(), 1u) << s;
-    ASSERT_EQ(result[0].samples.size(), gen.num_steps()) << s;
+    ASSERT_EQ(result[0].timestamps.size(), gen.num_steps()) << s;
     for (uint64_t step = 0; step < gen.num_steps(); ++step) {
       const int64_t ts = static_cast<int64_t>(step) * gen.interval_ms();
-      EXPECT_EQ(result[0].samples[step].value, gen.Value(1, s, ts));
+      EXPECT_EQ(result[0].values[step], gen.Value(1, s, ts));
     }
   }
   RemoveDirRecursive(opts.workspace);

@@ -130,19 +130,22 @@ void ExpectMatchesControlModuloMissing(const core::QueryResult& got,
   ASSERT_EQ(control.size(), 1u);
   ASSERT_EQ(got.size(), 1u);
   std::map<int64_t, double> have;
-  for (const auto& s : got.series[0].samples) have[s.timestamp] = s.value;
-  for (const auto& s : control.series[0].samples) {
-    auto it = have.find(s.timestamp);
+  for (size_t i = 0; i < got.series[0].timestamps.size(); ++i) {
+    have[got.series[0].timestamps[i]] = got.series[0].values[i];
+  }
+  const core::SeriesResult& want = control.series[0];
+  for (size_t i = 0; i < want.timestamps.size(); ++i) {
+    const int64_t ts = want.timestamps[i];
+    auto it = have.find(ts);
     if (it != have.end()) {
-      EXPECT_EQ(it->second, s.value) << "ts " << s.timestamp;
+      EXPECT_EQ(it->second, want.values[i]) << "ts " << ts;
     } else {
       EXPECT_FALSE(got.complete);
-      EXPECT_TRUE(util::IntervalsContain(got.missing_ranges, s.timestamp))
-          << "lost sample at ts " << s.timestamp
-          << " not covered by missing_ranges";
+      EXPECT_TRUE(util::IntervalsContain(got.missing_ranges, ts))
+          << "lost sample at ts " << ts << " not covered by missing_ranges";
     }
   }
-  EXPECT_LE(got.series[0].samples.size(), control.series[0].samples.size());
+  EXPECT_LE(got.series[0].timestamps.size(), want.timestamps.size());
 }
 
 // -- Corruption matrix: every structural region, both tiers ------------------
@@ -284,9 +287,9 @@ TEST(CorruptionMatrixTest, CorruptWalRecordDetectedAndPrefixSalvaged) {
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   // The salvaged prefix is intact and in order.
-  for (size_t i = 0; i < result[0].samples.size(); ++i) {
-    EXPECT_EQ(result[0].samples[i].timestamp, static_cast<int64_t>(i) * kStepMs);
-    EXPECT_EQ(result[0].samples[i].value, 1.0 * static_cast<double>(i));
+  for (size_t i = 0; i < result[0].timestamps.size(); ++i) {
+    EXPECT_EQ(result[0].timestamps[i], static_cast<int64_t>(i) * kStepMs);
+    EXPECT_EQ(result[0].values[i], 1.0 * static_cast<double>(i));
   }
   db.reset();
   RemoveDirRecursive(ws);
@@ -308,7 +311,7 @@ TEST(SelfHealingReadTest, TransientOnReadFlipHealedByCacheBypassingReread) {
 
   const core::QueryResult control = QueryAll(db.get());
   ASSERT_EQ(control.size(), 1u);
-  ASSERT_EQ(control[0].samples.size(), static_cast<size_t>(kSamples));
+  ASSERT_EQ(control[0].timestamps.size(), static_cast<size_t>(kSamples));
 
   // Arm exactly one read-side flip on the next fast-tier table read. The
   // readers are already open (the control query above), so it lands on a
@@ -321,10 +324,10 @@ TEST(SelfHealingReadTest, TransientOnReadFlipHealedByCacheBypassingReread) {
   const core::QueryResult healed = QueryAll(db.get());
   EXPECT_TRUE(healed.complete);
   ASSERT_EQ(healed.size(), 1u);
-  ASSERT_EQ(healed[0].samples.size(), control[0].samples.size());
-  for (size_t i = 0; i < control[0].samples.size(); ++i) {
-    EXPECT_EQ(healed[0].samples[i].timestamp, control[0].samples[i].timestamp);
-    EXPECT_EQ(healed[0].samples[i].value, control[0].samples[i].value);
+  ASSERT_EQ(healed[0].timestamps.size(), control[0].timestamps.size());
+  for (size_t i = 0; i < control[0].timestamps.size(); ++i) {
+    EXPECT_EQ(healed[0].timestamps[i], control[0].timestamps[i]);
+    EXPECT_EQ(healed[0].values[i], control[0].values[i]);
   }
 
   const obs::MetricsSnapshot snap = db->Metrics();
@@ -346,7 +349,7 @@ TEST(SelfHealingReadTest, OnePercentOnReadFlipDrillMatchesControl) {
           .ok());
   IngestWorkload(control.get());
   const core::QueryResult control_result = QueryAll(control.get());
-  ASSERT_EQ(control_result[0].samples.size(), static_cast<size_t>(kSamples));
+  ASSERT_EQ(control_result[0].timestamps.size(), static_cast<size_t>(kSamples));
 
   core::DBOptions opts = IntegrityWorkloadOptions(ws);
   opts.block_cache_bytes = 0;  // keep the tiers (and the injector) hot
@@ -444,7 +447,8 @@ TEST(CompactionReadTest, InFlightFlipInReadWindowHealsToControlTree) {
   const core::QueryResult want = QueryAll(control.get());
   ASSERT_EQ(got.size(), 1u);
   ASSERT_EQ(want.size(), 1u);
-  EXPECT_TRUE(got[0].samples == want[0].samples);
+  EXPECT_EQ(got[0].timestamps, want[0].timestamps);
+  EXPECT_TRUE(got[0].values == want[0].values);
   db.reset();
   control.reset();
   RemoveDirRecursive(ws);

@@ -168,11 +168,11 @@ void ExpectSameQuery(const QueryResult& got, const QueryResult& want,
   EXPECT_EQ(got.complete, want.complete) << what;
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].labels, want[i].labels) << what;
-    ASSERT_EQ(got[i].samples.size(), want[i].samples.size()) << what;
-    for (size_t j = 0; j < got[i].samples.size(); ++j) {
-      ASSERT_EQ(got[i].samples[j].timestamp, want[i].samples[j].timestamp)
+    ASSERT_EQ(got[i].timestamps.size(), want[i].timestamps.size()) << what;
+    for (size_t j = 0; j < got[i].timestamps.size(); ++j) {
+      ASSERT_EQ(got[i].timestamps[j], want[i].timestamps[j])
           << what;
-      ASSERT_EQ(Bits(got[i].samples[j].value), Bits(want[i].samples[j].value))
+      ASSERT_EQ(Bits(got[i].values[j]), Bits(want[i].values[j]))
           << what;
     }
   }
@@ -203,12 +203,14 @@ QueryResult DrainIterators(std::vector<TimeUnionDB::SeriesIterResult>* iters) {
     series.labels = r.labels;
     query::SampleBatch batch;
     while (r.iter->NextBatch(&batch)) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        series.samples.push_back({batch.timestamps[i], batch.values[i]});
-      }
+      series.timestamps.insert(series.timestamps.end(),
+                               batch.timestamps.begin(),
+                               batch.timestamps.end());
+      series.values.insert(series.values.end(), batch.values.begin(),
+                           batch.values.end());
     }
     EXPECT_TRUE(r.iter->status().ok()) << r.iter->status().ToString();
-    if (!series.samples.empty()) out.push_back(std::move(series));
+    if (!series.timestamps.empty()) out.push_back(std::move(series));
   }
   return out;
 }

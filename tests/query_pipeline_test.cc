@@ -75,7 +75,8 @@ Materialized Drain(std::vector<TimeUnionDB::SeriesIterResult> iters) {
     for (auto* it = r.iter.get(); it->Valid(); it->Next()) {
       EXPECT_GT(it->value().timestamp, prev);  // strictly ascending
       prev = it->value().timestamp;
-      series.samples.push_back(it->value());
+      series.timestamps.push_back(it->value().timestamp);
+      series.values.push_back(it->value().value);
     }
     if (!r.iter->status().ok()) {
       m.status = r.iter->status();
@@ -85,7 +86,7 @@ Materialized Drain(std::vector<TimeUnionDB::SeriesIterResult> iters) {
       missing.insert(missing.end(), r.missing_ranges.begin(),
                      r.missing_ranges.end());
     }
-    if (!series.samples.empty()) m.result.push_back(std::move(series));
+    if (!series.timestamps.empty()) m.result.push_back(std::move(series));
   }
   util::MergeIntervals(&missing);
   if (!missing.empty()) {
@@ -104,10 +105,10 @@ void ExpectIdentical(const QueryResult& a, const QueryResult& b) {
       EXPECT_EQ(a[i].labels[l].name, b[i].labels[l].name);
       EXPECT_EQ(a[i].labels[l].value, b[i].labels[l].value);
     }
-    ASSERT_EQ(a[i].samples.size(), b[i].samples.size()) << "series " << i;
-    for (size_t s = 0; s < a[i].samples.size(); ++s) {
-      EXPECT_EQ(a[i].samples[s].timestamp, b[i].samples[s].timestamp);
-      EXPECT_EQ(a[i].samples[s].value, b[i].samples[s].value);
+    ASSERT_EQ(a[i].timestamps.size(), b[i].timestamps.size()) << "series " << i;
+    for (size_t s = 0; s < a[i].timestamps.size(); ++s) {
+      EXPECT_EQ(a[i].timestamps[s], b[i].timestamps[s]);
+      EXPECT_EQ(a[i].values[s], b[i].values[s]);
     }
   }
   EXPECT_EQ(a.complete, b.complete);
@@ -144,7 +145,7 @@ TEST(QueryValidationTest, RejectsInvertedRangeAndEmptyMatchers) {
   EXPECT_TRUE(db->Query(query::ReadRequest::Range({matcher}, 0, 0),
                         &result).ok());
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].samples.size(), 1u);
+  EXPECT_EQ(result[0].timestamps.size(), 1u);
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -328,7 +329,7 @@ TEST(QueryPruningTest, FastWindowQueryFetchesNothingFromSlowTier) {
                         &recent)
                   .ok());
   ASSERT_EQ(recent.size(), 1u);
-  EXPECT_EQ(recent[0].samples.size(), static_cast<size_t>(kRecent));
+  EXPECT_EQ(recent[0].timestamps.size(), static_cast<size_t>(kRecent));
   EXPECT_EQ(slow.get_ops.load(), gets_before)
       << "recent-window query reached the slow tier";
   EXPECT_EQ(recent.stats.slow_tier_fetches, 0u);
@@ -342,7 +343,7 @@ TEST(QueryPruningTest, FastWindowQueryFetchesNothingFromSlowTier) {
   ASSERT_TRUE(db->Query(query::ReadRequest::Range({matcher}, 0, 8000),
                         &old).ok());
   ASSERT_EQ(old.size(), 1u);
-  EXPECT_EQ(old[0].samples.size(), static_cast<size_t>(8000 / kStepMs + 1));
+  EXPECT_EQ(old[0].timestamps.size(), static_cast<size_t>(8000 / kStepMs + 1));
   EXPECT_GT(slow.get_ops.load(), gets_mid);
   EXPECT_GT(old.stats.slow_tier_fetches, 0u);
   EXPECT_GT(old.stats.blocks_read, 0u);
@@ -423,7 +424,7 @@ TEST(BlockCacheSurfacingTest, TinyCacheReportsEvictions) {
                                           2000 * 250LL), &result)
           .ok());
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].samples.size(), 2000u);
+  EXPECT_EQ(result[0].timestamps.size(), 2000u);
 
   const obs::MetricsSnapshot snap = db->Metrics();
   EXPECT_EQ(snap.GaugeOr0("cache.enabled"), 1);
@@ -457,7 +458,7 @@ TEST(BlockCacheSurfacingTest, ZeroBytesDisablesCaching) {
   ASSERT_TRUE(db->Query(query::ReadRequest::Range({matcher}, 0, 2000 * 250LL),
                         &second).ok());
   ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0].samples.size(), 2000u);
+  EXPECT_EQ(first[0].timestamps.size(), 2000u);
   ExpectIdentical(first, second);
   EXPECT_EQ(first.stats.cache_hits, 0u);
   EXPECT_EQ(first.stats.cache_misses, 0u);

@@ -78,19 +78,11 @@ DBOptions RollupOptions(const std::string& ws) {
 /// step windows). `fold_g` must match the serving granularity the planner
 /// picked — the largest configured granularity dividing the step, or the
 /// step itself when none divides.
-std::vector<AggPoint> TwoStage(const std::vector<compress::Sample>& samples,
+std::vector<AggPoint> TwoStage(const core::SeriesResult& series,
                                int64_t fold_g, int64_t step_ms, AggFn fn) {
-  std::vector<int64_t> ts;
-  std::vector<double> vs;
-  ts.reserve(samples.size());
-  vs.reserve(samples.size());
-  for (const compress::Sample& s : samples) {
-    ts.push_back(s.timestamp);
-    vs.push_back(s.value);
-  }
   std::vector<RollupBucket> buckets;
-  query::AccumulateIntoBuckets(ts.data(), vs.data(), ts.size(), fold_g,
-                               &buckets);
+  query::AccumulateIntoBuckets(series.timestamps.data(), series.values.data(),
+                               series.timestamps.size(), fold_g, &buckets);
   return query::FoldBuckets(buckets, step_ms, fn);
 }
 
@@ -134,7 +126,7 @@ void ExpectMatchesRawDrain(TimeUnionDB* db, const DBOptions& opts,
       // go all-raw, which AggregateQuery folds at the same granularity
       // too (fold_g is per-query, not per-series).
       const std::vector<AggPoint> want =
-          TwoStage(raw[i].samples, g > 0 ? g : step_ms, step_ms, fn);
+          TwoStage(raw[i], g > 0 ? g : step_ms, step_ms, fn);
       ASSERT_EQ(agg.series[i].points.size(), want.size())
           << "series " << i << " step=" << step_ms
           << " fn=" << static_cast<int>(fn);
@@ -669,7 +661,7 @@ TEST(RollupPartialReadTest, BreakerOpenMissingRangesMatchRawQuery) {
   // The reachable (fast-tier) remainder still aggregates exactly.
   ASSERT_EQ(agg.series.size(), raw.size());
   const std::vector<AggPoint> want =
-      TwoStage(raw[0].samples, 2000, 2000, AggFn::kMax);
+      TwoStage(raw[0], 2000, 2000, AggFn::kMax);
   EXPECT_EQ(agg.series[0].points, want);
 
   db.reset();
@@ -753,14 +745,18 @@ TEST(TsbsAggregateDedupTest, MatchesLegacyImplementation) {
   Random rng(2024);
   for (int round = 0; round < 20; ++round) {
     std::vector<compress::Sample> samples;
+    std::vector<int64_t> timestamps;
+    std::vector<double> values;
     int64_t ts = static_cast<int64_t>(rng.Uniform(1000));
     const int n = 1 + static_cast<int>(rng.Uniform(400));
     for (int i = 0; i < n; ++i) {
       ts += static_cast<int64_t>(rng.Uniform(120'000));  // gaps spanning windows
       samples.push_back({ts, rng.NextDouble() * 100.0});
+      timestamps.push_back(ts);
+      values.push_back(samples.back().value);
     }
-    const auto got =
-        tsbs::AggregateMax(samples, tsbs::QueryPattern::kAggWindowMs);
+    const auto got = tsbs::AggregateMax(timestamps, values,
+                                        tsbs::QueryPattern::kAggWindowMs);
     const auto want = legacy(samples, tsbs::QueryPattern::kAggWindowMs);
     ASSERT_EQ(got.size(), want.size()) << "round " << round;
     for (size_t i = 0; i < want.size(); ++i) {
@@ -768,7 +764,7 @@ TEST(TsbsAggregateDedupTest, MatchesLegacyImplementation) {
       EXPECT_EQ(got[i].max_value, want[i].max_value);
     }
   }
-  EXPECT_TRUE(tsbs::AggregateMax({}, 1000).empty());
+  EXPECT_TRUE(tsbs::AggregateMax({}, {}, 1000).empty());
 }
 
 }  // namespace

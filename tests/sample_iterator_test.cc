@@ -64,9 +64,10 @@ TEST_F(SampleIteratorTest, StreamsMatchMaterializedQuery) {
                   .ok());
   ASSERT_EQ(streaming.size(), 1u);
   const auto drained = Drain(streaming[0].iter.get());
-  ASSERT_EQ(drained.size(), materialized[0].samples.size());
-  for (const auto& s : materialized[0].samples) {
-    EXPECT_EQ(drained.at(s.timestamp), s.value);
+  const auto& got = materialized[0];
+  ASSERT_EQ(drained.size(), got.timestamps.size());
+  for (size_t i = 0; i < got.timestamps.size(); ++i) {
+    EXPECT_EQ(drained.at(got.timestamps[i]), got.values[i]);
   }
 }
 
@@ -182,9 +183,11 @@ TEST_P(IteratorPropertyTest, RandomWorkloadStreamEqualsMaterialized) {
       {TagMatcher::Equal("m", "x")}, 0, 2000 * kMin), &streaming)
                   .ok());
   const auto drained = Drain(streaming[0].iter.get());
-  ASSERT_EQ(drained.size(), materialized[0].samples.size());
-  for (const auto& s : materialized[0].samples) {
-    EXPECT_EQ(drained.at(s.timestamp), s.value) << s.timestamp;
+  const auto& got = materialized[0];
+  ASSERT_EQ(drained.size(), got.timestamps.size());
+  for (size_t i = 0; i < got.timestamps.size(); ++i) {
+    EXPECT_EQ(drained.at(got.timestamps[i]), got.values[i])
+        << got.timestamps[i];
   }
 }
 

@@ -61,10 +61,10 @@ TEST_F(TimeUnionDBTest, InsertAndQuerySingleSeries) {
       {TagMatcher::Equal("metric", "cpu")}, 0, 100 * kMin), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  ASSERT_EQ(result[0].samples.size(), 100u);
+  ASSERT_EQ(result[0].timestamps.size(), 100u);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(result[0].samples[i].timestamp, i * kMin);
-    EXPECT_EQ(result[0].samples[i].value, 1.0 * i);
+    EXPECT_EQ(result[0].timestamps[i], i * kMin);
+    EXPECT_EQ(result[0].values[i], 1.0 * i);
   }
 }
 
@@ -80,7 +80,7 @@ TEST_F(TimeUnionDBTest, FastPathMatchesSlowPath) {
                                            0, 200 * kMin), &result)
           .ok());
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].samples.size(), 200u);
+  EXPECT_EQ(result[0].timestamps.size(), 200u);
 }
 
 TEST_F(TimeUnionDBTest, InsertFastUnknownRefFails) {
@@ -145,9 +145,9 @@ TEST_F(TimeUnionDBTest, LongRangeSpillsToLsmAndQueriesBack) {
       {TagMatcher::Equal("metric", "cpu")}, 0, n * kMin), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  ASSERT_EQ(result[0].samples.size(), static_cast<size_t>(n));
+  ASSERT_EQ(result[0].timestamps.size(), static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(result[0].samples[i].value, 1.0 * i);
+    EXPECT_EQ(result[0].values[i], 1.0 * i);
   }
 
   // Bounded window query over old (L2) data.
@@ -155,7 +155,7 @@ TEST_F(TimeUnionDBTest, LongRangeSpillsToLsmAndQueriesBack) {
       {TagMatcher::Equal("metric", "cpu")}, 2 * kHour, 3 * kHour), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].samples.size(), 61u);
+  EXPECT_EQ(result[0].timestamps.size(), 61u);
 }
 
 TEST_F(TimeUnionDBTest, OutOfOrderSamples) {
@@ -176,7 +176,9 @@ TEST_F(TimeUnionDBTest, OutOfOrderSamples) {
                   .ok());
   ASSERT_EQ(result.size(), 1u);
   std::map<int64_t, double> samples;
-  for (const auto& s : result[0].samples) samples[s.timestamp] = s.value;
+  for (size_t i = 0; i < result[0].timestamps.size(); ++i) {
+    samples[result[0].timestamps[i]] = result[0].values[i];
+  }
   EXPECT_EQ(samples.at(239 * kMin - 30000), 5.0);
   EXPECT_EQ(samples.at(238 * kMin), 7.0);   // newest wins on duplicate
   EXPECT_EQ(samples.at(10 * kMin), 9.0);
@@ -215,8 +217,8 @@ TEST_F(TimeUnionDBTest, GroupInsertAndQuery) {
       kHour), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  ASSERT_EQ(result[0].samples.size(), 50u);
-  EXPECT_EQ(result[0].samples[10].value, 20.0);
+  ASSERT_EQ(result[0].timestamps.size(), 50u);
+  EXPECT_EQ(result[0].values[10], 20.0);
 
   // Query spanning members: both cores.
   ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
@@ -257,16 +259,16 @@ TEST_F(TimeUnionDBTest, GroupMissingAndNewMembers) {
       {TagMatcher::Equal("metric", "b")}, 0, kHour), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  ASSERT_EQ(result[0].samples.size(), 2u);  // missing round yields no sample
-  EXPECT_EQ(result[0].samples[0].timestamp, 0);
-  EXPECT_EQ(result[0].samples[1].timestamp, 2 * kMin);
+  ASSERT_EQ(result[0].timestamps.size(), 2u);  // missing round yields no sample
+  EXPECT_EQ(result[0].timestamps[0], 0);
+  EXPECT_EQ(result[0].timestamps[1], 2 * kMin);
 
   ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
       {TagMatcher::Equal("metric", "c")}, 0, kHour), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  ASSERT_EQ(result[0].samples.size(), 1u);
-  EXPECT_EQ(result[0].samples[0].timestamp, 2 * kMin);
+  ASSERT_EQ(result[0].timestamps.size(), 1u);
+  EXPECT_EQ(result[0].timestamps[0], 2 * kMin);
 }
 
 TEST_F(TimeUnionDBTest, GroupLongRangeThroughLsm) {
@@ -296,8 +298,8 @@ TEST_F(TimeUnionDBTest, GroupLongRangeThroughLsm) {
       {TagMatcher::Equal("metric", "m3")}, 0, n * kMin), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  ASSERT_EQ(result[0].samples.size(), static_cast<size_t>(n));
-  EXPECT_DOUBLE_EQ(result[0].samples[1000].value, 3 + 1000 * 0.001);
+  ASSERT_EQ(result[0].timestamps.size(), static_cast<size_t>(n));
+  EXPECT_DOUBLE_EQ(result[0].values[1000], 3 + 1000 * 0.001);
 }
 
 TEST_F(TimeUnionDBTest, RetentionPurgesSeries) {
@@ -346,14 +348,14 @@ TEST_F(TimeUnionDBTest, WalRecoveryRestoresUnflushedData) {
       {TagMatcher::Equal("metric", "cpu")}, 0, kHour), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  ASSERT_EQ(result[0].samples.size(), 10u);
-  EXPECT_EQ(result[0].samples[3].value, 45.0);
+  ASSERT_EQ(result[0].timestamps.size(), 10u);
+  EXPECT_EQ(result[0].values[3], 45.0);
 
   ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
       {TagMatcher::Equal("metric", "g2")}, 0, kHour), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].samples[0].value, 8.0);
+  EXPECT_EQ(result[0].values[0], 8.0);
 
   // The fast path still works against recovered state.
   ASSERT_TRUE(db_->Insert(SeriesLabels(1, "cpu"), 10 * kMin, 99.0, &ref).ok());
@@ -379,7 +381,7 @@ TEST_F(TimeUnionDBTest, WalRecoverySkipsFlushedData) {
       {TagMatcher::Equal("metric", "cpu")}, 0, n * kMin), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].samples.size(), static_cast<size_t>(n));
+  EXPECT_EQ(result[0].timestamps.size(), static_cast<size_t>(n));
 }
 
 class DBPropertyTest : public TimeUnionDBTest,
@@ -422,7 +424,9 @@ TEST_P(DBPropertyTest, RandomWorkloadMatchesReference) {
                     .ok());
     ASSERT_EQ(result.size(), 1u) << key;
     std::map<int64_t, double> got;
-    for (const auto& s : result[0].samples) got[s.timestamp] = s.value;
+    for (size_t i = 0; i < result[0].timestamps.size(); ++i) {
+      got[result[0].timestamps[i]] = result[0].values[i];
+    }
     EXPECT_EQ(got, samples) << key;
   }
 }

@@ -85,11 +85,13 @@ TEST(Patterns, SelectorsResolveHostsAndMetrics) {
 }
 
 TEST(Aggregate, MaxEveryWindow) {
-  std::vector<compress::Sample> samples;
+  std::vector<int64_t> timestamps;
+  std::vector<double> values;
   for (int i = 0; i < 20; ++i) {
-    samples.push_back({i * 60'000, static_cast<double>(i % 7)});
+    timestamps.push_back(i * 60'000);
+    values.push_back(static_cast<double>(i % 7));
   }
-  const auto agg = AggregateMax(samples, 5 * 60'000);
+  const auto agg = AggregateMax(timestamps, values, 5 * 60'000);
   ASSERT_EQ(agg.size(), 4u);
   EXPECT_EQ(agg[0].window_start, 0);
   EXPECT_EQ(agg[0].max_value, 4.0);  // values 0..4

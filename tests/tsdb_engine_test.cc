@@ -55,7 +55,7 @@ TEST_F(TsdbEngineTest, HeadInsertAndQuery) {
                              100 * kMin, &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].samples.size(), 100u);
+  EXPECT_EQ(result[0].timestamps.size(), 100u);
 }
 
 TEST_F(TsdbEngineTest, RejectsOutOfOrder) {
@@ -81,7 +81,7 @@ TEST_F(TsdbEngineTest, BlocksCutAndRemainQueryable) {
                              n * kMin, &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].samples.size(), static_cast<size_t>(n));
+  EXPECT_EQ(result[0].timestamps.size(), static_cast<size_t>(n));
   // Blocks live on the slow tier by default (cloud support).
   EXPECT_GT(engine_->env().slow().counters().put_ops.load(), 0u);
 }
@@ -103,7 +103,7 @@ TEST_F(TsdbEngineTest, BlockCompactionMergesBlocks) {
                              12 * kHour, &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].samples.size(), static_cast<size_t>(12 * 60));
+  EXPECT_EQ(result[0].timestamps.size(), static_cast<size_t>(12 * 60));
 }
 
 TEST_F(TsdbEngineTest, LevelDbSampleStorageMode) {
@@ -124,8 +124,8 @@ TEST_F(TsdbEngineTest, LevelDbSampleStorageMode) {
                              6 * kHour, &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].samples.size(), static_cast<size_t>(6 * 60));
-  EXPECT_EQ(result[0].samples[100].value, 200.0);
+  EXPECT_EQ(result[0].timestamps.size(), static_cast<size_t>(6 * 60));
+  EXPECT_EQ(result[0].values[100], 200.0);
 }
 
 TEST_F(TsdbEngineTest, IndexMemoryGrowsLinearlyWithSeries) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -121,49 +123,87 @@ TEST(Crc32cTest, KnownProperties) {
   EXPECT_EQ(crc32c::Unmask(crc32c::Mask(crc1)), crc1);
 }
 
-// Pins the wire format of the slice-by-8 implementation to the standard
-// CRC32C (Castagnoli) test vectors: any change to the tables or the word
-// loop that alters produced checksums breaks these, so block trailers,
-// whole-object CRCs and manifest/WAL checksums provably stay compatible.
+// Both CRC32C paths: Extend() (the SSE4.2 instruction where the CPU has
+// it) and the portable slice-by-8 fallback. Every case below runs against
+// each, so the two can never produce different checksums.
+using ExtendFn = uint32_t (*)(uint32_t, const char*, size_t);
+constexpr ExtendFn kCrcPaths[] = {&crc32c::Extend,
+                                  &crc32c::internal::ExtendPortable};
+
+// Pins both paths to the standard CRC32C (Castagnoli) test vectors: any
+// change to the tables, the word loop or the hardware path that alters
+// produced checksums breaks these, so block trailers, whole-object CRCs,
+// manifest/WAL checksums and frame CRCs provably stay compatible.
 TEST(Crc32cTest, StandardVectors) {
-  // RFC 3720 B.4 / LevelDB crc32c_test vectors.
-  EXPECT_EQ(crc32c::Value("", 0), 0x00000000u);
-  EXPECT_EQ(crc32c::Value("a", 1), 0xc1d04330u);
-  EXPECT_EQ(crc32c::Value("123456789", 9), 0xe3069283u);
-
-  char buf[32];
-  std::memset(buf, 0, sizeof(buf));
-  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x8a9136aau);
-  std::memset(buf, 0xff, sizeof(buf));
-  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x62a8ab43u);
-  for (size_t i = 0; i < sizeof(buf); ++i) buf[i] = static_cast<char>(i);
-  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x46dd794eu);
-  for (size_t i = 0; i < sizeof(buf); ++i) {
-    buf[i] = static_cast<char>(31 - i);
+  char zeros[32], ones[32], asc[32], desc[32];
+  std::memset(zeros, 0, sizeof(zeros));
+  std::memset(ones, 0xff, sizeof(ones));
+  for (size_t i = 0; i < 32; ++i) {
+    asc[i] = static_cast<char>(i);
+    desc[i] = static_cast<char>(31 - i);
   }
-  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x113fdb5cu);
-
   // An iSCSI read command PDU (RFC 3720 B.4 "Bytes 48 .. 79").
-  unsigned char iscsi[48] = {
+  const unsigned char iscsi[48] = {
       0x01, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
       0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
-  EXPECT_EQ(crc32c::Value(reinterpret_cast<const char*>(iscsi), sizeof(iscsi)),
-            0xd9963a56u);
+  // RFC 3720 B.4 / LevelDB crc32c_test vectors.
+  const struct {
+    const char* data;
+    size_t n;
+    uint32_t crc;
+  } kVectors[] = {
+      {"", 0, 0x00000000u},
+      {"a", 1, 0xc1d04330u},
+      {"123456789", 9, 0xe3069283u},
+      {zeros, sizeof(zeros), 0x8a9136aau},
+      {ones, sizeof(ones), 0x62a8ab43u},
+      {asc, sizeof(asc), 0x46dd794eu},
+      {desc, sizeof(desc), 0x113fdb5cu},
+      {reinterpret_cast<const char*>(iscsi), sizeof(iscsi), 0xd9963a56u},
+  };
+  for (size_t p = 0; p < std::size(kCrcPaths); ++p) {
+    for (const auto& v : kVectors) {
+      EXPECT_EQ(kCrcPaths[p](0, v.data, v.n), v.crc)
+          << "path " << p << ", " << v.n << " bytes";
+    }
+  }
 }
 
-// The slice-by-8 word loop must agree with pure byte-at-a-time folding on
-// every length and alignment, including the <8-byte tail and unaligned
-// starting offsets.
+// Both word loops must agree with pure byte-at-a-time folding on every
+// length and alignment, including the <8-byte tail and unaligned starting
+// offsets, and Extend() must compose at every split.
 TEST(Crc32cTest, ExtendMatchesBytewiseAtAllSplits) {
+  auto bytewise = [](const char* data, size_t n) {
+    uint32_t crc = 0xffffffffu;
+    for (size_t i = 0; i < n; ++i) {
+      crc ^= static_cast<uint8_t>(data[i]);
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+      }
+    }
+    return crc ^ 0xffffffffu;
+  };
   std::string data;
-  for (int i = 0; i < 257; ++i) data.push_back(static_cast<char>(i * 131 + 7));
+  for (int i = 0; i < 308; ++i) data.push_back(static_cast<char>(i * 131 + 7));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 300; ++n) {
+      const char* p = data.data() + offset;
+      const uint32_t want = bytewise(p, n);
+      for (size_t path = 0; path < std::size(kCrcPaths); ++path) {
+        ASSERT_EQ(kCrcPaths[path](0, p, n), want)
+            << "path " << path << ", offset " << offset << ", n " << n;
+      }
+    }
+  }
   const uint32_t whole = crc32c::Value(data.data(), data.size());
   for (size_t split = 0; split <= data.size(); ++split) {
-    uint32_t crc = crc32c::Value(data.data(), split);
-    crc = crc32c::Extend(crc, data.data() + split, data.size() - split);
-    ASSERT_EQ(crc, whole) << "split at " << split;
+    for (size_t path = 0; path < std::size(kCrcPaths); ++path) {
+      uint32_t crc = kCrcPaths[path](0, data.data(), split);
+      crc = kCrcPaths[path](crc, data.data() + split, data.size() - split);
+      ASSERT_EQ(crc, whole) << "path " << path << ", split at " << split;
+    }
   }
 }
 

@@ -377,8 +377,8 @@ std::map<std::string, std::vector<std::pair<int64_t, uint64_t>>> Dump(
                   .ok());
   for (const SeriesResult& s : result) {
     auto& samples = out[index::LabelsKey(s.labels)];
-    for (const compress::Sample& x : s.samples) {
-      samples.emplace_back(x.timestamp, Bits(x.value));
+    for (size_t i = 0; i < s.timestamps.size(); ++i) {
+      samples.emplace_back(s.timestamps[i], Bits(s.values[i]));
     }
   }
   return out;
@@ -504,8 +504,8 @@ TEST(WalDbTest, LiveLogBudgetForcesFlush) {
       {index::TagMatcher::Equal("metric", "idle")}, 0, 10), &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u);
-  ASSERT_EQ(result[0].samples.size(), 1u);
-  EXPECT_EQ(result[0].samples[0].value, 42.0);
+  ASSERT_EQ(result[0].values.size(), 1u);
+  EXPECT_EQ(result[0].values[0], 42.0);
   RemoveDirRecursive(ws);
 }
 

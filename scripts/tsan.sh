@@ -15,7 +15,8 @@
 # does not build would fail as "Not Run". The
 # query label (which holds the concurrent block fetch suite: pool threads
 # completing fetch slots while iterators wait, drop them mid-drain, or
-# race retention) then runs until it fails, at most ten times, so a race
+# race retention; and the drain-order suite of the shared LSM cursor) then
+# runs until it fails, at most ten times, so a race
 # that shows up one run in ten still fails the script.
 #
 # Usage: scripts/tsan.sh [build-dir]   (default: build-tsan)
@@ -29,7 +30,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
   concurrency_test util_test maintenance_test fault_injection_test \
   error_recovery_test wal_test query_pipeline_test batch_drain_test obs_test \
   integrity_test sstable_test rollup_test server_test prefetch_test \
-  chunk_merge_test time_lsm_test partition_align_test
+  drain_order_test chunk_merge_test time_lsm_test partition_align_test
 
 # halt_on_error: make the first race fail the test instead of just logging.
 # -L takes a regex, so "fault|concurrency|...|compaction" ORs the labels.

@@ -77,6 +77,11 @@ class BulkBitCursor {
     return (hi << (nbits - 32)) | ReadSmall(nbits - 32);
   }
 
+  /// Flags a corrupt field (a value the encoder never writes): reported to
+  /// the BitReader as an overrun, which the decode entry points turn into
+  /// Corruption.
+  void MarkCorrupt() { overrun_ = true; }
+
   /// Writes the cursor position back into the BitReader.
   void SyncTo(BitReader* r) const {
     if (overrun_) {
@@ -148,6 +153,11 @@ inline double XorDecodeOne(BulkBitCursor& c, XorState& s) {
     const unsigned leading = static_cast<unsigned>(c.ReadSmall(5));
     unsigned sigbits = static_cast<unsigned>(c.ReadSmall(6));
     if (sigbits == 0) sigbits = 64;  // 6-bit field wraps for full width
+    if (leading + sigbits > 64) {
+      // A window wider than the word: the trailing shift would reach 64.
+      c.MarkCorrupt();
+      return BitsToDouble(s.prev_bits);
+    }
     const unsigned trailing = 64 - leading - sigbits;
     s.prev_bits ^= c.ReadWide(sigbits) << trailing;
     s.leading = leading;
@@ -331,6 +341,11 @@ double ValueDecoder::Next(BitReader* r) {
     const unsigned leading = static_cast<unsigned>(r->ReadBits(5));
     unsigned sigbits = static_cast<unsigned>(r->ReadBits(6));
     if (sigbits == 0) sigbits = 64;  // 6-bit field wraps for full width
+    if (leading + sigbits > 64) {
+      // A window wider than the word: the trailing shift would reach 64.
+      r->MarkOverrun();
+      return BitsToDouble(prev_bits_);
+    }
     const unsigned trailing = 64 - leading - sigbits;
     const uint64_t meaningful = r->ReadBits(sigbits);
     prev_bits_ ^= meaningful << trailing;

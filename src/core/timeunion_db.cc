@@ -1326,14 +1326,6 @@ bool MatcherMatches(const TagMatcher& m, const Labels& labels) {
   return false;
 }
 
-/// Most index ids (series or groups) an aggregate plans ahead of its
-/// drain while their blocks are being fetched. Planning ahead pays only
-/// while Gets are outstanding: iterators built early fall out of the CPU
-/// caches before their drain, so a series with nothing to fetch is
-/// drained at once (planning all 101 series of a whole-host instant-tier
-/// aggregate first made it about 25% slower).
-constexpr size_t kAggregatePlanBatch = 16;
-
 /// Shared input validation of the two public query entry points.
 Status ValidateQueryArgs(const std::vector<TagMatcher>& matchers, int64_t t0,
                          int64_t t1) {
@@ -1429,34 +1421,39 @@ Status TimeUnionDB::QueryIteratorsImpl(const std::vector<TagMatcher>& matchers,
   TU_RETURN_IF_ERROR(SnapshotHeads(matchers, ids, t0, t1, &heads));
   const int64_t slack = options_.lsm.partition_upper_bound_ms;
 
-  // Plan every series before any reads a block: each LSM iterator is
-  // created after its head snapshot (a chunk flushed in between is
-  // visible to the younger iterator and dedups against the snapshot) and
-  // adds the slow-tier blocks it will read to one query-wide plan. The
+  // One LSM cursor serves every series, opened after all head snapshots
+  // (a chunk flushed in between is visible to the cursor and dedups
+  // against the snapshot). It plans every series' slow-tier blocks into
+  // one query-wide fetch plan before any series reads a block; the
   // iterators seek lazily, on the caller's first pull, by which time the
   // plan's first window of fetches is in flight.
+  std::vector<lsm::SeriesRead> reads(heads.size());
+  for (size_t i = 0; i < heads.size(); ++i) {
+    reads[i].id = heads[i].id;
+    reads[i].t0 = t0;
+    reads[i].t1 = t1;
+  }
+  query::ReadContext ctx;
+  ctx.t0 = t0;
+  ctx.t1 = t1;
+  ctx.matchers = &matchers;
+  ctx.scope.allow_partial = allow_partial;
+  ctx.stats = stats;
   lsm::BlockPrefetch prefetch;
-  for (HeadSnapshot& head : heads) {
-    // Degraded reads: each iterator reports its own gap spans, clamped
-    // and merged, so streaming consumers know what the stream may lack.
-    std::vector<std::pair<int64_t, int64_t>> missing;
-    query::ReadContext ctx;
-    ctx.t0 = t0;
-    ctx.t1 = t1;
-    ctx.matchers = &matchers;
-    ctx.scope.allow_partial = allow_partial;
-    ctx.scope.missing = allow_partial ? &missing : nullptr;
-    ctx.stats = stats;
-    ctx.prefetch = &prefetch;
-    std::unique_ptr<lsm::Iterator> lsm_iter;
-    TU_RETURN_IF_ERROR(lsm_->NewIteratorForId(head.id, ctx, &lsm_iter));
+  ctx.prefetch = &prefetch;
+  std::shared_ptr<lsm::ReadCursor> cursor;
+  if (!heads.empty()) TU_RETURN_IF_ERROR(lsm_->NewCursor(ctx, reads, &cursor));
+  for (size_t i = 0; i < heads.size(); ++i) {
+    HeadSnapshot& head = heads[i];
     SeriesIterResult result;
     result.id = head.id;
     result.labels = std::move(head.labels);
     result.iter = std::make_unique<SampleIterator>(
-        head.id, ctx, std::move(lsm_iter), std::move(head.open),
+        head.id, ctx, cursor->NewSeriesCursor(i), std::move(head.open),
         head.member_slot, slack);
-    if (!missing.empty()) result.AddMissing(missing, t0, t1);
+    // Degraded reads: each iterator reports its own gap spans, clamped
+    // and merged, so streaming consumers know what the stream may lack.
+    if (!reads[i].missing.empty()) result.AddMissing(reads[i].missing, t0, t1);
     out->push_back(std::move(result));
   }
   prefetch.Issue();
@@ -1580,119 +1577,109 @@ Status TimeUnionDB::AggregateQuery(const query::ReadRequest& request,
 
   index::Postings ids;
   TU_RETURN_IF_ERROR(SelectIds(matchers, &ids));
+  std::vector<HeadSnapshot> heads;
+  TU_RETURN_IF_ERROR(SnapshotHeads(matchers, ids, t0, t1, &heads));
   const int64_t slack = options_.lsm.partition_upper_bound_ms;
 
-  // Series go through in batches: snapshot and plan a series (rollup
-  // plan, then one raw iterator per raw span, all adding their slow-tier
-  // blocks to the batch's fetch plan); while the plan has slow-tier
-  // blocks the next series joins the batch, up to kAggregatePlanBatch
-  // ids, so its raw edges fetch concurrently too. Then issue the plan and
-  // drain the batch. A series with no slow-tier block is drained at once.
-  struct SeriesPlan {
-    lsm::TimePartitionedLsm::RollupPlan rollup;
-    std::vector<std::unique_ptr<SampleIterator>> raw;
-    std::vector<std::pair<int64_t, int64_t>> missing;
-  };
-  const std::span<const uint64_t> id_span(ids);
-  size_t next_id = 0;
-  while (next_id < ids.size()) {
-    const size_t batch_begin = next_id;
-    std::vector<HeadSnapshot> heads;
-    std::vector<SeriesPlan> plans;
-    lsm::BlockPrefetch prefetch;
-    do {
-      TU_RETURN_IF_ERROR(SnapshotHeads(
-          matchers, id_span.subspan(next_id++, 1), t0, t1, &heads));
-      const size_t first_new = plans.size();
-      plans.resize(heads.size());
-      for (size_t i = first_new; i < heads.size(); ++i) {
-        const HeadSnapshot& head = heads[i];
-        SeriesPlan& plan = plans[i];
-        // Individual series serve bucket-aligned interiors from rollup
-        // partitions; group members (whose chunks rollups never summarize)
-        // and configurations without a dividing granularity go all-raw.
-        if (serving_g > 0 && head.member_slot < 0) {
-          // The open head chunk is newer than every rollup; its span is
-          // dirty by definition.
-          std::vector<std::pair<int64_t, int64_t>> extra_dirty;
-          if (!head.open.empty()) {
-            extra_dirty.emplace_back(head.open.front().timestamp,
-                                     head.open.back().timestamp);
-          }
-          query::ReadContext plan_ctx;
-          plan_ctx.t0 = t0;
-          plan_ctx.t1 = t1;
-          plan_ctx.matchers = &matchers;
-          plan_ctx.stats = &out->stats;
-          TU_RETURN_IF_ERROR(time_lsm_->PlanRollupRead(
-              head.id, plan_ctx, serving_g, extra_dirty, &plan.rollup));
-        } else {
-          plan.rollup.raw_spans.emplace_back(t0, t1);
-        }
-        // Raw fallback spans drain through the same merged batch pipeline a
-        // plain Query uses.
-        for (const auto& [lo, hi] : plan.rollup.raw_spans) {
-          query::ReadContext ctx;
-          ctx.t0 = lo;
-          ctx.t1 = hi;
-          ctx.matchers = &matchers;
-          ctx.scope.allow_partial = allow_partial;
-          ctx.scope.missing = allow_partial ? &plan.missing : nullptr;
-          ctx.stats = &out->stats;
-          ctx.prefetch = &prefetch;
-          std::unique_ptr<lsm::Iterator> lsm_iter;
-          TU_RETURN_IF_ERROR(lsm_->NewIteratorForId(head.id, ctx, &lsm_iter));
-          std::vector<Sample> open_span;
-          for (const Sample& s : head.open) {
-            if (s.timestamp >= lo && s.timestamp <= hi) open_span.push_back(s);
-          }
-          plan.raw.push_back(std::make_unique<SampleIterator>(
-              head.id, ctx, std::move(lsm_iter), std::move(open_span),
-              head.member_slot, slack));
-        }
+  // Plan every series (rollup plan, then one raw read per raw span), then
+  // open one LSM cursor for all raw reads after every head snapshot; the
+  // cursor plans their slow-tier blocks into one fetch plan, issued before
+  // the first series drains.
+  std::vector<lsm::TimePartitionedLsm::RollupPlan> rollups(heads.size());
+  std::vector<lsm::SeriesRead> reads;
+  std::vector<size_t> first_read(heads.size() + 1);
+  for (size_t i = 0; i < heads.size(); ++i) {
+    const HeadSnapshot& head = heads[i];
+    lsm::TimePartitionedLsm::RollupPlan& plan = rollups[i];
+    // Individual series serve bucket-aligned interiors from rollup
+    // partitions; group members (whose chunks rollups never summarize)
+    // and configurations without a dividing granularity go all-raw.
+    if (serving_g > 0 && head.member_slot < 0) {
+      // The open head chunk is newer than every rollup; its span is
+      // dirty by definition.
+      std::vector<std::pair<int64_t, int64_t>> extra_dirty;
+      if (!head.open.empty()) {
+        extra_dirty.emplace_back(head.open.front().timestamp,
+                                 head.open.back().timestamp);
       }
-    } while (next_id < ids.size() &&
-             next_id - batch_begin < kAggregatePlanBatch &&
-             prefetch.planned() > 0);
-    prefetch.Issue();
-
-    for (size_t i = 0; i < heads.size(); ++i) {
-      SeriesPlan& plan = plans[i];
-      // Raw spans fold into fold_g buckets as they stream.
-      std::vector<compress::RollupBucket> raw_buckets;
-      for (const std::unique_ptr<SampleIterator>& iter : plan.raw) {
-        query::SampleBatch batch;
-        while (iter->NextBatch(&batch)) {
-          query::AccumulateIntoBuckets(batch.timestamps.data(),
-                                       batch.values.data(), batch.size(),
-                                       fold_g, &raw_buckets);
-          out->stats.raw_edge_samples += batch.size();
-        }
-        TU_RETURN_IF_ERROR(iter->status());
-      }
-      // Drained: release the series' blocks and buffers before the next.
-      plan.raw.clear();
-
-      // Raw spans ascend and never share a bucket with a rollup-covered
-      // span (coverage is whole g-buckets), so a plain ordered merge of the
-      // two disjoint ascending runs restores the full bucket stream.
-      const std::vector<compress::RollupBucket>& rolled = plan.rollup.buckets;
-      std::vector<compress::RollupBucket> combined;
-      combined.reserve(rolled.size() + raw_buckets.size());
-      std::merge(rolled.begin(), rolled.end(), raw_buckets.begin(),
-                 raw_buckets.end(), std::back_inserter(combined),
-                 [](const compress::RollupBucket& a,
-                    const compress::RollupBucket& b) {
-                   return a.start < b.start;
-                 });
-
-      AggregateSeries series;
-      series.id = heads[i].id;
-      series.labels = std::move(heads[i].labels);
-      series.points = query::FoldBuckets(combined, step_ms, fn);
-      if (!plan.missing.empty()) out->AddMissing(plan.missing, t0, t1);
-      if (!series.points.empty()) out->series.push_back(std::move(series));
+      query::ReadContext plan_ctx;
+      plan_ctx.t0 = t0;
+      plan_ctx.t1 = t1;
+      plan_ctx.matchers = &matchers;
+      plan_ctx.stats = &out->stats;
+      TU_RETURN_IF_ERROR(time_lsm_->PlanRollupRead(
+          head.id, plan_ctx, serving_g, extra_dirty, &plan));
+    } else {
+      plan.raw_spans.emplace_back(t0, t1);
     }
+    first_read[i] = reads.size();
+    for (const auto& [lo, hi] : plan.raw_spans) {
+      reads.push_back(lsm::SeriesRead{head.id, lo, hi, {}});
+    }
+  }
+  first_read[heads.size()] = reads.size();
+  query::ReadContext cursor_ctx;
+  cursor_ctx.t0 = t0;
+  cursor_ctx.t1 = t1;
+  cursor_ctx.matchers = &matchers;
+  cursor_ctx.scope.allow_partial = allow_partial;
+  cursor_ctx.stats = &out->stats;
+  lsm::BlockPrefetch prefetch;
+  cursor_ctx.prefetch = &prefetch;
+  std::shared_ptr<lsm::ReadCursor> cursor;
+  if (!reads.empty()) {
+    TU_RETURN_IF_ERROR(lsm_->NewCursor(cursor_ctx, reads, &cursor));
+  }
+  prefetch.Issue();
+
+  for (size_t i = 0; i < heads.size(); ++i) {
+    HeadSnapshot& head = heads[i];
+    // Raw spans drain through the same merged batch pipeline a plain
+    // Query uses, folding into fold_g buckets as they stream.
+    std::vector<compress::RollupBucket> raw_buckets;
+    for (size_t k = first_read[i]; k < first_read[i + 1]; ++k) {
+      const lsm::SeriesRead& read = reads[k];
+      query::ReadContext ctx;
+      ctx.t0 = read.t0;
+      ctx.t1 = read.t1;
+      ctx.stats = &out->stats;
+      std::vector<Sample> open_span;
+      for (const Sample& s : head.open) {
+        if (s.timestamp >= read.t0 && s.timestamp <= read.t1) {
+          open_span.push_back(s);
+        }
+      }
+      SampleIterator iter(head.id, ctx, cursor->NewSeriesCursor(k),
+                          std::move(open_span), head.member_slot, slack);
+      query::SampleBatch batch;
+      while (iter.NextBatch(&batch)) {
+        query::AccumulateIntoBuckets(batch.timestamps.data(),
+                                     batch.values.data(), batch.size(),
+                                     fold_g, &raw_buckets);
+        out->stats.raw_edge_samples += batch.size();
+      }
+      TU_RETURN_IF_ERROR(iter.status());
+      if (!read.missing.empty()) out->AddMissing(read.missing, t0, t1);
+    }
+
+    // Raw spans ascend and never share a bucket with a rollup-covered
+    // span (coverage is whole g-buckets), so a plain ordered merge of the
+    // two disjoint ascending runs restores the full bucket stream.
+    const std::vector<compress::RollupBucket>& rolled = rollups[i].buckets;
+    std::vector<compress::RollupBucket> combined;
+    combined.reserve(rolled.size() + raw_buckets.size());
+    std::merge(rolled.begin(), rolled.end(), raw_buckets.begin(),
+               raw_buckets.end(), std::back_inserter(combined),
+               [](const compress::RollupBucket& a,
+                  const compress::RollupBucket& b) {
+                 return a.start < b.start;
+               });
+
+    AggregateSeries series;
+    series.id = head.id;
+    series.labels = std::move(head.labels);
+    series.points = query::FoldBuckets(combined, step_ms, fn);
+    if (!series.points.empty()) out->series.push_back(std::move(series));
   }
 
   AddQueryTotals(out->stats);

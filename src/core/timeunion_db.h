@@ -565,9 +565,10 @@ class TimeUnionDB {
                        std::span<const uint64_t> ids, int64_t t0, int64_t t1,
                        std::vector<HeadSnapshot>* out);
   /// The one read pipeline both Query and QueryIterators sit on:
-  /// SelectIds → SnapshotHeads → per-series LSM iterator via ReadContext
-  /// (adding its slow-tier blocks to one query-wide fetch plan) → lazily-seeking
-  /// MergedSeriesIterator → issue the plan. Performs no input validation
+  /// SelectIds → SnapshotHeads → one LSM cursor for all series via
+  /// ReadContext (planning their slow-tier blocks into one query-wide fetch
+  /// plan) → a lazily-seeking MergedSeriesIterator per series on a handle
+  /// of that cursor → issue the plan. Performs no input validation
   /// and no stats aggregation; `stats` (nullable) is wired into every
   /// iterator and must outlive them.
   Status QueryIteratorsImpl(const std::vector<index::TagMatcher>& matchers,

@@ -51,8 +51,8 @@ LeveledLsm::~LeveledLsm() {
 
 namespace {
 
-std::unique_ptr<MemTable> NewTrackedMemTable() {
-  auto mem = std::make_unique<MemTable>();
+std::shared_ptr<MemTable> NewTrackedMemTable() {
+  auto mem = std::make_shared<MemTable>();
   MemoryTracker::Global().Add(
       MemCategory::kMemtable,
       static_cast<int64_t>(mem->ApproximateMemoryUsage()));
@@ -358,16 +358,21 @@ Status LeveledLsm::CompactLevel(int level) {
   return Status::OK();
 }
 
-Status LeveledLsm::NewIteratorForId(uint64_t id, const ReadContext& ctx,
-                                    std::unique_ptr<Iterator>* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const int64_t t0 = ctx.t0;
-  const int64_t t1 = ctx.t1;
-  const ReadScope& scope = ctx.scope;
+Status LeveledLsm::NewCursor(const ReadContext& ctx,
+                             std::span<SeriesRead> reads,
+                             std::shared_ptr<ReadCursor>* out) {
+  const bool allow_partial = ctx.scope.allow_partial;
   query::QueryStats* qs = ctx.stats;
-  const std::string lo = MakeChunkKey(id, t0);
-  const std::string hi = MakeChunkKey(id, t1);
+  auto cursor = std::make_shared<ReadCursor>(qs, reads);
+  std::vector<std::string> lo(reads.size());
+  std::vector<std::string> hi(reads.size());
+  for (size_t r = 0; r < reads.size(); ++r) {
+    lo[r] = MakeChunkKey(reads[r].id, reads[r].t0);
+    hi[r] = MakeChunkKey(reads[r].id, reads[r].t1);
+  }
 
+  std::lock_guard<std::mutex> lock(mu_);
+  cursor->AddMemTable(mem_);
   // Breaker open: skip slow-level tables without touching them — a cached
   // reader would still fail its lazy per-block Gets mid-iteration.
   const cloud::CircuitBreaker& slow_breaker = env_->slow().breaker();
@@ -375,67 +380,77 @@ Status LeveledLsm::NewIteratorForId(uint64_t id, const ReadContext& ctx,
       slow_breaker.enabled() &&
       slow_breaker.state() == cloud::BreakerState::kOpen;
 
-  std::vector<std::unique_ptr<Iterator>> children;
-  children.push_back(mem_->NewIterator());
   for (int level = 0; level < options_.max_levels; ++level) {
     for (auto& handle : levels_[level]) {
-      if (qs != nullptr) ++qs->tables_considered;
-      // Chunks have no time-partition bound under this backend, so a chunk
-      // starting before t0 may still reach into the range — only the
-      // "starts past t1" side of the time meta is safe to prune on.
-      if (handle.meta.min_ts > t1) {
-        if (qs != nullptr) ++qs->tables_pruned_time;
-        continue;
-      }
-      if (Slice(handle.meta.largest_key).compare(lo) < 0) {
-        if (qs != nullptr) ++qs->tables_pruned_time;
-        continue;
-      }
-      if (Slice(handle.meta.smallest_key).compare(hi) > 0 &&
-          InternalKeyUserKey(handle.meta.smallest_key).compare(hi) > 0) {
-        if (qs != nullptr) ++qs->tables_pruned_id;
-        continue;
-      }
-      if (handle.meta.min_series_id > id || handle.meta.max_series_id < id) {
-        if (qs != nullptr) ++qs->tables_pruned_id;
-        continue;
-      }
-      if (scope.allow_partial && handle.on_slow && slow_tier_down) {
-        const int64_t lo_ts = std::max(handle.meta.min_ts, t0);
-        if (scope.missing != nullptr && lo_ts <= t1) {
-          scope.missing->emplace_back(lo_ts, t1);
-        }
-        if (qs != nullptr) ++qs->tables_skipped_unreachable;
-        continue;
-      }
-      Status s = OpenReader(&handle);
-      if (!s.ok()) {
-        // Without time partitioning a chunk can extend arbitrarily past
-        // its start timestamp, so the missing span is conservative: from
-        // the table's first chunk start to the end of the query range.
-        // A corrupt (quarantined) table degrades the same way on either
-        // tier — detection must never become a wrong result.
-        if (scope.allow_partial &&
-            (s.IsCorruption() ||
-             (handle.on_slow &&
-              (s.IsUnavailable() || s.IsIOError() || s.IsBusy())))) {
-          const int64_t lo_ts = std::max(handle.meta.min_ts, t0);
-          if (scope.missing != nullptr && lo_ts <= t1) {
-            scope.missing->emplace_back(lo_ts, t1);
-          }
-          if (qs != nullptr) ++qs->tables_skipped_unreachable;
+      // One open attempt per table per query, shared by every read that
+      // gets that far; the table joins the cursor once.
+      bool opened = false;
+      Status open_status;
+      int64_t index = -1;
+      for (size_t r = 0; r < reads.size(); ++r) {
+        SeriesRead& read = reads[r];
+        if (qs != nullptr) ++qs->tables_considered;
+        // Chunks have no time-partition bound under this backend, so a
+        // chunk starting before t0 may still reach into the range — only
+        // the "starts past t1" side of the time meta is safe to prune on.
+        if (handle.meta.min_ts > read.t1) {
+          if (qs != nullptr) ++qs->tables_pruned_time;
           continue;
         }
-        return s;
+        if (Slice(handle.meta.largest_key).compare(lo[r]) < 0) {
+          if (qs != nullptr) ++qs->tables_pruned_time;
+          continue;
+        }
+        if (Slice(handle.meta.smallest_key).compare(hi[r]) > 0 &&
+            InternalKeyUserKey(handle.meta.smallest_key).compare(hi[r]) > 0) {
+          if (qs != nullptr) ++qs->tables_pruned_id;
+          continue;
+        }
+        if (handle.meta.min_series_id > read.id ||
+            handle.meta.max_series_id < read.id) {
+          if (qs != nullptr) ++qs->tables_pruned_id;
+          continue;
+        }
+        // Without time partitioning a chunk can extend arbitrarily past
+        // its start timestamp, so the missing span of a skipped table is
+        // conservative: from its first chunk start to the end of the range.
+        const auto skip = [&] {
+          const int64_t lo_ts = std::max(handle.meta.min_ts, read.t0);
+          if (lo_ts <= read.t1) read.missing.emplace_back(lo_ts, read.t1);
+          if (qs != nullptr) ++qs->tables_skipped_unreachable;
+        };
+        if (allow_partial && handle.on_slow && slow_tier_down) {
+          skip();
+          continue;
+        }
+        if (!opened) {
+          open_status = OpenReader(&handle);
+          opened = true;
+        }
+        if (!open_status.ok()) {
+          // A corrupt (quarantined) table degrades the same way on either
+          // tier — detection must never become a wrong result.
+          if (allow_partial &&
+              (open_status.IsCorruption() ||
+               (handle.on_slow &&
+                (open_status.IsUnavailable() || open_status.IsIOError() ||
+                 open_status.IsBusy())))) {
+            skip();
+            continue;
+          }
+          return open_status;
+        }
+        if (!handle.reader->MayContainId(read.id)) {
+          if (qs != nullptr) ++qs->tables_pruned_bloom;
+          continue;
+        }
+        if (index < 0) index = cursor->AddTable(handle.reader);
+        cursor->Admit(r, static_cast<uint32_t>(index));
       }
-      if (!handle.reader->MayContainId(id)) {
-        if (qs != nullptr) ++qs->tables_pruned_bloom;
-        continue;
-      }
-      children.push_back(handle.reader->NewIterator(qs, MakeChunkKey(id, t1)));
     }
   }
-  *out = NewMergingIterator(std::move(children));
+  cursor->Finish();
+  *out = std::move(cursor);
   return Status::OK();
 }
 

@@ -89,15 +89,14 @@ class LeveledLsm : public ChunkStore {
   /// Forces the memtable to disk and runs all pending compactions.
   Status FlushAll() override;
 
-  /// Iterator over the full store for series `id` in [ctx.t0, ctx.t1]:
-  /// children are the memtable plus every table possibly containing the
+  /// One query's cursor over `reads` (see ChunkStore::NewCursor): each
+  /// read merges the memtable plus every table possibly containing its
   /// id/range, newest-first at equal keys. With ctx.scope.allow_partial,
   /// unreachable slow-level tables are skipped; without time partitioning
-  /// the missing span is conservative ([min_ts, t1]). Pruning decisions
-  /// are counted into ctx.stats.
-  using ChunkStore::NewIteratorForId;
-  Status NewIteratorForId(uint64_t id, const ReadContext& ctx,
-                          std::unique_ptr<Iterator>* out) override;
+  /// the missing span is conservative ([min_ts, t1]). Never plans block
+  /// fetches.
+  Status NewCursor(const ReadContext& ctx, std::span<SeriesRead> reads,
+                   std::shared_ptr<ReadCursor>* out) override;
 
   /// No time partitioning: chunks close on sample count only.
   int64_t PartitionEndFor(int64_t ts) const override {
@@ -141,7 +140,7 @@ class LeveledLsm : public ChunkStore {
   BlockCache* block_cache_;
 
   std::mutex mu_;
-  std::unique_ptr<MemTable> mem_;
+  std::shared_ptr<MemTable> mem_;  // shared: query cursors pin it
   std::vector<std::vector<TableHandle>> levels_;  // L0 newest-first
   uint64_t next_table_id_ = 1;
   uint64_t next_seq_ = 1;

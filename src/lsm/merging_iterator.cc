@@ -5,131 +5,102 @@
 
 namespace tu::lsm {
 
+void MergeHeap::Rebuild(std::span<Iterator* const> children) {
+  heap_.clear();
+  for (size_t i = 0; i < children.size(); ++i) {
+    Iterator* it = children[i];
+    if (it->Valid()) {
+      heap_.push_back(Entry{it->key(), static_cast<uint32_t>(i), it});
+    } else {
+      Retire(it);
+    }
+  }
+  if (!status_.ok()) {
+    heap_.clear();
+    return;
+  }
+  for (size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
+}
+
+void MergeHeap::Reposition() {
+  Iterator* it = heap_[0].it;
+  if (it->Valid()) {
+    heap_[0].key = it->key();
+    SiftDown(0);
+    return;
+  }
+  Retire(it);
+  heap_[0] = heap_.back();
+  heap_.pop_back();
+  if (!status_.ok()) {
+    heap_.clear();
+    return;
+  }
+  if (!heap_.empty()) SiftDown(0);
+}
+
+void MergeHeap::SiftDown(size_t i) {
+  const size_t n = heap_.size();
+  while (true) {
+    size_t smallest = i;
+    const size_t l = 2 * i + 1;
+    const size_t r = l + 1;
+    if (l < n && Before(heap_[l], heap_[smallest])) smallest = l;
+    if (r < n && Before(heap_[r], heap_[smallest])) smallest = r;
+    if (smallest == i) return;
+    std::swap(heap_[i], heap_[smallest]);
+    i = smallest;
+  }
+}
+
 namespace {
 
-// K-way merge over the per-table/memtable children as a binary min-heap of
-// cached keys. A full-span query over a time-partitioned tree can carry a
-// hundred-plus children, and the previous linear FindSmallest rescanned all
-// of them — two virtual calls plus a compare each — on every advance, which
-// dominated the warm drain. The heap touches O(log n) entries per advance,
-// and because partitions hold disjoint time ranges the advanced child
-// usually stays smallest, so the sift-down ends after one compare.
-//
-// A child's cached key Slice points into storage owned by that child
-// (memtable node, pinned block) and stays valid until the child advances;
-// only the heap root's child is ever advanced, and its entry is refreshed
-// immediately after.
 class MergingIterator : public Iterator {
  public:
   explicit MergingIterator(std::vector<std::unique_ptr<Iterator>> children)
-      : children_(std::move(children)) {}
+      : children_(std::move(children)) {
+    raw_.reserve(children_.size());
+    for (const auto& child : children_) raw_.push_back(child.get());
+  }
 
   bool Valid() const override { return !heap_.empty(); }
 
   void SeekToFirst() override {
-    for (auto& child : children_) child->SeekToFirst();
-    Rebuild();
+    for (Iterator* child : raw_) child->SeekToFirst();
+    heap_.Rebuild(raw_);
   }
 
   void Seek(const Slice& target) override {
-    for (auto& child : children_) child->Seek(target);
-    Rebuild();
+    for (Iterator* child : raw_) child->Seek(target);
+    heap_.Rebuild(raw_);
   }
 
   void Next() override {
-    heap_[0].it->Next();
-    Reposition();
+    heap_.top()->Next();
+    heap_.Reposition();
   }
 
-  Slice key() const override { return heap_[0].key; }
-  Slice value() const override { return heap_[0].it->value(); }
+  Slice key() const override { return heap_.top_key(); }
+  Slice value() const override { return heap_.top()->value(); }
 
   /// Delegates the batched decode to the winning child (hitting its leaf
   /// override), then re-establishes the merge invariant.
   Status NextBatch(int member_slot, query::SampleBatch* batch) override {
     if (heap_.empty()) {
       batch->clear();
-      return status_;
+      return heap_.status();
     }
-    TU_RETURN_IF_ERROR(heap_[0].it->NextBatch(member_slot, batch));
-    Reposition();
-    return status_;
+    TU_RETURN_IF_ERROR(heap_.top()->NextBatch(member_slot, batch));
+    heap_.Reposition();
+    return heap_.status();
   }
 
-  Status status() const override { return status_; }
+  Status status() const override { return heap_.status(); }
 
  private:
-  struct Entry {
-    Slice key;       ///< cached child->key(); valid until the child advances
-    uint32_t index;  ///< child ordinal — ties resolve to the earliest child
-    Iterator* it;
-  };
-
-  static bool Before(const Entry& a, const Entry& b) {
-    const int c = a.key.compare(b.key);
-    return c != 0 ? c < 0 : a.index < b.index;
-  }
-
-  /// Latch the first child error so the merge fails fast instead of
-  /// yielding a silently incomplete stream and only surfacing the error
-  /// when the caller finally checks status(). Called whenever a child is
-  /// observed invalid; an errored merge goes wholly invalid.
-  void Retire(Iterator* it) {
-    if (status_.ok()) status_ = it->status();
-  }
-
-  void Rebuild() {
-    heap_.clear();
-    for (size_t i = 0; i < children_.size(); ++i) {
-      Iterator* it = children_[i].get();
-      if (it->Valid()) {
-        heap_.push_back(Entry{it->key(), static_cast<uint32_t>(i), it});
-      } else {
-        Retire(it);
-      }
-    }
-    if (!status_.ok()) {
-      heap_.clear();
-      return;
-    }
-    for (size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
-  }
-
-  /// Re-establishes the heap invariant after the root's child advanced.
-  void Reposition() {
-    Iterator* it = heap_[0].it;
-    if (it->Valid()) {
-      heap_[0].key = it->key();
-      SiftDown(0);
-      return;
-    }
-    Retire(it);
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (!status_.ok()) {
-      heap_.clear();
-      return;
-    }
-    if (!heap_.empty()) SiftDown(0);
-  }
-
-  void SiftDown(size_t i) {
-    const size_t n = heap_.size();
-    while (true) {
-      size_t smallest = i;
-      const size_t l = 2 * i + 1;
-      const size_t r = l + 1;
-      if (l < n && Before(heap_[l], heap_[smallest])) smallest = l;
-      if (r < n && Before(heap_[r], heap_[smallest])) smallest = r;
-      if (smallest == i) return;
-      std::swap(heap_[i], heap_[smallest]);
-      i = smallest;
-    }
-  }
-
   std::vector<std::unique_ptr<Iterator>> children_;
-  std::vector<Entry> heap_;
-  Status status_;
+  std::vector<Iterator*> raw_;
+  MergeHeap heap_;
 };
 
 class EmptyIterator : public Iterator {

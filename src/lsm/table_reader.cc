@@ -412,151 +412,158 @@ bool TableReader::MayContainId(uint64_t id) const {
 // Two-level iterator: index block entries -> data block iterators.
 // ---------------------------------------------------------------------------
 
-class TableReader::TwoLevelIter : public Iterator {
- public:
-  TwoLevelIter(const TableReader* table, query::QueryStats* stats,
-               std::string upper_bound_user_key,
-               std::vector<std::shared_ptr<BlockFetch>> fetches)
-      : table_(table),
-        stats_(stats),
-        upper_bound_user_key_(std::move(upper_bound_user_key)),
-        index_iter_(table->index_block_->NewIterator()),
-        fetches_(std::move(fetches)) {}
+TableIterator::TableIterator(const TableReader* table,
+                             query::QueryStats* stats,
+                             std::string upper_bound_user_key)
+    : table_(table),
+      stats_(stats),
+      own_upper_bound_(std::move(upper_bound_user_key)),
+      upper_bound_(own_upper_bound_),
+      index_iter_(table->index_block_->NewIterator()) {}
 
-  bool Valid() const override {
-    return data_iter_ != nullptr && data_iter_->Valid();
+void TableIterator::SeekToFirst() {
+  status_ = Status::OK();
+  stopped_at_bound_ = false;
+  index_iter_->SeekToFirst();
+  InitDataBlock();
+  if (data_iter_) data_iter_->SeekToFirst();
+  SkipEmptyBlocksForward();
+}
+
+void TableIterator::Seek(const Slice& target) {
+  if (Valid() && index_iter_->Valid() &&
+      target.compare(data_iter_->key()) >= 0 &&
+      target.compare(index_iter_->key()) <= 0) {
+    data_iter_->Seek(target);
+    return;
   }
+  status_ = Status::OK();
+  stopped_at_bound_ = false;
+  index_iter_->Seek(target);
+  InitDataBlock();
+  if (data_iter_) data_iter_->Seek(target);
+  SkipEmptyBlocksForward();
+}
 
-  void SeekToFirst() override {
-    index_iter_->SeekToFirst();
+void TableIterator::Next() {
+  data_iter_->Next();
+  SkipEmptyBlocksForward();
+}
+
+Status TableIterator::NextBatch(int member_slot, query::SampleBatch* batch) {
+  batch->clear();
+  if (!Valid()) return status_;
+  TU_RETURN_IF_ERROR(DecodeChunkEntryBatch(data_iter_->key(),
+                                           data_iter_->value(), member_slot,
+                                           batch));
+  Next();
+  return status_;
+}
+
+void TableIterator::AddFetches(
+    std::vector<std::shared_ptr<BlockFetch>> fetches) {
+  fetches_.reserve(fetches_.size() + fetches.size());
+  for (std::shared_ptr<BlockFetch>& fetch : fetches) {
+    const uint64_t offset = fetch->handle().offset;
+    auto at = std::lower_bound(
+        fetches_.begin(), fetches_.end(), offset,
+        [](const auto& slot, uint64_t o) { return slot.first < o; });
+    // One slot per block: BlockPrefetch hands every series the same one.
+    if (at != fetches_.end() && at->first == offset) continue;
+    fetches_.emplace(at, offset, std::move(fetch));
+  }
+}
+
+void TableIterator::InitDataBlock() {
+  data_iter_.reset();
+  data_block_.reset();
+  if (!index_iter_->Valid()) return;
+  BlockHandle handle;
+  Slice handle_bytes = index_iter_->value();
+  if (!handle.DecodeFrom(&handle_bytes)) {
+    status_ = Status::Corruption("bad index entry");
+    return;
+  }
+  Status s = FetchBlock(handle);
+  if (!s.ok()) {
+    status_ = s;
+    return;
+  }
+  if (stats_ != nullptr) ++stats_->blocks_read;
+  data_iter_ = data_block_->NewIterator();
+}
+
+/// A planned block comes from its fetch slot. A forward move past planned
+/// blocks (a seek that skipped them) drops their slots, so their window
+/// places go to blocks a drain reads; a block without a slot (not
+/// planned, already taken, or sought back to), or whose fetched copy
+/// another reader took, is read directly.
+Status TableIterator::FetchBlock(const BlockHandle& handle) {
+  const auto by_offset = [](const auto& slot, uint64_t o) {
+    return slot.first < o;
+  };
+  auto at = std::lower_bound(fetches_.begin(), fetches_.end(), handle.offset,
+                             by_offset);
+  if (have_loaded_ && handle.offset > loaded_offset_) {
+    for (auto skipped = std::lower_bound(fetches_.begin(), at,
+                                         loaded_offset_ + 1, by_offset);
+         skipped != at; ++skipped) {
+      skipped->second.reset();
+    }
+  }
+  have_loaded_ = true;
+  loaded_offset_ = handle.offset;
+  if (at != fetches_.end() && at->first == handle.offset && at->second) {
+    std::shared_ptr<BlockFetch> fetch = std::move(at->second);
+    TU_RETURN_IF_ERROR(fetch->Take(&data_block_, stats_,
+                                   table_->options_.prefetch_wait_us));
+    // Another iterator of the query took the fetched block first.
+    if (data_block_ != nullptr) return Status::OK();
+  }
+  return table_->GetBlock(handle, &data_block_, stats_);
+}
+
+/// Index entries carry the LAST internal key of their block: once that
+/// user key sorts strictly past the upper bound, every later block lies
+/// entirely past it too, so the iterator can stop without fetching them.
+/// Equality must continue — the next block may open with the same user
+/// key at an older sequence number, which newest-wins dedup still needs.
+bool TableIterator::PastUpperBound() const {
+  return !upper_bound_.empty() && index_iter_->Valid() &&
+         InternalKeyUserKey(index_iter_->key()).compare(upper_bound_) > 0;
+}
+
+void TableIterator::SkipEmptyBlocksForward() {
+  while (data_iter_ != nullptr && !data_iter_->Valid()) {
+    if (PastUpperBound()) {
+      // Count the data blocks the bound saved us from fetching, then
+      // park the iterator in the exhausted state. Walking the remaining
+      // index entries is cheap: the index block is pinned in memory.
+      if (stats_ != nullptr) {
+        for (index_iter_->Next(); index_iter_->Valid(); index_iter_->Next()) {
+          ++stats_->blocks_pruned;
+        }
+      }
+      data_iter_.reset();
+      data_block_.reset();
+      stopped_at_bound_ = true;
+      return;
+    }
+    index_iter_->Next();
     InitDataBlock();
     if (data_iter_) data_iter_->SeekToFirst();
-    SkipEmptyBlocksForward();
-  }
-
-  void Seek(const Slice& target) override {
-    index_iter_->Seek(target);
-    InitDataBlock();
-    if (data_iter_) data_iter_->Seek(target);
-    SkipEmptyBlocksForward();
-  }
-
-  void Next() override {
-    data_iter_->Next();
-    SkipEmptyBlocksForward();
-  }
-
-  Slice key() const override { return data_iter_->key(); }
-  Slice value() const override { return data_iter_->value(); }
-  Status status() const override { return status_; }
-
-  /// Leaf override of the batched read path: decodes straight off the
-  /// pinned data block's entry, skipping the base implementation's extra
-  /// virtual dispatches through this iterator.
-  Status NextBatch(int member_slot, query::SampleBatch* batch) override {
-    batch->clear();
-    if (!Valid()) return status_;
-    TU_RETURN_IF_ERROR(DecodeChunkEntryBatch(data_iter_->key(),
-                                             data_iter_->value(), member_slot,
-                                             batch));
-    Next();
-    return status_;
-  }
-
- private:
-  void InitDataBlock() {
-    data_iter_.reset();
-    data_block_.reset();
     if (!index_iter_->Valid()) return;
-    BlockHandle handle;
-    Slice handle_bytes = index_iter_->value();
-    if (!handle.DecodeFrom(&handle_bytes)) {
-      status_ = Status::Corruption("bad index entry");
-      return;
-    }
-    Status s = FetchBlock(handle);
-    if (!s.ok()) {
-      status_ = s;
-      return;
-    }
-    if (stats_ != nullptr) ++stats_->blocks_read;
-    data_iter_ = data_block_->NewIterator();
   }
-
-  /// Planned blocks come from their fetch slots, which follow index order;
-  /// slots the iterator seeks past are dropped, and a block without one
-  /// (not planned, or sought back to), or whose fetched copy another
-  /// iterator took, is read directly.
-  Status FetchBlock(const BlockHandle& handle) {
-    while (next_fetch_ < fetches_.size() &&
-           fetches_[next_fetch_]->handle().offset < handle.offset) {
-      fetches_[next_fetch_++].reset();
-    }
-    if (next_fetch_ < fetches_.size() &&
-        fetches_[next_fetch_]->handle().offset == handle.offset) {
-      std::shared_ptr<BlockFetch> fetch = std::move(fetches_[next_fetch_++]);
-      TU_RETURN_IF_ERROR(fetch->Take(&data_block_, stats_,
-                                     table_->options_.prefetch_wait_us));
-      // Another iterator of the query took the fetched block first.
-      if (data_block_ != nullptr) return Status::OK();
-    }
-    return table_->GetBlock(handle, &data_block_, stats_);
-  }
-
-  /// Index entries carry the LAST internal key of their block: once that
-  /// user key sorts strictly past the upper bound, every later block lies
-  /// entirely past it too, so the iterator can stop without fetching them.
-  /// Equality must continue — the next block may open with the same user
-  /// key at an older sequence number, which newest-wins dedup still needs.
-  bool PastUpperBound() const {
-    return !upper_bound_user_key_.empty() && index_iter_->Valid() &&
-           InternalKeyUserKey(index_iter_->key())
-                   .compare(upper_bound_user_key_) > 0;
-  }
-
-  void SkipEmptyBlocksForward() {
-    while (data_iter_ != nullptr && !data_iter_->Valid()) {
-      if (PastUpperBound()) {
-        // Count the data blocks the bound saved us from fetching, then
-        // park the iterator in the exhausted state. Walking the remaining
-        // index entries is cheap: the index block is pinned in memory.
-        if (stats_ != nullptr) {
-          for (index_iter_->Next(); index_iter_->Valid();
-               index_iter_->Next()) {
-            ++stats_->blocks_pruned;
-          }
-        }
-        data_iter_.reset();
-        data_block_.reset();
-        return;
-      }
-      index_iter_->Next();
-      InitDataBlock();
-      if (data_iter_) data_iter_->SeekToFirst();
-      if (!index_iter_->Valid()) return;
-    }
-  }
-
-  const TableReader* table_;
-  query::QueryStats* stats_;
-  const std::string upper_bound_user_key_;
-  std::unique_ptr<Iterator> index_iter_;
-  std::shared_ptr<Block> data_block_;
-  std::unique_ptr<Iterator> data_iter_;
-  std::vector<std::shared_ptr<BlockFetch>> fetches_;
-  size_t next_fetch_ = 0;
-  Status status_;
-};
+}
 
 std::unique_ptr<Iterator> TableReader::NewIterator() const {
   return NewIterator(nullptr, std::string());
 }
 
-std::unique_ptr<Iterator> TableReader::NewIterator(
-    query::QueryStats* stats, std::string upper_bound_user_key,
-    std::vector<std::shared_ptr<BlockFetch>> fetches) const {
-  return std::make_unique<TwoLevelIter>(
-      this, stats, std::move(upper_bound_user_key), std::move(fetches));
+std::unique_ptr<TableIterator> TableReader::NewIterator(
+    query::QueryStats* stats, std::string upper_bound_user_key) const {
+  return std::make_unique<TableIterator>(this, stats,
+                                         std::move(upper_bound_user_key));
 }
 
 }  // namespace tu::lsm

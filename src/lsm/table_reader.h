@@ -139,6 +139,7 @@ struct TableReaderOptions {
 };
 
 class TableReader;
+class TableIterator;
 class FetchQueue;
 
 /// One data block a query plans to read, fetched ahead of the drain on an
@@ -251,17 +252,14 @@ class TableReader {
   /// strictly past the bound — with last-key index entries no later block
   /// can hold a key at or below it, so cold blocks past the query range
   /// are never read. `stats` must outlive the iterator.
-  /// `fetches` are the slots BlockRange planned for this iterator, in
-  /// index order: a block with a slot is taken from it instead of read.
-  std::unique_ptr<Iterator> NewIterator(
-      query::QueryStats* stats, std::string upper_bound_user_key,
-      std::vector<std::shared_ptr<BlockFetch>> fetches = {}) const;
+  std::unique_ptr<TableIterator> NewIterator(
+      query::QueryStats* stats, std::string upper_bound_user_key) const;
 
   /// The data blocks a query iterator sought to `seek_key` and bounded by
   /// `upper_bound_user_key` reads when drained to the bound: from the
   /// first block whose last key is at or past `seek_key` through the
   /// first block whose last user key sorts past the bound — the walk
-  /// TwoLevelIter's Seek and upper-bound stop make, taken on the pinned
+  /// TableIterator's Seek and upper-bound stop make, taken on the pinned
   /// index block without reading any data block.
   std::vector<BlockHandle> BlockRange(
       const Slice& seek_key, const std::string& upper_bound_user_key) const;
@@ -293,12 +291,72 @@ class TableReader {
   Status ReadBlock(const BlockHandle& handle, std::shared_ptr<Block>* block,
                    query::QueryStats* stats) const;
 
-  class TwoLevelIter;
+  friend class TableIterator;
 
   TableReaderOptions options_;
   std::unique_ptr<TableSource> source_;
   std::shared_ptr<Block> index_block_;
   std::string filter_;
+};
+
+/// Two-level iterator of one table: index block entries -> data block
+/// iterators. A query cursor (lsm/read_cursor.h) keeps one per table and
+/// moves it from series to series, so it can re-aim its upper bound and
+/// take fetch slots planned for several series.
+class TableIterator final : public Iterator {
+ public:
+  TableIterator(const TableReader* table, query::QueryStats* stats,
+                std::string upper_bound_user_key);
+
+  bool Valid() const override {
+    return data_iter_ != nullptr && data_iter_->Valid();
+  }
+  void SeekToFirst() override;
+  /// A target inside the current block (at or past the current key, at or
+  /// below the block's last key) moves within that block: the index seek
+  /// would land on it again, so nothing is re-fetched.
+  void Seek(const Slice& target) override;
+  void Next() override;
+  Slice key() const override { return data_iter_->key(); }
+  Slice value() const override { return data_iter_->value(); }
+  Status status() const override { return status_; }
+
+  /// Leaf override of the batched read path: decodes straight off the
+  /// pinned data block's entry, skipping the base implementation's extra
+  /// virtual dispatches through this iterator.
+  Status NextBatch(int member_slot, query::SampleBatch* batch) override;
+
+  /// Re-aims the block-level upper bound (empty = none) for the moves that
+  /// follow; the position is unchanged. The caller keeps the bytes alive
+  /// while the bound is in use.
+  void SetUpperBound(const Slice& user_key) { upper_bound_ = user_key; }
+  /// Adds fetch slots BlockRange planned for this table. Slots are kept
+  /// in block order; a block with a slot is taken from it instead of read.
+  void AddFetches(std::vector<std::shared_ptr<BlockFetch>> fetches);
+  /// Invalid because the upper bound stopped it, not because the table
+  /// ended: keys may follow. Cleared by the next seek.
+  bool stopped_at_bound() const { return stopped_at_bound_; }
+
+ private:
+  void InitDataBlock();
+  Status FetchBlock(const BlockHandle& handle);
+  bool PastUpperBound() const;
+  void SkipEmptyBlocksForward();
+
+  const TableReader* table_;
+  query::QueryStats* stats_;
+  std::string own_upper_bound_;  ///< the constructor's bound
+  Slice upper_bound_;
+  std::unique_ptr<Iterator> index_iter_;
+  std::shared_ptr<Block> data_block_;
+  std::unique_ptr<Iterator> data_iter_;
+  /// Planned slots by block offset; null once taken or skipped.
+  std::vector<std::pair<uint64_t, std::shared_ptr<BlockFetch>>> fetches_;
+  /// Offset of the last block loaded (valid when have_loaded_).
+  uint64_t loaded_offset_ = 0;
+  bool have_loaded_ = false;
+  bool stopped_at_bound_ = false;
+  Status status_;
 };
 
 }  // namespace tu::lsm

@@ -30,31 +30,6 @@ uint64_t NowUs() {
           .count());
 }
 
-/// Keeps memtables and table readers alive for the iterator's lifetime, so
-/// a concurrent flush/compaction retiring them cannot dangle the query.
-class PinnedIterator : public Iterator {
- public:
-  PinnedIterator(std::unique_ptr<Iterator> inner,
-                 std::vector<std::shared_ptr<MemTable>> mem_pins,
-                 std::vector<std::shared_ptr<TableReader>> reader_pins)
-      : inner_(std::move(inner)),
-        mem_pins_(std::move(mem_pins)),
-        reader_pins_(std::move(reader_pins)) {}
-
-  bool Valid() const override { return inner_->Valid(); }
-  void SeekToFirst() override { inner_->SeekToFirst(); }
-  void Seek(const Slice& target) override { inner_->Seek(target); }
-  void Next() override { inner_->Next(); }
-  Slice key() const override { return inner_->key(); }
-  Slice value() const override { return inner_->value(); }
-  Status status() const override { return inner_->status(); }
-
- private:
-  std::unique_ptr<Iterator> inner_;
-  std::vector<std::shared_ptr<MemTable>> mem_pins_;
-  std::vector<std::shared_ptr<TableReader>> reader_pins_;
-};
-
 }  // namespace
 
 TimePartitionedLsm::TimePartitionedLsm(cloud::TieredEnv* env, std::string name,
@@ -1601,35 +1576,19 @@ Status TimePartitionedLsm::ApplyRetention(int64_t watermark) {
   return Status::OK();
 }
 
-Status TimePartitionedLsm::NewIteratorForId(uint64_t id, const ReadContext& ctx,
-                                            std::unique_ptr<Iterator>* out) {
-  const int64_t t0 = ctx.t0;
-  const int64_t t1 = ctx.t1;
-  const ReadScope& scope = ctx.scope;
+Status TimePartitionedLsm::NewCursor(const ReadContext& ctx,
+                                     std::span<SeriesRead> reads,
+                                     std::shared_ptr<ReadCursor>* out) {
+  const bool allow_partial = ctx.scope.allow_partial;
   query::QueryStats* qs = ctx.stats;
   // Chunks can overhang their partition end by at most one (pre-shrink)
   // partition length, so widen the selection window on the left.
   const int64_t overhang = options_.partition_upper_bound_ms;
-  // Block-level pruning bound: no chunk of `id` starting past t1 can hold
-  // in-range samples, so table iterators stop at this user key.
-  std::string upper_bound = MakeChunkKey(id, t1);
-  BlockPrefetch* prefetch = ctx.prefetch;
-  // Where the consumer (query::MergedSeriesIterator) seeks the iterator;
-  // the prefetch plan walks each slow table's index from here.
-  const std::string seek_key =
-      prefetch != nullptr ? ChunkSeekKey(id, t0, overhang) : std::string();
-
-  std::vector<std::unique_ptr<Iterator>> children;
-  std::vector<std::shared_ptr<MemTable>> mem_pins;
-  std::vector<std::shared_ptr<TableReader>> reader_pins;
+  auto cursor = std::make_shared<ReadCursor>(qs, reads);
   {
     std::lock_guard<std::mutex> mem_lock(mem_mu_);
-    children.push_back(mem_->NewIterator());
-    mem_pins.push_back(mem_);
-    for (const auto& imm : immutables_) {
-      children.push_back(imm->NewIterator());
-      mem_pins.push_back(imm);
-    }
+    cursor->AddMemTable(mem_);
+    for (const auto& imm : immutables_) cursor->AddMemTable(imm);
   }
   std::unique_lock<std::mutex> lock(mu_);
 
@@ -1646,78 +1605,93 @@ Status TimePartitionedLsm::NewIteratorForId(uint64_t id, const ReadContext& ctx,
       slow_breaker.enabled() &&
       slow_breaker.state() == cloud::BreakerState::kOpen;
 
-  auto consider_table = [&](TableHandle& handle,
-                            int64_t max_data_ts) -> Status {
-    if (qs != nullptr) ++qs->tables_considered;
-    if (handle.meta.min_series_id > id || handle.meta.max_series_id < id) {
-      if (qs != nullptr) ++qs->tables_pruned_id;
-      return Status::OK();
-    }
-    if (handle.meta.min_ts > t1 || handle.meta.max_ts < t0 - overhang) {
-      if (qs != nullptr) ++qs->tables_pruned_time;
-      return Status::OK();
-    }
-    if (scope.allow_partial && handle.on_slow && slow_tier_down) {
-      const int64_t lo = std::max(handle.meta.min_ts, t0);
-      const int64_t hi = std::min(max_data_ts, t1);
-      if (scope.missing != nullptr && lo <= hi) {
-        scope.missing->emplace_back(lo, hi);
-      }
-      stats_.partial_read_skips.fetch_add(1, std::memory_order_relaxed);
-      if (qs != nullptr) ++qs->tables_skipped_unreachable;
-      return Status::OK();
-    }
-    Status s = OpenReader(&handle);
-    if (!s.ok()) {
-      // Partial read: an unreachable slow-tier table — or a corrupt/
-      // quarantined table on either tier after repair attempts failed — is
-      // skipped with its possible [min_ts, max_data_ts] span reported
-      // missing. Other fast-tier failures (including deferred tables,
-      // which live there) and definitive errors still fail the read.
-      const bool skippable =
-          (handle.on_slow &&
-           (s.IsUnavailable() || s.IsIOError() || s.IsBusy())) ||
-          s.IsCorruption();
-      if (scope.allow_partial && skippable) {
-        const int64_t lo = std::max(handle.meta.min_ts, t0);
-        const int64_t hi = std::min(max_data_ts, t1);
-        if (scope.missing != nullptr && lo <= hi) {
-          scope.missing->emplace_back(lo, hi);
-        }
-        stats_.partial_read_skips.fetch_add(1, std::memory_order_relaxed);
-        if (qs != nullptr) ++qs->tables_skipped_unreachable;
-        return Status::OK();
-      }
-      return s;
-    }
-    if (!handle.reader->MayContainId(id)) {
-      if (qs != nullptr) ++qs->tables_pruned_bloom;
-      return Status::OK();
-    }
-    reader_pins.push_back(handle.reader);
-    return Status::OK();
-  };
-
-  auto consider_level = [&](std::vector<Partition>& level) -> Status {
-    for (Partition& p : level) {
-      if (p.start > t1 || p.end + overhang <= t0) {
+  // The reads whose window the current partition overlaps.
+  std::vector<size_t> live;
+  live.reserve(reads.size());
+  const auto select_partition = [&](int64_t start, int64_t end) {
+    live.clear();
+    for (size_t r = 0; r < reads.size(); ++r) {
+      if (start > reads[r].t1 || end + overhang <= reads[r].t0) {
         if (qs != nullptr) ++qs->partitions_pruned;
         continue;
       }
+      live.push_back(r);
+    }
+  };
+
+  // Each live read examines the table as if alone — the pruning counts
+  // stay per (read, table) — but the reader is opened at most once per
+  // query and the table joins the cursor once.
+  const auto consider_table = [&](TableHandle& handle,
+                                  int64_t max_data_ts) -> Status {
+    bool opened = false;
+    Status open_status;
+    int64_t index = -1;
+    for (size_t r : live) {
+      SeriesRead& read = reads[r];
+      if (qs != nullptr) ++qs->tables_considered;
+      if (handle.meta.min_series_id > read.id ||
+          handle.meta.max_series_id < read.id) {
+        if (qs != nullptr) ++qs->tables_pruned_id;
+        continue;
+      }
+      if (handle.meta.min_ts > read.t1 ||
+          handle.meta.max_ts < read.t0 - overhang) {
+        if (qs != nullptr) ++qs->tables_pruned_time;
+        continue;
+      }
+      const auto skip = [&] {
+        const int64_t lo = std::max(handle.meta.min_ts, read.t0);
+        const int64_t hi = std::min(max_data_ts, read.t1);
+        if (lo <= hi) read.missing.emplace_back(lo, hi);
+        stats_.partial_read_skips.fetch_add(1, std::memory_order_relaxed);
+        if (qs != nullptr) ++qs->tables_skipped_unreachable;
+      };
+      if (allow_partial && handle.on_slow && slow_tier_down) {
+        skip();
+        continue;
+      }
+      if (!opened) {
+        open_status = OpenReader(&handle);
+        opened = true;
+      }
+      if (!open_status.ok()) {
+        // Partial read: an unreachable slow-tier table — or a corrupt/
+        // quarantined table on either tier after repair attempts failed —
+        // is skipped with its possible [min_ts, max_data_ts] span reported
+        // missing. Other fast-tier failures (including deferred tables,
+        // which live there) and definitive errors still fail the read.
+        const bool skippable =
+            (handle.on_slow &&
+             (open_status.IsUnavailable() || open_status.IsIOError() ||
+              open_status.IsBusy())) ||
+            open_status.IsCorruption();
+        if (allow_partial && skippable) {
+          skip();
+          continue;
+        }
+        return open_status;
+      }
+      if (!handle.reader->MayContainId(read.id)) {
+        if (qs != nullptr) ++qs->tables_pruned_bloom;
+        continue;
+      }
+      if (index < 0) index = cursor->AddTable(handle.reader);
+      cursor->Admit(r, static_cast<uint32_t>(index));
+    }
+    return Status::OK();
+  };
+
+  for (std::vector<Partition>* level : {&l0_, &l1_}) {
+    for (Partition& p : *level) {
+      select_partition(p.start, p.end);
       for (TableHandle& t : p.tables) {
         TU_RETURN_IF_ERROR(consider_table(t, t.meta.max_ts + overhang));
       }
     }
-    return Status::OK();
-  };
-  TU_RETURN_IF_ERROR(consider_level(l0_));
-  TU_RETURN_IF_ERROR(consider_level(l1_));
-
+  }
   for (L2Partition& p : l2_) {
-    if (p.start > t1 || p.end + overhang <= t0) {
-      if (qs != nullptr) ++qs->partitions_pruned;
-      continue;
-    }
+    select_partition(p.start, p.end);
     for (L2Entry& e : p.entries) {
       TU_RETURN_IF_ERROR(consider_table(e.base, p.end - 1));
       for (TableHandle& t : e.patches) {
@@ -1731,33 +1705,27 @@ Status TimePartitionedLsm::NewIteratorForId(uint64_t id, const ReadContext& ctx,
   // partial read flags the hole; a strict read proceeds — the bytes are
   // unrecoverable, so failing every future query would make the quarantine
   // worse than the corruption it contained.
-  if (scope.allow_partial && scope.missing != nullptr) {
+  if (allow_partial) {
     for (const QuarantinedTable& q : quarantined_) {
       // A lost rollup table costs no raw data — never report it missing.
       if (q.is_rollup) continue;
-      if (q.min_series_id > id || q.max_series_id < id) continue;
-      const int64_t lo = std::max(q.min_ts, t0);
-      const int64_t hi = std::min(q.max_data_ts, t1);
-      if (lo <= hi) scope.missing->emplace_back(lo, hi);
+      for (SeriesRead& read : reads) {
+        if (q.min_series_id > read.id || q.max_series_id < read.id) continue;
+        const int64_t lo = std::max(q.min_ts, read.t0);
+        const int64_t hi = std::min(q.max_data_ts, read.t1);
+        if (lo <= hi) read.missing.emplace_back(lo, hi);
+      }
     }
   }
   lock.unlock();
 
-  // Table iterators and their fetch plans need no manifest lock: the
-  // pinned readers keep the tables alive.
-  for (const std::shared_ptr<TableReader>& reader : reader_pins) {
-    std::vector<std::shared_ptr<BlockFetch>> fetches;
-    if (prefetch != nullptr && reader->on_slow()) {
-      for (const BlockHandle& b : reader->BlockRange(seek_key, upper_bound)) {
-        fetches.push_back(prefetch->Plan(read_io_pool_.get(), reader, b));
-      }
-    }
-    children.push_back(
-        reader->NewIterator(qs, upper_bound, std::move(fetches)));
+  // Iterators and fetch plans need no manifest lock: the cursor's pins
+  // keep the memtables and tables alive.
+  cursor->Finish();
+  if (ctx.prefetch != nullptr) {
+    cursor->PlanFetches(ctx.prefetch, read_io_pool_.get(), overhang);
   }
-  *out = std::make_unique<PinnedIterator>(
-      NewMergingIterator(std::move(children)), std::move(mem_pins),
-      std::move(reader_pins));
+  *out = std::move(cursor);
   return Status::OK();
 }
 

@@ -176,7 +176,7 @@ struct QuarantinedTable {
 
 class TimePartitionedLsm : public ChunkStore {
  public:
-  /// Worker threads of the slow-tier read I/O pool (see NewIteratorForId).
+  /// Worker threads of the slow-tier read I/O pool (see NewCursor).
   /// Each worker mostly waits on a Get, so the pool is sized for requests
   /// in flight, not for cores. All foreground queries share it, each
   /// with at most BlockPrefetch::kWindow blocks on it at a time.
@@ -194,18 +194,16 @@ class TimePartitionedLsm : public ChunkStore {
   /// Flushes the memtable and drains all pending maintenance.
   Status FlushAll() override;
 
-  /// Iterator over all data of series/group `id` intersecting
-  /// [ctx.t0, ctx.t1]. With ctx.scope.allow_partial, unreachable slow-tier
-  /// tables are skipped and their possible data span recorded in
-  /// ctx.scope.missing. Pruning decisions (partition window, table meta,
-  /// bloom, per-block upper bound) are counted into ctx.stats. With
-  /// ctx.prefetch set, every slow-tier block the iterator will read once
-  /// sought to ChunkSeekKey(id, ctx.t0, partition_upper_bound_ms) is added
-  /// to that plan, to be fetched on the read I/O pool when the query
-  /// issues it. Fast-tier tables are never planned.
-  using ChunkStore::NewIteratorForId;
-  Status NewIteratorForId(uint64_t id, const ReadContext& ctx,
-                          std::unique_ptr<Iterator>* out) override;
+  /// One query's cursor over `reads` (see ChunkStore::NewCursor). Per
+  /// read, tables are pruned by partition window, table meta and bloom;
+  /// with ctx.scope.allow_partial, unreachable slow-tier tables and
+  /// quarantined spans are reported in the read's `missing`. With
+  /// ctx.prefetch set, every slow-tier block a read will drain once
+  /// sought to ChunkSeekKey(id, t0, partition_upper_bound_ms) is added to
+  /// that plan, to be fetched on the read I/O pool when the query issues
+  /// it.
+  Status NewCursor(const ReadContext& ctx, std::span<SeriesRead> reads,
+                   std::shared_ptr<ReadCursor>* out) override;
 
   /// Drops every partition whose data is entirely older than `watermark`.
   Status ApplyRetention(int64_t watermark) override;

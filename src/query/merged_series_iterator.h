@@ -34,10 +34,11 @@ namespace tu::query {
 
 class MergedSeriesIterator {
  public:
-  /// `lsm_iter` positioned anywhere; the iterator seeks it to `id` itself,
-  /// on first use rather than here — the seek reads the first block of
-  /// every table, so a query builds all its iterators (and issues their
-  /// block fetches together) before any of them seeks.
+  /// `lsm_iter` positioned anywhere (a handle of the query's LSM cursor);
+  /// the iterator seeks it to `id` itself, on first use rather than here —
+  /// the seek may read a block of every table, so a query builds all its
+  /// iterators (and issues their block fetches together) before any of
+  /// them seeks.
   /// `head_samples` are the open-chunk samples (always newest).
   /// `member_slot` >= 0 selects a group member column; -1 = individual
   /// series chunks. `seek_slack_ms` widens the initial seek left of

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "compress/chunk.h"
+#include "compress/rollup.h"
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace tu::compress {
@@ -504,6 +506,122 @@ TEST(BulkParityExactSize, InflatedCountOverruns) {
     EXPECT_TRUE(ts_scalar.overrun()) << n;
     EXPECT_TRUE(vs_scalar.overrun()) << n;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Corrupt XOR windows: a new-window header whose leading-zero count plus
+// meaningful-bit count exceeds 64 (the encoder never writes one) would
+// shift the meaningful bits by 64 or more. Every decoder reports it as
+// Corruption instead.
+// ---------------------------------------------------------------------------
+
+/// Two XOR values: a raw first value, then a new window with 31 leading
+/// zeros and 40 meaningful bits (31 + 40 > 64). `nullable` prefixes each
+/// value with the NULL-extended codec's "present" bit.
+std::string CorruptWindowStream(bool nullable) {
+  std::vector<char> buf(32);
+  BitWriter w(buf.data(), buf.size());
+  if (nullable) w.WriteBit(false);
+  w.WriteBits(Bits(1.5), 64);
+  if (nullable) w.WriteBit(false);
+  w.WriteBits(0b11, 2);  // changed value, new window
+  w.WriteBits(31, 5);    // leading zeros
+  w.WriteBits(40, 6);    // meaningful bits
+  w.WriteBits((1ull << 40) - 1, 40);
+  return std::string(buf.data(), w.BytesUsed());
+}
+
+/// A valid two-sample timestamp stream.
+std::string TwoTimestamps() {
+  std::vector<char> buf(32);
+  BitWriter w(buf.data(), buf.size());
+  TimestampEncoder enc;
+  enc.Append(&w, 1000);
+  enc.Append(&w, 2000);
+  return std::string(buf.data(), w.BytesUsed());
+}
+
+TEST(CorruptXorWindow, ValueDecodersFlagOverrun) {
+  const std::string plain = CorruptWindowStream(false);
+  {
+    BitReader r(plain.data(), plain.size());
+    ValueDecoder dec;
+    EXPECT_EQ(dec.Next(&r), 1.5);
+    dec.Next(&r);
+    EXPECT_TRUE(r.overrun());
+  }
+  {
+    BitReader r(plain.data(), plain.size());
+    double out[2];
+    ValueDecoder().DecodeAll(&r, 2, out);
+    EXPECT_TRUE(r.overrun());
+  }
+  const std::string nullable = CorruptWindowStream(true);
+  {
+    BitReader r(nullable.data(), nullable.size());
+    NullableValueDecoder dec;
+    double x = 0;
+    EXPECT_TRUE(dec.Next(&r, &x));
+    dec.Next(&r, &x);
+    EXPECT_TRUE(r.overrun());
+  }
+  {
+    BitReader r(nullable.data(), nullable.size());
+    double out[2];
+    uint64_t validity = 0;
+    NullableValueDecoder().DecodeAll(&r, 2, out, &validity);
+    EXPECT_TRUE(r.overrun());
+  }
+}
+
+TEST(CorruptXorWindow, ChunkDecodersReturnCorruption) {
+  const std::string ts = TwoTimestamps();
+  const std::string plain = CorruptWindowStream(false);
+  const std::string nullable = CorruptWindowStream(true);
+
+  std::string series;
+  SerializeSeriesChunk(7, 2, ts.data(), ts.size(), plain.data(), plain.size(),
+                       &series);
+  query::SampleBatch batch;
+  EXPECT_TRUE(DecodeSeriesChunkBatch(series, &batch).IsCorruption());
+  uint64_t seq = 0;
+  std::vector<Sample> samples;
+  EXPECT_TRUE(DecodeSeriesChunk(series, &seq, &samples).IsCorruption());
+
+  std::string group;
+  SerializeGroupChunk(7, 2, ts.data(), ts.size(),
+                      {{nullable.data(), nullable.size()}}, &group);
+  EXPECT_TRUE(DecodeGroupMemberBatch(group, 0, &batch).IsCorruption());
+  EXPECT_TRUE(DecodeGroupMember(group, 0, &samples).IsCorruption());
+  uint32_t members = 0;
+  std::vector<GroupRow> rows;
+  EXPECT_TRUE(DecodeGroupChunk(group, &seq, &members, &rows).IsCorruption());
+
+  // Rollup chunk: valid start/max/sum/count streams, corrupt min stream.
+  std::vector<RollupBucket> buckets = {{1000, 1.0, 2.0, 3.0, 2},
+                                       {2000, 1.0, 2.0, 3.0, 2}};
+  std::string valid;
+  EncodeRollupChunk(7, 1000, buckets, &valid);
+  std::vector<RollupBucket> decoded;
+  int64_t gran = 0;
+  ASSERT_TRUE(DecodeRollupChunk(valid, &seq, &gran, &decoded).ok());
+  std::string rollup;
+  PutVarint64(&rollup, 7);
+  PutVarint64(&rollup, 1000);
+  PutVarint32(&rollup, 2);
+  const std::string counts = [] {
+    std::vector<char> buf(32);
+    BitWriter w(buf.data(), buf.size());
+    TimestampEncoder enc;
+    enc.Append(&w, 2);
+    enc.Append(&w, 2);
+    return std::string(buf.data(), w.BytesUsed());
+  }();
+  for (const std::string* stream : {&ts, &plain, &plain, &plain, &counts}) {
+    PutVarint32(&rollup, static_cast<uint32_t>(stream->size()));
+    rollup.append(*stream);
+  }
+  EXPECT_TRUE(DecodeRollupChunk(rollup, &seq, &gran, &decoded).IsCorruption());
 }
 
 }  // namespace

@@ -36,13 +36,20 @@ Status RunChunkSize(uint32_t samples_per_chunk, double* persisted_mb,
   const uint64_t start = NowUs();
   int64_t peak = 0;
   uint64_t samples = 0;
+  // One row per Write, through one reused batch.
+  core::WriteBatch batch;
+  core::WriteResult written;
   for (int64_t ts = 0; ts < 6LL * 3600 * 1000; ts += 30'000) {
     for (int s = 0; s < kSeries; ++s) {
+      batch.Clear();
       if (ts == 0) {
-        TU_RETURN_IF_ERROR(db->Insert({{"s", std::to_string(s)}}, 0,
-                                      rng.NextDouble(), &refs[s]));
+        batch.AddSample(index::Labels{{"s", std::to_string(s)}}, 0,
+                        rng.NextDouble());
+        TU_RETURN_IF_ERROR(WriteRows(db.get(), batch, &written));
+        refs[s] = written.resolved_refs[0];
       } else {
-        TU_RETURN_IF_ERROR(db->InsertFast(refs[s], ts, rng.NextDouble()));
+        batch.AddSample(refs[s], ts, rng.NextDouble());
+        TU_RETURN_IF_ERROR(WriteRows(db.get(), batch, &written));
       }
       ++samples;
     }
@@ -70,16 +77,22 @@ Status RunPatchThreshold(int threshold, uint64_t* patch_merges,
   TU_RETURN_IF_ERROR(core::TimeUnionDB::Open(opts, &db));
 
   uint64_t ref = 0;
-  TU_RETURN_IF_ERROR(db->Insert({{"m", "x"}}, 0, 0.0, &ref));
+  TU_RETURN_IF_ERROR(db->RegisterSeries({{"m", "x"}}, &ref));
+  core::WriteBatch batch;
+  core::WriteResult written;
+  batch.AddSample(ref, 0, 0.0);
   for (int64_t ts = kMin; ts < 12LL * 3600 * 1000; ts += kMin) {
-    TU_RETURN_IF_ERROR(db->InsertFast(ref, ts, 1.0));
+    batch.AddSample(ref, ts, 1.0);
   }
+  TU_RETURN_IF_ERROR(WriteRows(db.get(), batch, &written));
   TU_RETURN_IF_ERROR(db->Flush());
-  // Repeated stale rounds into hour 0.
+  // Repeated stale rounds into hour 0, one batch each.
   for (int round = 0; round < 6; ++round) {
+    batch.Clear();
     for (int64_t ts = 0; ts < 3600 * 1000; ts += 2 * kMin) {
-      TU_RETURN_IF_ERROR(db->InsertFast(ref, ts, 10.0 + round));
+      batch.AddSample(ref, ts, 10.0 + round);
     }
+    TU_RETURN_IF_ERROR(WriteRows(db.get(), batch, &written));
     TU_RETURN_IF_ERROR(db->Flush());
   }
   *patch_merges = db->time_lsm()->stats().patch_merges.load();
@@ -102,8 +115,8 @@ int main() {
   std::printf("  %-8s %14s %18s %16s\n", "chunk", "persisted(MB)",
               "peak samples(KB)", "insert(sm/s)");
   for (uint32_t n : {8, 16, 32, 64, 128}) {
-    double mb, thr;
-    int64_t peak;
+    double mb = 0, thr = 0;
+    int64_t peak = 0;
     if (!RunChunkSize(n, &mb, &peak, &thr).ok()) return 1;
     std::printf("  %-8u %14.2f %18.1f %16.0f\n", n, mb, peak / 1024.0, thr);
   }

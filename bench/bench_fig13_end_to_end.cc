@@ -237,6 +237,12 @@ int main() {
             if (!st.ok()) break;
           }
         }
+        // The registration round goes out alone: a request is one Write,
+        // and later rows carry only the group refs this round resolves.
+        if (st.ok() && step == 0 && !batch.empty()) {
+          st = remote.RemoteWriteGroups(batch);
+          batch.clear();
+        }
       }
       if (st.ok() && !batch.empty()) st = remote.RemoteWriteGroups(batch);
       wall_s = (NowUs() - start) / 1e6;

@@ -41,6 +41,9 @@ Status TraceRun(EngineKind kind, uint64_t hosts,
   std::vector<std::vector<uint32_t>> gslots(hosts);
   std::vector<index::Labels> member_tags(101);
   for (int s = 0; s < 101; ++s) member_tags[s] = gen.UniqueTags(s);
+  // TimeUnion takes one row per Write, through one reused batch.
+  core::WriteBatch batch;
+  core::WriteResult written;
 
   for (uint64_t step = 0; step < gen.num_steps(); ++step) {
     const int64_t ts = gen.start_ts() + step * gen.interval_ms();
@@ -48,13 +51,16 @@ Status TraceRun(EngineKind kind, uint64_t hosts,
       if (kind == EngineKind::kTUGroup) {
         std::vector<double> values(101);
         for (int s = 0; s < 101; ++s) values[s] = gen.Value(h, s, ts);
+        batch.Clear();
         if (step == 0) {
-          TU_RETURN_IF_ERROR(harness.tu()->InsertGroup(
-              gen.HostTags(h), member_tags, ts, values, &grefs[h],
-              &gslots[h]));
+          batch.AddGroupRow(gen.HostTags(h), member_tags, ts,
+                            std::move(values));
+          TU_RETURN_IF_ERROR(WriteRows(harness.tu(), batch, &written));
+          grefs[h] = written.resolved_groups[0].group_ref;
+          gslots[h] = written.resolved_groups[0].slots;
         } else {
-          TU_RETURN_IF_ERROR(harness.tu()->InsertGroupFast(
-              grefs[h], gslots[h], ts, values));
+          batch.AddGroupRow(grefs[h], gslots[h], ts, std::move(values));
+          TU_RETURN_IF_ERROR(WriteRows(harness.tu(), batch, &written));
         }
         continue;
       }
@@ -63,14 +69,18 @@ Status TraceRun(EngineKind kind, uint64_t hosts,
         const double v = gen.Value(h, s, ts);
         if (step == 0) {
           if (harness.tu()) {
-            TU_RETURN_IF_ERROR(harness.tu()->Insert(gen.SeriesLabels(h, s),
-                                                    ts, v, &refs[slot]));
+            batch.Clear();
+            batch.AddSample(gen.SeriesLabels(h, s), ts, v);
+            TU_RETURN_IF_ERROR(WriteRows(harness.tu(), batch, &written));
+            refs[slot] = written.resolved_refs[0];
           } else {
             TU_RETURN_IF_ERROR(harness.tsdb()->Insert(gen.SeriesLabels(h, s),
                                                       ts, v, &refs[slot]));
           }
         } else if (harness.tu()) {
-          TU_RETURN_IF_ERROR(harness.tu()->InsertFast(refs[slot], ts, v));
+          batch.Clear();
+          batch.AddSample(refs[slot], ts, v);
+          TU_RETURN_IF_ERROR(WriteRows(harness.tu(), batch, &written));
         } else {
           TU_RETURN_IF_ERROR(harness.tsdb()->InsertFast(refs[slot], ts, v));
         }

@@ -41,6 +41,9 @@ Status RunTimeUnion(const std::string& tag, uint64_t fast_limit,
   TU_RETURN_IF_ERROR(core::TimeUnionDB::Open(opts, &db));
 
   std::vector<uint64_t> refs(gen.num_series());
+  // One row per Write, through one reused batch.
+  core::WriteBatch batch;
+  core::WriteResult written;
   const uint64_t start = NowUs();
   uint64_t samples = 0;
   for (uint64_t step = 0; step < gen.num_steps(); ++step) {
@@ -48,12 +51,14 @@ Status RunTimeUnion(const std::string& tag, uint64_t fast_limit,
     for (uint64_t h = 0; h < gen.num_hosts(); ++h) {
       for (int s = 0; s < 101; ++s) {
         const size_t slot = h * 101 + s;
+        batch.Clear();
         if (step == 0) {
-          TU_RETURN_IF_ERROR(db->Insert(gen.SeriesLabels(h, s), ts,
-                                        gen.Value(h, s, ts), &refs[slot]));
+          batch.AddSample(gen.SeriesLabels(h, s), ts, gen.Value(h, s, ts));
+          TU_RETURN_IF_ERROR(WriteRows(db.get(), batch, &written));
+          refs[slot] = written.resolved_refs[0];
         } else {
-          TU_RETURN_IF_ERROR(
-              db->InsertFast(refs[slot], ts, gen.Value(h, s, ts)));
+          batch.AddSample(refs[slot], ts, gen.Value(h, s, ts));
+          TU_RETURN_IF_ERROR(WriteRows(db.get(), batch, &written));
         }
         ++samples;
       }
@@ -70,7 +75,9 @@ Status RunTimeUnion(const std::string& tag, uint64_t fast_limit,
       const int64_t ts = gen.start_ts() +
                          static_cast<int64_t>(rng.Uniform(gen.num_steps())) *
                              gen.interval_ms();
-      TU_RETURN_IF_ERROR(db->InsertFast(refs[slot], ts, 999.0));
+      batch.Clear();
+      batch.AddSample(refs[slot], ts, 999.0);
+      TU_RETURN_IF_ERROR(WriteRows(db.get(), batch, &written));
       ++samples;
     }
   }

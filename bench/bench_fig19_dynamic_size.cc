@@ -37,6 +37,9 @@ int main() {
               "partition(min)", "EBS used(KB)");
 
   int64_t ts = 0;
+  // One row per Write, through one reused batch.
+  core::WriteBatch batch;
+  core::WriteResult written;
   auto run_phase = [&](const char* name, int64_t interval_ms,
                        int64_t duration_ms) -> Status {
     const int64_t phase_end = ts + duration_ms;
@@ -46,12 +49,14 @@ int main() {
       for (uint64_t h = 0; h < gen.num_hosts(); ++h) {
         for (int s = 0; s < 101; ++s) {
           const size_t slot = h * 101 + s;
+          batch.Clear();
           if (refs[slot] == 0) {
-            TU_RETURN_IF_ERROR(db->Insert(gen.SeriesLabels(h, s), ts,
-                                          gen.Value(h, s, ts), &refs[slot]));
+            batch.AddSample(gen.SeriesLabels(h, s), ts, gen.Value(h, s, ts));
+            TU_RETURN_IF_ERROR(WriteRows(db.get(), batch, &written));
+            refs[slot] = written.resolved_refs[0];
           } else {
-            TU_RETURN_IF_ERROR(
-                db->InsertFast(refs[slot], ts, gen.Value(h, s, ts)));
+            batch.AddSample(refs[slot], ts, gen.Value(h, s, ts));
+            TU_RETURN_IF_ERROR(WriteRows(db.get(), batch, &written));
           }
         }
       }

@@ -86,13 +86,13 @@ int main() {
     if (!core::TimeUnionDB::Open(opts, &db).ok()) return 1;
     std::vector<index::Labels> member_tags(101);
     for (int s = 0; s < 101; ++s) member_tags[s] = gen.UniqueTags(s);
-    std::vector<double> values(101, 1.0);
+    const std::vector<double> values(101, 1.0);
+    core::WriteBatch batch;
     for (uint64_t h = 0; h < gen.num_hosts(); ++h) {
-      uint64_t gref;
-      std::vector<uint32_t> slots;
-      db->InsertGroup(gen.HostTags(h), member_tags, 0, values, &gref,
-                      &slots);
+      batch.AddGroupRow(gen.HostTags(h), member_tags, 0, values);
     }
+    core::WriteResult written;
+    if (!WriteRows(db.get(), batch, &written).ok()) return 1;
     mem_grouped = db->IndexMemoryUsage();
   }
   PrintRow("individual model", mem_individual / 1024.0, "KB");

@@ -1,4 +1,4 @@
-// Ingest scaling: InsertFast throughput at 1/2/4/8 writer threads on the
+// Ingest scaling: one-row Write throughput at 1/2/4/8 writer threads on the
 // time-partitioned backend, WAL off and on, disjoint series per thread.
 // Demonstrates the sharded write path: with the global lock gone, disjoint
 // writers scale with available cores (target: 4 writers ≥ 2× one). The
@@ -69,10 +69,15 @@ double RunOne(const Config& cfg) {
   std::vector<std::thread> writers;
   for (int t = 0; t < cfg.threads; ++t) {
     writers.emplace_back([&, t] {
+      // One row per Write, through one reused batch per writer.
+      core::WriteBatch batch;
+      core::WriteResult written;
       for (int i = 0; i < samples_per_series; ++i) {
         const int64_t ts = static_cast<int64_t>(i) * kStepMs;
         for (int sr = 0; sr < kSeriesPerThread; ++sr) {
-          if (!db->InsertFast(refs[t * kSeriesPerThread + sr], ts, i).ok()) {
+          batch.Clear();
+          batch.AddSample(refs[t * kSeriesPerThread + sr], ts, i);
+          if (!WriteRows(db.get(), batch, &written).ok()) {
             errors.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -109,7 +114,7 @@ double RunOne(const Config& cfg) {
 }
 
 int Main() {
-  PrintHeader("ingest_scaling", "InsertFast throughput vs writer threads");
+  PrintHeader("ingest_scaling", "One-row Write throughput vs writer threads");
   double single_nowal = 0, quad_nowal = 0;
   for (bool wal : {false, true}) {
     for (int threads : {1, 2, 4, 8}) {

@@ -125,14 +125,18 @@ int Main() {
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
+      // One row per Write, through one reused batch per writer.
+      core::WriteBatch batch;
+      core::WriteResult written;
       int64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         for (int b = 0; b < kBatchPerSeries; ++b) {
           const int64_t ts = (i + b) * kStepMs;
           for (int sr = 0; sr < kSeriesPerThread; ++sr) {
-            if (db->InsertFast(refs[t * kSeriesPerThread + sr], ts,
-                               static_cast<double>(i + b))
-                    .ok()) {
+            batch.Clear();
+            batch.AddSample(refs[t * kSeriesPerThread + sr], ts,
+                            static_cast<double>(i + b));
+            if (WriteRows(db.get(), batch, &written).ok()) {
               total_samples.fetch_add(1, std::memory_order_relaxed);
             } else {
               total_errors.fetch_add(1, std::memory_order_relaxed);
@@ -224,8 +228,12 @@ int Main() {
   bool quiesced = false;
   // Far past the writer phase so the drill only creates fresh partitions.
   int64_t ts = 100'000'000;
+  core::WriteBatch batch;
+  core::WriteResult written;
   while (NowUs() - enospc_t0 < kEnospcCapUs) {
-    if (!db->InsertFast(refs[0], ts, 1.0).ok()) {
+    batch.Clear();
+    batch.AddSample(refs[0], ts, 1.0);
+    if (!WriteRows(db.get(), batch, &written).ok()) {
       quiesced = true;
       break;
     }

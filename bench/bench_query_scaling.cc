@@ -76,15 +76,20 @@ std::unique_ptr<core::TimeUnionDB> BuildDb(const Placement& placement,
     return nullptr;
   }
   refs->resize(SeriesCount());
+  core::WriteBatch batch;
+  core::WriteResult written;
   for (int i = 0; i < SeriesCount(); ++i) {
-    s = db->Insert({{"host", std::to_string(i)}, {"m", "cpu"}}, 0, 0.0,
-                   &(*refs)[i]);
-    if (!s.ok()) return nullptr;
-    for (int j = 1; j < SamplesPerSeries(); ++j) {
-      if (!db->InsertFast((*refs)[i], j * kStepMs, 1.0 * j).ok()) {
-        return nullptr;
-      }
+    // One batch per series, after registration resolves its ref.
+    if (!db->RegisterSeries({{"host", std::to_string(i)}, {"m", "cpu"}},
+                            &(*refs)[i])
+             .ok()) {
+      return nullptr;
     }
+    batch.Clear();
+    for (int j = 0; j < SamplesPerSeries(); ++j) {
+      batch.AddSample((*refs)[i], j * kStepMs, 1.0 * j);
+    }
+    if (!WriteRows(db.get(), batch, &written).ok()) return nullptr;
   }
   if (!db->Flush().ok()) return nullptr;
   return db;

@@ -81,17 +81,22 @@ bool BuildWorkload(const core::DBOptions& opts) {
   // Interleave by timestamp: sequential per-series loads would make every
   // series after the first out-of-order against already-compacted L2
   // windows, dirtying the very rollups under measurement.
-  std::vector<uint64_t> refs(SeriesCount());
+  // One batch per timestamp; the first goes by labels and resolves the
+  // refs.
+  core::WriteBatch batch;
+  core::WriteResult written;
   for (int i = 0; i < SeriesCount(); ++i) {
-    Status s = db->Insert({{"host", std::to_string(i)}, {"m", "cpu"}}, 0,
-                          0.5 * i, &refs[i]);
-    if (!s.ok()) return false;
+    batch.AddSample(index::Labels{{"host", std::to_string(i)}, {"m", "cpu"}},
+                    0, 0.5 * i);
   }
+  if (!WriteRows(db.get(), batch, &written).ok()) return false;
+  const std::vector<uint64_t> refs = written.resolved_refs;
   for (int j = 1; j < SamplesPerSeries(); ++j) {
+    batch.Clear();
     for (int i = 0; i < SeriesCount(); ++i) {
-      const double v = 0.25 * j + 100.0 * i;
-      if (!db->InsertFast(refs[i], j * kSampleStepMs, v).ok()) return false;
+      batch.AddSample(refs[i], j * kSampleStepMs, 0.25 * j + 100.0 * i);
     }
+    if (!WriteRows(db.get(), batch, &written).ok()) return false;
   }
   if (!db->Flush().ok()) return false;
   if (db->time_lsm()->NumRollupTables() == 0) {

@@ -10,6 +10,12 @@
 
 namespace tu::bench {
 
+Status WriteRows(core::TimeUnionDB* db, const core::WriteBatch& batch,
+                 core::WriteResult* result) {
+  TU_RETURN_IF_ERROR(db->Write(batch, result));
+  return result->first_error;
+}
+
 std::string FreshWorkspace(const std::string& name) {
   const std::string path = "/tmp/timeunion_bench/" + name;
   RemoveDirRecursive(path);

@@ -4,7 +4,16 @@
 #include <cstdint>
 #include <string>
 
+#include "core/timeunion_db.h"
+#include "util/status.h"
+
 namespace tu::bench {
+
+/// TimeUnionDB::Write with the rows' outcome folded in: returns the first
+/// failure of the call or of any row (Write itself returns OK when a row
+/// fails). `result` receives the resolved refs of the batch's labeled rows.
+Status WriteRows(core::TimeUnionDB* db, const core::WriteBatch& batch,
+                 core::WriteResult* result);
 
 /// Creates a fresh scratch workspace under /tmp for one bench run and
 /// returns its path; removed and recreated if it already exists.

@@ -88,6 +88,11 @@ Status EngineHarness::RunInsert(const tsbs::DevOpsGenerator& gen,
   const uint64_t start = NowUs();
   uint64_t samples = 0;
   const uint64_t hosts = gen.num_hosts();
+  // TimeUnion takes one row per Write through one reused batch, so the
+  // ingest loop stays a per-sample client like the tsdb baseline's.
+  core::WriteBatch batch;
+  core::WriteResult written;
+  auto write_row = [&] { return WriteRows(tu_.get(), batch, &written); };
   const int per_host = tsbs::DevOpsGenerator::kSeriesPerHost;
 
   if (kind_ == EngineKind::kTUGroup) {
@@ -101,14 +106,15 @@ Status EngineHarness::RunInsert(const tsbs::DevOpsGenerator& gen,
       const int64_t ts = gen.start_ts() + step * gen.interval_ms();
       for (uint64_t h = 0; h < hosts; ++h) {
         for (int s = 0; s < per_host; ++s) values[s] = gen.Value(h, s, ts);
+        batch.Clear();
         if (step == 0) {
-          TU_RETURN_IF_ERROR(tu_->InsertGroup(gen.HostTags(h), member_tags,
-                                              ts, values, &group_refs_[h],
-                                              &group_slots_[h]));
+          batch.AddGroupRow(gen.HostTags(h), member_tags, ts, values);
+          TU_RETURN_IF_ERROR(write_row());
+          group_refs_[h] = written.resolved_groups[0].group_ref;
+          group_slots_[h] = written.resolved_groups[0].slots;
         } else {
-          TU_RETURN_IF_ERROR(
-              tu_->InsertGroupFast(group_refs_[h], group_slots_[h], ts,
-                                   values));
+          batch.AddGroupRow(group_refs_[h], group_slots_[h], ts, values);
+          TU_RETURN_IF_ERROR(write_row());
         }
         samples += per_host;
       }
@@ -122,17 +128,21 @@ Status EngineHarness::RunInsert(const tsbs::DevOpsGenerator& gen,
           const double v = gen.Value(h, s, ts);
           const size_t slot = h * per_host + s;
           if (step == 0) {
-            const index::Labels labels = gen.SeriesLabels(h, s);
+            index::Labels labels = gen.SeriesLabels(h, s);
             if (tu_) {
-              TU_RETURN_IF_ERROR(
-                  tu_->Insert(labels, ts, v, &series_refs_[slot]));
+              batch.Clear();
+              batch.AddSample(std::move(labels), ts, v);
+              TU_RETURN_IF_ERROR(write_row());
+              series_refs_[slot] = written.resolved_refs[0];
             } else {
               TU_RETURN_IF_ERROR(
                   tsdb_->Insert(labels, ts, v, &series_refs_[slot]));
             }
           } else {
             if (tu_) {
-              TU_RETURN_IF_ERROR(tu_->InsertFast(series_refs_[slot], ts, v));
+              batch.Clear();
+              batch.AddSample(series_refs_[slot], ts, v);
+              TU_RETURN_IF_ERROR(write_row());
             } else {
               TU_RETURN_IF_ERROR(tsdb_->InsertFast(series_refs_[slot], ts, v));
             }

@@ -5,6 +5,7 @@
 //
 //   ./metrics_snapshot [workspace_dir]
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 
 #include "core/timeunion_db.h"
@@ -15,8 +16,22 @@ using tu::Status;
 using tu::core::DBOptions;
 using tu::core::QueryResult;
 using tu::core::TimeUnionDB;
+using tu::core::WriteBatch;
+using tu::core::WriteResult;
+using tu::index::Labels;
 using tu::index::TagMatcher;
 using tu::query::ReadRequest;
+
+namespace {
+
+// Exits with status 1 when `st` is not OK.
+void Check(const Status& st, const char* what) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", what, st.ToString().c_str());
+  std::exit(1);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   DBOptions options;
@@ -26,29 +41,30 @@ int main(int argc, char** argv) {
   // incoherent configs (e.g. hard < soft admission watermarks).
 
   std::unique_ptr<TimeUnionDB> db;
-  Status st = TimeUnionDB::Open(options, &db);
-  if (!st.ok()) {
-    std::fprintf(stderr, "open failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  Check(TimeUnionDB::Open(options, &db), "open");
 
-  // A little traffic so the snapshot has something to say.
+  // A little traffic so the snapshot has something to say: one batch per
+  // series, its first row by labels and the rest by the resolved ref.
+  WriteBatch batch;
+  WriteResult written;
   for (int series = 0; series < 4; ++series) {
-    uint64_t ref = 0;
-    st = db->Insert({{"host", std::to_string(series)}, {"m", "cpu"}}, 0, 0.0,
-                    &ref);
-    if (!st.ok()) {
-      std::fprintf(stderr, "insert failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    for (int i = 1; i < 500; ++i) {
-      db->InsertFast(ref, i * 1000LL, 0.5 * i);
-    }
+    batch.Clear();
+    batch.AddSample(Labels{{"host", std::to_string(series)}, {"m", "cpu"}}, 0,
+                    0.0);
+    Check(db->Write(batch, &written), "write");
+    Check(written.first_error, "write row");
+    const uint64_t ref = written.resolved_refs[0];
+    batch.Clear();
+    for (int i = 1; i < 500; ++i) batch.AddSample(ref, i * 1000LL, 0.5 * i);
+    Check(db->Write(batch, &written), "write");
+    Check(written.first_error, "write row");
   }
-  db->Flush();
+  Check(db->Flush(), "flush");
   QueryResult result;
-  db->Query(ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0, 500'000),
-            &result);
+  Check(db->Query(ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                     500'000),
+                  &result),
+        "query");
 
   // One consistent snapshot: counters, gauges, latency histograms with
   // p50/p90/p99, and the recent-event ring buffer.

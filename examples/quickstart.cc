@@ -1,8 +1,9 @@
-// Quickstart: open a TimeUnion database, insert a few timeseries through
-// the slow and fast paths, and query them back with tag selectors.
+// Quickstart: open a TimeUnion database, write a few timeseries as
+// labeled rows and ref rows, and query them back with tag selectors.
 //
 //   ./quickstart [workspace_dir]
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 
 #include "core/timeunion_db.h"
@@ -12,9 +13,29 @@ using tu::Status;
 using tu::core::DBOptions;
 using tu::core::QueryResult;
 using tu::core::TimeUnionDB;
+using tu::core::WriteBatch;
+using tu::core::WriteResult;
 using tu::index::Labels;
 using tu::index::TagMatcher;
 using tu::query::ReadRequest;
+
+namespace {
+
+// Exits with status 1 when `st` is not OK.
+void Check(const Status& st, const char* what) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", what, st.ToString().c_str());
+  std::exit(1);
+}
+
+// Write returns OK when a row fails; the row outcome is in `result`.
+void CheckWrite(TimeUnionDB* db, const WriteBatch& batch,
+                WriteResult* result) {
+  Check(db->Write(batch, result), "write");
+  Check(result->first_error, "write row");
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   DBOptions options;
@@ -22,48 +43,42 @@ int main(int argc, char** argv) {
   tu::RemoveDirRecursive(options.workspace);
 
   std::unique_ptr<TimeUnionDB> db;
-  Status st = TimeUnionDB::Open(options, &db);
-  if (!st.ok()) {
-    std::fprintf(stderr, "open failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  Check(TimeUnionDB::Open(options, &db), "open");
 
-  // ---- Put (Timeseries), slow path: the first insertion carries the full
-  // tag set and returns a series reference.
+  // ---- Put (Timeseries), labeled rows: a row carries the full tag set,
+  // and the write resolves (or registers) the series and returns its
+  // reference. A second series demonstrates selectors.
   const Labels cpu_labels = {
       {"hostname", "web-01"}, {"metric", "cpu_usage"}, {"region", "tokyo"}};
-  uint64_t cpu_ref = 0;
-  st = db->Insert(cpu_labels, /*ts=*/0, /*value=*/12.5, &cpu_ref);
-  if (!st.ok()) {
-    std::fprintf(stderr, "insert failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  WriteBatch batch;
+  WriteResult written;
+  batch.AddSample(cpu_labels, /*ts=*/0, /*value=*/12.5);
+  batch.AddSample(Labels{{"hostname", "web-01"},
+                         {"metric", "mem_usage"},
+                         {"region", "tokyo"}},
+                  0, 2048);
+  CheckWrite(db.get(), batch, &written);
+  const uint64_t cpu_ref = written.resolved_refs[0];
   std::printf("registered series ref=%llu\n",
               static_cast<unsigned long long>(cpu_ref));
 
-  // ---- Fast path: subsequent samples go by reference (no tag handling).
+  // ---- Ref rows: later samples go by reference (no tag handling), many
+  // rows to one call.
+  batch.Clear();
   for (int i = 1; i <= 120; ++i) {
-    st = db->InsertFast(cpu_ref, i * 30'000LL, 12.5 + i % 7);
-    if (!st.ok()) {
-      std::fprintf(stderr, "insert failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
+    batch.AddSample(cpu_ref, i * 30'000LL, 12.5 + i % 7);
   }
-
-  // A second series to demonstrate selectors.
-  uint64_t mem_ref = 0;
-  db->Insert({{"hostname", "web-01"}, {"metric", "mem_usage"},
-              {"region", "tokyo"}},
-             0, 2048, &mem_ref);
+  CheckWrite(db.get(), batch, &written);
 
   // ---- Get: time range + tag selectors (exact and regex).
   QueryResult result;
-  st = db->Query(ReadRequest::Range({TagMatcher::Equal("hostname", "web-01"),
-                                     TagMatcher::Regex("metric", "cpu.*")},
-                                    0, 3'600'000),
-                 &result);
-  if (!st.ok()) {
-    std::fprintf(stderr, "query failed: %s\n", st.ToString().c_str());
+  Check(db->Query(ReadRequest::Range({TagMatcher::Equal("hostname", "web-01"),
+                                      TagMatcher::Regex("metric", "cpu.*")},
+                                     0, 3'600'000),
+                  &result),
+        "query");
+  if (result.size() != 1 || result[0].timestamps.size() != 121) {
+    std::fprintf(stderr, "query returned the wrong series\n");
     return 1;
   }
   for (const auto& series : result) {

@@ -4,7 +4,7 @@
 // batches, and reads the data back with a raw and an aggregate query over
 // the same connection.
 //
-//   ./remote_write_client [tenant]
+//   ./remote_write_client [tenant] [workspace_dir]
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -19,7 +19,7 @@ using namespace tu;
 
 int main(int argc, char** argv) {
   const std::string tenant = argc > 1 ? argv[1] : "acme";
-  const std::string ws = "/tmp/timeunion_example_remote";
+  const std::string ws = argc > 2 ? argv[2] : "/tmp/timeunion_example_remote";
   RemoveDirRecursive(ws);
 
   // --- Server side: an embedded DB fronted by the TCP server.
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   }
   server::WriteAck ack;
   s = client->Write(reg, &ack);
-  if (!s.ok() || !ack.remote_status.ok()) {
+  if (!s.ok() || !ack.remote_status.ok() || ack.rejected != 0) {
     std::fprintf(stderr, "register: %s\n",
                  (s.ok() ? ack.remote_status : s).ToString().c_str());
     return 1;
@@ -81,7 +81,8 @@ int main(int argc, char** argv) {
   }
   server::WriteAck stream_ack;
   s = client->Write(batch, &stream_ack);
-  if (!s.ok() || !stream_ack.remote_status.ok()) {
+  if (!s.ok() || !stream_ack.remote_status.ok() ||
+      stream_ack.rejected != 0) {
     std::fprintf(stderr, "stream: %s\n",
                  (s.ok() ? stream_ack.remote_status : s).ToString().c_str());
     return 1;
@@ -96,7 +97,7 @@ int main(int argc, char** argv) {
                         {index::TagMatcher::Equal("metric", "cpu")}, 0,
                         700'000),
                     &reply);
-  if (!s.ok() || !reply.remote_status.ok()) {
+  if (!s.ok() || !reply.remote_status.ok() || reply.series.size() != 4) {
     std::fprintf(stderr, "query: %s\n",
                  (s.ok() ? reply.remote_status : s).ToString().c_str());
     return 1;
@@ -115,7 +116,7 @@ int main(int argc, char** argv) {
                         {index::TagMatcher::Equal("host", "web-0")}, 0,
                         700'000, 60'000, query::AggFn::kMean),
                     &reply);
-  if (!s.ok() || !reply.remote_status.ok()) {
+  if (!s.ok() || !reply.remote_status.ok() || reply.series.size() != 1) {
     std::fprintf(stderr, "aggregate: %s\n",
                  (s.ok() ? reply.remote_status : s).ToString().c_str());
     return 1;

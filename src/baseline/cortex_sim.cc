@@ -63,27 +63,35 @@ Status TimeUnionRemote::RemoteWrite(const std::vector<RemoteSample>& batch) {
       costs_.http_request_us +
       batch.size() * costs_.per_sample_http_ns / 1000.0;
 
+  // One request is one Write, as the server turns one remote-write frame
+  // into one batch. The slow path sends every sample with its label set;
+  // the fast path sends a series by label set until its first write
+  // resolves the reference, and by reference from then on (§3.4).
+  batch_.Clear();
+  std::vector<std::string> labeled_keys;
   for (const RemoteSample& s : batch) {
     if (mode_ == Mode::kSlowPath) {
-      uint64_t ref = 0;
-      TU_RETURN_IF_ERROR(db_->Insert(s.labels, s.ts, s.value, &ref));
+      batch_.AddSample(s.labels, s.ts, s.value);
       continue;
     }
-    // Fast path: first insertion registers and caches the reference; the
-    // following insertions go by reference (§3.4).
     index::Labels sorted = s.labels;
     index::SortLabels(&sorted);
-    const std::string key = index::LabelsKey(sorted);
+    std::string key = index::LabelsKey(sorted);
     auto it = series_refs_.find(key);
-    if (it == series_refs_.end()) {
-      uint64_t ref = 0;
-      TU_RETURN_IF_ERROR(db_->Insert(sorted, s.ts, s.value, &ref));
-      series_refs_[key] = ref;
+    if (it != series_refs_.end()) {
+      batch_.AddSample(it->second, s.ts, s.value);
     } else {
-      TU_RETURN_IF_ERROR(db_->InsertFast(it->second, s.ts, s.value));
+      batch_.AddSample(std::move(sorted), s.ts, s.value);
+      labeled_keys.push_back(std::move(key));
     }
   }
-  return Status::OK();
+  TU_RETURN_IF_ERROR(db_->Write(batch_, &result_));
+  for (size_t i = 0; i < labeled_keys.size(); ++i) {
+    if (result_.resolved_refs[i] != 0) {
+      series_refs_[labeled_keys[i]] = result_.resolved_refs[i];
+    }
+  }
+  return result_.first_error;
 }
 
 Status TimeUnionRemote::RemoteWriteFast(const std::vector<RefSample>& batch) {
@@ -94,10 +102,10 @@ Status TimeUnionRemote::RemoteWriteFast(const std::vector<RefSample>& batch) {
   write_stats_.charged_us +=
       costs_.http_request_us +
       batch.size() * costs_.per_sample_http_ns / 4000.0;
-  for (const RefSample& s : batch) {
-    TU_RETURN_IF_ERROR(db_->InsertFast(s.ref, s.ts, s.value));
-  }
-  return Status::OK();
+  batch_.Clear();
+  for (const RefSample& s : batch) batch_.AddSample(s.ref, s.ts, s.value);
+  TU_RETURN_IF_ERROR(db_->Write(batch_, &result_));
+  return result_.first_error;
 }
 
 Status TimeUnionRemote::RemoteWriteGroups(const std::vector<GroupRow>& batch) {
@@ -111,64 +119,54 @@ Status TimeUnionRemote::RemoteWriteGroups(const std::vector<GroupRow>& batch) {
       costs_.http_request_us +
       batch.size() * costs_.per_sample_http_ns / 1000.0;
 
+  // A row goes by group ref + member slots when the client already holds
+  // them, and by tags otherwise (first sight of the group or of a member).
+  // Write applies the by-ref section first; a group row older than the
+  // group's newest row still lands (merged into the open chunk or written
+  // as its own chunk), so mixing both sections loses nothing.
+  batch_.Clear();
+  std::vector<const GroupRow*> labeled_rows;
   for (const GroupRow& row : batch) {
     auto it = group_refs_.find(row.group_key);
-    if (it == group_refs_.end()) {
-      uint64_t gref = 0;
-      std::vector<uint32_t> slots;
-      TU_RETURN_IF_ERROR(db_->InsertGroup(row.group_tags, row.member_tags,
-                                          row.ts, row.values, &gref, &slots));
-      GroupRefs refs;
-      refs.ref = gref;
-      for (size_t i = 0; i < row.member_tags.size(); ++i) {
-        index::Labels sorted = row.member_tags[i];
-        index::SortLabels(&sorted);
-        refs.slots[index::LabelsKey(sorted)] = slots[i];
-      }
-      group_refs_[row.group_key] = std::move(refs);
-      continue;
-    }
-    // Fast path by group ref + member slots. A row without member tags
-    // uses registration order (slots 0..n-1) — the §3.4 second group API,
-    // where the client replays the slot indexes it was handed.
     std::vector<uint32_t> slots;
-    slots.reserve(row.values.size());
-    if (row.member_tags.empty()) {
+    bool by_ref = it != group_refs_.end();
+    if (by_ref && row.member_tags.empty()) {
+      // A row without member tags uses registration order (slots 0..n-1)
+      // — the §3.4 second group API, where the client replays the slot
+      // indexes it was handed.
       for (uint32_t i = 0; i < row.values.size(); ++i) slots.push_back(i);
-      TU_RETURN_IF_ERROR(
-          db_->InsertGroupFast(it->second.ref, slots, row.ts, row.values));
-      continue;
-    }
-    bool all_known = row.member_tags.size() == row.values.size();
-    if (all_known) {
-      for (const index::Labels& tags : row.member_tags) {
-        index::Labels sorted = tags;
+    } else if (by_ref) {
+      by_ref = row.member_tags.size() == row.values.size();
+      for (size_t i = 0; by_ref && i < row.member_tags.size(); ++i) {
+        index::Labels sorted = row.member_tags[i];
         index::SortLabels(&sorted);
         auto slot_it = it->second.slots.find(index::LabelsKey(sorted));
-        if (slot_it == it->second.slots.end()) {
-          all_known = false;
-          break;
-        }
-        slots.push_back(slot_it->second);
+        by_ref = slot_it != it->second.slots.end();
+        if (by_ref) slots.push_back(slot_it->second);
       }
     }
-    if (all_known) {
-      TU_RETURN_IF_ERROR(
-          db_->InsertGroupFast(it->second.ref, slots, row.ts, row.values));
+    if (by_ref) {
+      batch_.AddGroupRow(it->second.ref, std::move(slots), row.ts,
+                         row.values);
     } else {
-      uint64_t gref = 0;
-      std::vector<uint32_t> fresh_slots;
-      TU_RETURN_IF_ERROR(db_->InsertGroup(row.group_tags, row.member_tags,
-                                          row.ts, row.values, &gref,
-                                          &fresh_slots));
-      for (size_t i = 0; i < row.member_tags.size(); ++i) {
-        index::Labels sorted = row.member_tags[i];
-        index::SortLabels(&sorted);
-        it->second.slots[index::LabelsKey(sorted)] = fresh_slots[i];
-      }
+      batch_.AddGroupRow(row.group_tags, row.member_tags, row.ts, row.values);
+      labeled_rows.push_back(&row);
     }
   }
-  return Status::OK();
+  TU_RETURN_IF_ERROR(db_->Write(batch_, &result_));
+  for (size_t i = 0; i < labeled_rows.size(); ++i) {
+    const core::WriteResult::ResolvedGroup& resolved =
+        result_.resolved_groups[i];
+    if (resolved.group_ref == 0) continue;
+    GroupRefs& refs = group_refs_[labeled_rows[i]->group_key];
+    refs.ref = resolved.group_ref;
+    for (size_t m = 0; m < labeled_rows[i]->member_tags.size(); ++m) {
+      index::Labels sorted = labeled_rows[i]->member_tags[m];
+      index::SortLabels(&sorted);
+      refs.slots[index::LabelsKey(sorted)] = resolved.slots[m];
+    }
+  }
+  return result_.first_error;
 }
 
 Status TimeUnionRemote::QueryRange(

@@ -136,6 +136,10 @@ class TimeUnionRemote {
   RpcStats write_stats_;
   RpcStats query_stats_;
 
+  // Each remote-write request is one batch, reused across requests.
+  core::WriteBatch batch_;
+  core::WriteResult result_;
+
   // Fast-path reference caches (client-side series refs / group slots).
   std::unordered_map<std::string, uint64_t> series_refs_;
   struct GroupRefs {

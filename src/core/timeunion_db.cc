@@ -613,11 +613,7 @@ Status TimeUnionDB::ReplayRecord(const WalRecord& r, uint64_t mark,
           return Status::Corruption("wal group row before its member");
         }
       }
-      TU_RETURN_IF_ERROR(
-          AppendRowToGroup(&found->second, r.slots, r.ts, r.values));
-      relog->AddGroupRow(r.id, found->second.head->seq_id(), r.ts, r.slots,
-                         r.values);
-      return Status::OK();
+      return AppendRowToGroup(&found->second, r.slots, r.ts, r.values, relog);
     }
     default:
       return Status::OK();  // marks were consumed by WalLog::Load
@@ -897,42 +893,49 @@ Status TimeUnionDB::AdmitWrite(uint64_t num_samples) {
 // Batched write pipeline
 // ---------------------------------------------------------------------------
 
-TimeUnionDB::ShimScratch& TimeUnionDB::TlsShimScratch() {
-  static thread_local ShimScratch scratch;
-  return scratch;
-}
-
 void TimeUnionDB::RowReject(WriteResult* result, const Status& s) {
   ++result->rejected;
   if (result->first_error.ok()) result->first_error = s;
 }
 
-Status TimeUnionDB::AppendOneByRef(uint64_t series_ref, int64_t ts,
-                                   double value, WalBatch* wal) {
+// Inlined into both callers, so the ingest loop of WriteRefSamples pays no
+// call per run.
+[[gnu::always_inline]] inline Status TimeUnionDB::AppendSampleRun(
+    uint64_t ref, const int64_t* ts, const double* values, size_t begin,
+    size_t end, WriteResult* result, WalBatch* wal) {
   // Appends are counted exactly in a per-stripe cell (plain load+store
   // under the stripe lock — no locked RMW), and the same cell doubles as
   // the 1-in-64 latency sampling tick: the pre-lock read is racy, which
-  // only perturbs *which* ops get timed, never the count, and it warms
-  // the cache line the in-lock bump writes. Sampled ops pay the two
-  // clock reads; unsampled ops pay two branches and the bump.
-  const size_t stripe = append_locks_.IndexFor(series_ref);
+  // only perturbs *which* runs get timed, never the count, and it warms
+  // the cache line the in-lock bump writes. Sampled runs pay the two
+  // clock reads; unsampled runs pay two branches and the bumps.
+  const size_t stripe = append_locks_.IndexFor(ref);
   const bool timed =
       ((sample_cells_[stripe].v.load(std::memory_order_relaxed) + 1) & 63) ==
       0;
   const uint64_t append_start_us = timed ? obs::MonotonicUs() : 0;
-  EntryShard& es = EntryShardFor(series_ref);
+  EntryShard& es = EntryShardFor(ref);
   std::shared_lock<std::shared_mutex> shard_lock(es.mu);
-  auto it = es.series.find(series_ref);
+  auto it = es.series.find(ref);
   if (it == es.series.end()) {
     return Status::NotFound("unknown series reference");
   }
-  // The entry lock serializes the head mutation and keeps the WAL record's
-  // seq consistent with the append it logs.
-  std::lock_guard<std::mutex> entry_lock(append_locks_.MutexAt(stripe));
-  sample_cells_[stripe].Bump();
-  TU_RETURN_IF_ERROR(AppendToSeries(&it->second, ts, value));
-  if (wal != nullptr) {
-    wal->AddSampleRun(series_ref, it->second.head->seq_id(), &ts, &value, 1);
+  {
+    // The entry lock serializes the head mutations and keeps each log
+    // record's seq consistent with the appends it logs.
+    std::lock_guard<std::mutex> entry_lock(append_locks_.MutexAt(stripe));
+    // The run's log records come straight from the caller's columns.
+    SeqRunLogger logger(wal, ref, ts, values);
+    for (size_t k = begin; k < end; ++k) {
+      sample_cells_[stripe].Bump();
+      Status s = AppendToSeries(&it->second, ts[k], values[k]);
+      if (!s.ok()) {
+        RowReject(result, s);
+        continue;
+      }
+      ++result->appended;
+      if (wal != nullptr) logger.Add(k, it->second.head->seq_id());
+    }
   }
   if (timed) [[unlikely]] {
     h_ingest_append_->Observe(obs::MonotonicUs() - append_start_us);
@@ -952,40 +955,11 @@ void TimeUnionDB::WriteRefSamples(const WriteBatch& batch, WriteResult* result,
     // stripe lock acquisition — the batched path's second amortization
     // after the WAL. Clients that sort their batches by ref degenerate to
     // one acquisition per series.
-    const size_t stripe = append_locks_.IndexFor(ref);
-    const bool timed =
-        ((sample_cells_[stripe].v.load(std::memory_order_relaxed) + 1) & 63) ==
-        0;
-    const uint64_t append_start_us = timed ? obs::MonotonicUs() : 0;
-    EntryShard& es = EntryShardFor(ref);
-    std::shared_lock<std::shared_mutex> shard_lock(es.mu);
-    auto it = es.series.find(ref);
-    if (it == es.series.end()) {
-      for (size_t k = i; k < run_end; ++k) {
-        RowReject(result, Status::NotFound("unknown series reference"));
-      }
-      i = run_end;
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> entry_lock(append_locks_.MutexAt(stripe));
-      // The run's log records come straight from the batch columns.
-      SeqRunLogger logger(wal, ref, batch.sample_ts.data(),
-                          batch.sample_values.data());
-      for (size_t k = i; k < run_end; ++k) {
-        sample_cells_[stripe].Bump();
-        Status s = AppendToSeries(&it->second, batch.sample_ts[k],
-                                  batch.sample_values[k]);
-        if (!s.ok()) {
-          RowReject(result, s);
-          continue;
-        }
-        ++result->appended;
-        if (wal != nullptr) logger.Add(k, it->second.head->seq_id());
-      }
-    }
-    if (timed) [[unlikely]] {
-      h_ingest_append_->Observe(obs::MonotonicUs() - append_start_us);
+    Status s = AppendSampleRun(ref, batch.sample_ts.data(),
+                               batch.sample_values.data(), i, run_end, result,
+                               wal);
+    if (!s.ok()) {
+      for (size_t k = i; k < run_end; ++k) RowReject(result, s);
     }
     i = run_end;
   }
@@ -1002,23 +976,24 @@ void TimeUnionDB::WriteLabeledSamples(const WriteBatch& batch,
     const std::string key = index::LabelsKey(sorted);
     uint64_t ref = 0;
     Status s;
+    const uint64_t appended_before = result->appended;
     for (int attempt = 0; attempt < 2; ++attempt) {
       if (!LookupSeriesRef(key, &ref)) {
         std::lock_guard<std::mutex> reg_lock(reg_mu_);
         s = RegisterSeriesSlow(sorted, key, &ref);
         if (!s.ok()) break;
       }
-      s = AppendOneByRef(ref, row.ts, row.value, wal);
+      // A run of one: the append's own outcome is folded into `result`.
+      s = AppendSampleRun(ref, &row.ts, &row.value, 0, 1, result, wal);
       // NotFound: retention retired the entry between lookup and append (it
       // removed the key mapping too) — re-register and retry once.
       if (!s.IsNotFound()) break;
       s = Status::NotFound("series retired during insert");
     }
-    if (s.ok()) {
-      result->resolved_refs[i] = ref;
-      ++result->appended;
-    } else {
+    if (!s.ok()) {
       RowReject(result, s);
+    } else if (result->appended > appended_before) {
+      result->resolved_refs[i] = ref;
     }
   }
 }
@@ -1079,110 +1054,89 @@ Status TimeUnionDB::Write(const WriteBatch& batch, WriteResult* result) {
   return Status::OK();
 }
 
-Status TimeUnionDB::Insert(const Labels& labels, int64_t ts, double value,
-                           uint64_t* series_ref) {
-  ShimScratch& tls = TlsShimScratch();
-  tls.batch.Clear();
-  tls.batch.AddSample(labels, ts, value);
-  TU_RETURN_IF_ERROR(Write(tls.batch, &tls.result));
-  TU_RETURN_IF_ERROR(tls.result.first_error);
-  *series_ref = tls.result.resolved_refs[0];
-  return Status::OK();
-}
-
-Status TimeUnionDB::InsertFast(uint64_t series_ref, int64_t ts, double value) {
-  ShimScratch& tls = TlsShimScratch();
-  tls.batch.Clear();
-  tls.batch.AddSample(series_ref, ts, value);
-  TU_RETURN_IF_ERROR(Write(tls.batch, &tls.result));
-  return tls.result.first_error;
-}
-
 Status TimeUnionDB::AppendRowToGroup(GroupEntry* entry,
                                      const std::vector<uint32_t>& slots,
                                      int64_t ts,
-                                     const std::vector<double>& values) {
+                                     const std::vector<double>& values,
+                                     WalBatch* wal) {
   mem::GroupHead* head = entry->head.get();
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    const int64_t partition_end = lsm_->PartitionEndFor(ts);
-    mem::AppendResult result;
-    bool too_old = false;
-    TU_RETURN_IF_ERROR(head->InsertRow(ts, slots, values, partition_end,
-                                       &result, &too_old));
-    if (too_old) {
-      // Single-row group chunk straight into the LSM.
-      if (wal_ && head->open_first_seq() != 0) {
-        NoteTooOldChunk(head->id(), head->seq_id(), head->open_first_seq());
+  Status s = [&]() -> Status {
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      const int64_t partition_end = lsm_->PartitionEndFor(ts);
+      mem::AppendResult result;
+      bool too_old = false;
+      TU_RETURN_IF_ERROR(head->InsertRow(ts, slots, values, partition_end,
+                                         &result, &too_old));
+      if (too_old) {
+        // Single-row group chunk straight into the LSM.
+        if (wal_ && head->open_first_seq() != 0) {
+          NoteTooOldChunk(head->id(), head->seq_id(), head->open_first_seq());
+        }
+        std::vector<compress::GroupRow> rows(1);
+        rows[0].timestamp = ts;
+        rows[0].values.resize(head->num_members());
+        for (size_t i = 0; i < slots.size(); ++i) {
+          rows[0].values[slots[i]] = values[i];
+        }
+        std::string payload;
+        compress::EncodeGroupChunk(head->seq_id(),
+                                   static_cast<uint32_t>(head->num_members()),
+                                   rows, &payload);
+        return lsm_->Put(lsm::MakeChunkKey(head->id(), ts),
+                         lsm::MakeChunkValue(lsm::ChunkType::kGroup, payload));
       }
-      std::vector<compress::GroupRow> rows(1);
-      rows[0].timestamp = ts;
-      rows[0].values.resize(head->num_members());
-      for (size_t i = 0; i < slots.size(); ++i) {
-        rows[0].values[slots[i]] = values[i];
+      switch (result) {
+        case mem::AppendResult::kOk:
+        case mem::AppendResult::kDuplicate:
+          return Status::OK();
+        case mem::AppendResult::kChunkClosed: {
+          bool flushed = false;
+          return FlushGroupChunk(entry, &flushed);
+        }
+        case mem::AppendResult::kNeedsFlush: {
+          bool flushed = false;
+          TU_RETURN_IF_ERROR(FlushGroupChunk(entry, &flushed));
+          continue;
+        }
       }
-      std::string payload;
-      compress::EncodeGroupChunk(head->seq_id(),
-                                 static_cast<uint32_t>(head->num_members()),
-                                 rows, &payload);
-      return lsm_->Put(lsm::MakeChunkKey(head->id(), ts),
-                       lsm::MakeChunkValue(lsm::ChunkType::kGroup, payload));
     }
-    switch (result) {
-      case mem::AppendResult::kOk:
-      case mem::AppendResult::kDuplicate:
-        return Status::OK();
-      case mem::AppendResult::kChunkClosed: {
-        bool flushed = false;
-        return FlushGroupChunk(entry, &flushed);
-      }
-      case mem::AppendResult::kNeedsFlush: {
-        bool flushed = false;
-        TU_RETURN_IF_ERROR(FlushGroupChunk(entry, &flushed));
-        continue;
-      }
-    }
+    return Status::Corruption("group append did not converge");
+  }();
+  if (s.ok() && wal != nullptr) {
+    wal->AddGroupRow(head->id(), head->seq_id(), ts, slots, values);
   }
-  return Status::Corruption("group append did not converge");
-}
-
-Status TimeUnionDB::AppendOneGroupRowByRef(uint64_t group_ref,
-                                           const std::vector<uint32_t>& slots,
-                                           int64_t ts,
-                                           const std::vector<double>& values,
-                                           WalBatch* wal) {
-  if (slots.size() != values.size()) {
-    return Status::InvalidArgument("slot/value count mismatch");
-  }
-  c_rows_->Add();
-  const bool timed = obs::SampleOneIn<6>();
-  const uint64_t append_start_us = timed ? obs::MonotonicUs() : 0;
-  EntryShard& es = EntryShardFor(group_ref);
-  std::shared_lock<std::shared_mutex> shard_lock(es.mu);
-  auto it = es.groups.find(group_ref);
-  if (it == es.groups.end()) {
-    return Status::NotFound("unknown group reference");
-  }
-  // Slot validation under the entry lock: a labeled group row may grow the
-  // member array concurrently.
-  std::lock_guard<std::mutex> entry_lock(append_locks_.For(group_ref));
-  for (uint32_t slot : slots) {
-    if (slot >= it->second.head->num_members()) {
-      return Status::InvalidArgument("member slot out of range");
-    }
-  }
-  TU_RETURN_IF_ERROR(AppendRowToGroup(&it->second, slots, ts, values));
-  if (wal != nullptr) {
-    wal->AddGroupRow(group_ref, it->second.head->seq_id(), ts, slots, values);
-  }
-  if (timed) h_group_append_->Observe(obs::MonotonicUs() - append_start_us);
-  return Status::OK();
+  return s;
 }
 
 void TimeUnionDB::WriteGroupRows(const WriteBatch& batch, WriteResult* result,
                                  WalBatch* wal) {
   for (const WriteBatch::GroupRow& row : batch.group_rows) {
-    Status s = AppendOneGroupRowByRef(row.group_ref, row.slots, row.ts,
-                                      row.values, wal);
+    Status s = [&]() -> Status {
+      if (row.slots.size() != row.values.size()) {
+        return Status::InvalidArgument("slot/value count mismatch");
+      }
+      c_rows_->Add();
+      const bool timed = obs::SampleOneIn<6>();
+      const uint64_t append_start_us = timed ? obs::MonotonicUs() : 0;
+      EntryShard& es = EntryShardFor(row.group_ref);
+      std::shared_lock<std::shared_mutex> shard_lock(es.mu);
+      auto it = es.groups.find(row.group_ref);
+      if (it == es.groups.end()) {
+        return Status::NotFound("unknown group reference");
+      }
+      // Slot validation under the entry lock: a labeled group row may grow
+      // the member array concurrently.
+      std::lock_guard<std::mutex> entry_lock(append_locks_.For(row.group_ref));
+      for (uint32_t slot : row.slots) {
+        if (slot >= it->second.head->num_members()) {
+          return Status::InvalidArgument("member slot out of range");
+        }
+      }
+      TU_RETURN_IF_ERROR(
+          AppendRowToGroup(&it->second, row.slots, row.ts, row.values, wal));
+      if (timed) h_group_append_->Observe(obs::MonotonicUs() - append_start_us);
+      return Status::OK();
+    }();
     if (s.ok()) {
       ++result->appended;
     } else {
@@ -1265,11 +1219,8 @@ void TimeUnionDB::WriteLabeledGroupRows(const WriteBatch& batch,
         slots->push_back(static_cast<uint32_t>(slot));
       }
 
-      TU_RETURN_IF_ERROR(AppendRowToGroup(entry, *slots, row.ts, row.values));
-      if (wal != nullptr) {
-        wal->AddGroupRow(group_ref, entry->head->seq_id(), row.ts, *slots,
-                         row.values);
-      }
+      TU_RETURN_IF_ERROR(
+          AppendRowToGroup(entry, *slots, row.ts, row.values, wal));
       resolved->group_ref = group_ref;
       return Status::OK();
     }();
@@ -1279,32 +1230,6 @@ void TimeUnionDB::WriteLabeledGroupRows(const WriteBatch& batch,
       RowReject(result, s);
     }
   }
-}
-
-Status TimeUnionDB::InsertGroup(const Labels& group_tags,
-                                const std::vector<Labels>& member_tags,
-                                int64_t ts, const std::vector<double>& values,
-                                uint64_t* group_ref,
-                                std::vector<uint32_t>* slots) {
-  ShimScratch& tls = TlsShimScratch();
-  tls.batch.Clear();
-  tls.batch.AddGroupRow(group_tags, member_tags, ts, values);
-  TU_RETURN_IF_ERROR(Write(tls.batch, &tls.result));
-  TU_RETURN_IF_ERROR(tls.result.first_error);
-  *group_ref = tls.result.resolved_groups[0].group_ref;
-  *slots = tls.result.resolved_groups[0].slots;
-  return Status::OK();
-}
-
-Status TimeUnionDB::InsertGroupFast(uint64_t group_ref,
-                                    const std::vector<uint32_t>& slots,
-                                    int64_t ts,
-                                    const std::vector<double>& values) {
-  ShimScratch& tls = TlsShimScratch();
-  tls.batch.Clear();
-  tls.batch.AddGroupRow(group_ref, slots, ts, values);
-  TU_RETURN_IF_ERROR(Write(tls.batch, &tls.result));
-  return tls.result.first_error;
 }
 
 // ---------------------------------------------------------------------------

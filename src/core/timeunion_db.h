@@ -1,10 +1,10 @@
 // TimeUnionDB: the public API of the paper's system — the unified data
 // model (§3.1), memory-efficient global index and head objects (§3.2), the
 // elastic time-partitioned LSM-tree on hybrid cloud storage (§3.3), and
-// the four operations of §3.4:
-//   Insert / InsertFast           — Put(Timeseries), slow/fast path
-//   InsertGroup / InsertGroupFast — Put(Group), slow/fast path
-//   Query                         — Get with time range + tag selectors
+// the operations of §3.4:
+//   Write — Put(Timeseries) and Put(Group): one WriteBatch carries
+//           labeled rows (slow path) and ref rows (fast path) of both
+//   Query — Get with time range + tag selectors
 //
 // Query results are columnar (SeriesResult: ascending `timestamps` and
 // parallel `values`), the shape the read pipeline and the wire protocol
@@ -14,7 +14,7 @@
 // sharded, not globally locked. Key→ref and ref→entry registries are split
 // into power-of-two shards, each behind its own reader/writer lock, and
 // every head object is serialized by a striped per-entry append lock — so
-// fast-path inserts on different series proceed fully in parallel, while
+// fast-path writes to different series proceed fully in parallel, while
 // slow-path registration (index/tag-store mutation, id allocation) and
 // retention serialize behind one registration mutex. All public methods
 // are safe to call from any thread.
@@ -217,69 +217,37 @@ class TimeUnionDB {
   TimeUnionDB(const TimeUnionDB&) = delete;
   TimeUnionDB& operator=(const TimeUnionDB&) = delete;
 
-  // -- Put, batched (the primary write entry point) -------------------------
+  // -- Put, §3.4 (the one write call) ---------------------------------------
 
-  /// Applies a whole WriteBatch: ref samples, labeled samples, group rows.
-  /// This is the write path — the per-sample Insert* calls below are thin
-  /// single-row shims over it. Amortizations relative to one call per row:
-  /// the write-quiesce gate and admission check run once per batch (charged
-  /// with the batch's sample count), consecutive rows addressing the same
-  /// series share one shard/stripe lock acquisition, and the batch's log
-  /// records — one columnar record per ref-run — land in a single append
-  /// (one WAL mutex acquisition).
+  /// Applies a whole WriteBatch: ref samples (the §3.4 fast path), labeled
+  /// samples (the slow path), and group rows by ref or by tags. This is the
+  /// only write call; a single row is a batch of one. Amortizations
+  /// relative to one call per row: the write-quiesce gate and admission
+  /// check run once per batch (charged with the batch's sample count),
+  /// consecutive rows addressing the same series share one shard/stripe
+  /// lock acquisition, and the batch's log records — one columnar record
+  /// per ref-run — land in a single append (one WAL mutex acquisition).
   ///
   /// Error semantics: row failures are counted in result->rejected with the
   /// first failure in result->first_error while the rest of the batch still
-  /// applies; the returned Status is non-OK only for batch-scoped failures
-  /// (invalid batch shape, write quiesce, admission hard reject, WAL
-  /// append failure) — after which no further rows were applied.
+  /// applies, so the returned Status is OK when a row fails — check
+  /// result->ok() for the rows. The returned Status is non-OK only for
+  /// batch-scoped failures (invalid batch shape, write quiesce, admission
+  /// hard reject, WAL append failure) — after which no further rows were
+  /// applied.
   ///
-  /// Durability: like the per-sample paths, every applied row's WAL record
-  /// is appended before Write returns (a SyncWal afterwards makes them
-  /// crash-durable). Note the batch's records are logged after its head
-  /// appends, so two racing writers hitting the same series with the same
-  /// timestamp may replay in either order — exactly as arbitrary as the
-  /// race itself.
+  /// Durability: every applied row's WAL record is appended before Write
+  /// returns (a SyncWal afterwards makes them crash-durable). Note the
+  /// batch's records are logged after its head appends, so two racing
+  /// writers hitting the same series with the same timestamp may replay in
+  /// either order — exactly as arbitrary as the race itself.
   Status Write(const WriteBatch& batch, WriteResult* result);
 
-  // -- Put (Timeseries), §3.4 ---------------------------------------------
-
-  /// Legacy single-sample shim over Write(): resolves (or registers) the
-  /// series identified by `labels` and appends one sample. Returns the
-  /// series reference for the fast path. Only first-time registration
-  /// serializes (registration mutex); the steady-state resolve+append runs
-  /// under shard/entry locks.
-  Status Insert(const index::Labels& labels, int64_t ts, double value,
-                uint64_t* series_ref);
-
-  /// Legacy single-sample shim over Write(): appends by reference, skipping
-  /// tag comparison. Appends to different series proceed in parallel;
-  /// appends to one series serialize on its entry lock.
-  Status InsertFast(uint64_t series_ref, int64_t ts, double value);
+  // -- Register (Timeseries), §3.4 ----------------------------------------
 
   /// Resolves (or registers) a series without appending a sample — lets a
   /// client obtain the fast-path reference up front.
   Status RegisterSeries(const index::Labels& labels, uint64_t* series_ref);
-
-  // -- Put (Group), §3.4 ----------------------------------------------------
-
-  /// Legacy single-row shim over Write(): registers/extends the group
-  /// identified by `group_tags`,
-  /// appends one shared-timestamp row with `values[i]` for the member
-  /// identified by `member_tags[i]`. Returns the group reference and the
-  /// member slot indexes for the fast path. Serializes on the registration
-  /// mutex (member resolution may mutate the index); use InsertGroupFast
-  /// for parallel steady-state ingest.
-  Status InsertGroup(const index::Labels& group_tags,
-                     const std::vector<index::Labels>& member_tags,
-                     int64_t ts, const std::vector<double>& values,
-                     uint64_t* group_ref, std::vector<uint32_t>* slots);
-
-  /// Legacy single-row shim over Write(): appends a row by group reference
-  /// + member slots. Rows into different groups proceed in parallel.
-  Status InsertGroupFast(uint64_t group_ref,
-                         const std::vector<uint32_t>& slots, int64_t ts,
-                         const std::vector<double>& values);
 
   // -- Get, §3.4 ------------------------------------------------------------
 
@@ -499,7 +467,7 @@ class TimeUnionDB {
 
   /// Ref-addressed samples. Consecutive rows with the same ref share one
   /// shard-lock + stripe-lock acquisition (run detection), which is where
-  /// a sorted batch wins over per-sample inserts.
+  /// a sorted batch wins over one row per Write.
   void WriteRefSamples(const WriteBatch& batch, WriteResult* result,
                        WalBatch* wal);
   /// Label-addressed samples: resolve-or-register, then append; fills
@@ -515,26 +483,17 @@ class TimeUnionDB {
   void WriteLabeledGroupRows(const WriteBatch& batch, WriteResult* result,
                              WalBatch* wal);
 
-  /// Appends one sample by ref, encoding its log record into `wal`.
-  Status AppendOneByRef(uint64_t series_ref, int64_t ts, double value,
-                        WalBatch* wal);
-  /// Appends one group row by ref, encoding its log record into `wal`.
-  Status AppendOneGroupRowByRef(uint64_t group_ref,
-                                const std::vector<uint32_t>& slots,
-                                int64_t ts,
-                                const std::vector<double>& values,
-                                WalBatch* wal);
+  /// Appends rows [begin, end) of the `ts`/`values` columns to series
+  /// `ref` under one shard + stripe lock acquisition, folding each row's
+  /// outcome into `result` and encoding the applied rows' log records into
+  /// `wal`. Returns NotFound, and touches nothing, when `ref` is unknown.
+  /// The one body behind both sample sections (a labeled row is a run of
+  /// one once its ref is resolved).
+  Status AppendSampleRun(uint64_t ref, const int64_t* ts,
+                         const double* values, size_t begin, size_t end,
+                         WriteResult* result, WalBatch* wal);
   /// Folds one row failure into `result`.
   static void RowReject(WriteResult* result, const Status& s);
-
-  /// Single-row scratch batches for the legacy Insert* shims: cleared and
-  /// refilled per call, so the shims stay allocation-free in steady state
-  /// (Clear keeps vector capacity).
-  struct ShimScratch {
-    WriteBatch batch;
-    WriteResult result;
-  };
-  static ShimScratch& TlsShimScratch();
 
   /// Flush a closed series chunk payload into the LSM + WAL mark. Caller
   /// holds the entry's append lock.
@@ -543,9 +502,13 @@ class TimeUnionDB {
 
   /// Caller holds the entry's append lock.
   Status AppendToSeries(SeriesEntry* entry, int64_t ts, double value);
+  /// Appends one row to a group entry and, on success, encodes its log
+  /// record into `wal` (nullable). Caller holds the entry's shard and
+  /// append locks and has checked `slots` against the member array. Both
+  /// group sections of Write and WAL replay append through it.
   Status AppendRowToGroup(GroupEntry* entry,
                           const std::vector<uint32_t>& slots, int64_t ts,
-                          const std::vector<double>& values);
+                          const std::vector<double>& values, WalBatch* wal);
 
   /// One read target of a query: an individual series, or one member of
   /// a group whose group + member tags satisfy every matcher, with its

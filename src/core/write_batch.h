@@ -1,10 +1,9 @@
-// WriteBatch: the one batched entry point of the write path. The network
-// front door decodes whole remote-write frames into a WriteBatch and hands
-// it to TimeUnionDB::Write, which amortizes the per-write overheads —
-// admission check, WAL mutex, shard/stripe lock acquisition — across the
-// batch instead of paying them per sample. The four legacy insert calls
-// (Insert / InsertFast / InsertGroup / InsertGroupFast) are thin shims
-// that wrap one row in a batch, so there is exactly one write pipeline.
+// WriteBatch: the input of TimeUnionDB::Write, the one write call. The
+// network front door decodes whole remote-write frames into a WriteBatch,
+// and embedded callers fill one directly (a single row is a batch of one;
+// reuse the batch across calls to keep it allocation-free). Write amortizes
+// the per-write overheads — admission check, WAL mutex, shard/stripe lock
+// acquisition — across the batch instead of paying them per sample.
 //
 // Rows come in four sections, columnar where it matters:
 //   - ref samples: parallel (ref, ts, value) columns — the fast path.

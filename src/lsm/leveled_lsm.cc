@@ -39,9 +39,13 @@ LeveledLsm::LeveledLsm(cloud::TieredEnv* env, std::string name,
     h_table_build_us_ = options_.metrics->histogram("lsm.table_build_us");
     trace_ = &options_.metrics->trace();
   }
+  deferred_deletes_ = std::make_shared<DeferredDeletes>([this](uint64_t id) {
+    (void)env_->slow().DeleteObject(SlowKey(id));
+  });
 }
 
 LeveledLsm::~LeveledLsm() {
+  deferred_deletes_->Close();
   if (mem_) {
     MemoryTracker::Global().Sub(
         MemCategory::kMemtable,
@@ -254,6 +258,10 @@ Status LeveledLsm::OpenTableReader(TableHandle* handle, BlockCache* cache,
 Status LeveledLsm::DeleteTable(const TableHandle& handle, bool was_fast) {
   if (was_fast) {
     return env_->fast().DeleteFile(FastName(handle.meta.table_id));
+  }
+  if (handle.reader != nullptr) {
+    DeferredDeletes::DeleteWhenReleased(deferred_deletes_, handle);
+    return Status::OK();
   }
   return env_->slow().DeleteObject(SlowKey(handle.meta.table_id));
 }

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -38,6 +39,39 @@ struct TableHandle {
   /// scrub job makes the quarantine durable (manifest removal) or clears
   /// it after a repair.
   bool quarantined = false;
+};
+
+/// Deletes of replaced slow-tier tables that wait for the table's last
+/// reader: every block read of a slow-tier table is a Get by key, so a
+/// query cursor or block fetch still holding the reader needs the object.
+/// DeleteWhenReleased hands the delete to the reader (TableReader::
+/// RunOnRelease); it runs in the thread that drops the last holder. The
+/// store and the waiting readers share this object, and the store closes
+/// it on shutdown: a reader that outlives its store deletes nothing and
+/// leaves the object to the next open's orphan sweep.
+class DeferredDeletes {
+ public:
+  explicit DeferredDeletes(std::function<void(uint64_t)> del)
+      : del_(std::move(del)) {}
+
+  /// Deletes `handle`'s object when its reader is released. Call after the
+  /// manifest stopped referencing the table, with a non-null reader.
+  static void DeleteWhenReleased(const std::shared_ptr<DeferredDeletes>& self,
+                                 const TableHandle& handle) {
+    handle.reader->RunOnRelease([self, id = handle.meta.table_id] {
+      std::lock_guard<std::mutex> lock(self->mu_);
+      if (self->del_) self->del_(id);
+    });
+  }
+  /// Waits for a running delete; later releases delete nothing.
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    del_ = nullptr;
+  }
+
+ private:
+  std::mutex mu_;
+  std::function<void(uint64_t)> del_;
 };
 
 struct LeveledLsmOptions {
@@ -132,6 +166,8 @@ class LeveledLsm : public ChunkStore {
   bool LevelIsFast(int level) const {
     return level < options_.num_fast_levels;
   }
+  /// Deletes a consumed table. A slow-tier table with an open reader goes
+  /// when that reader's last holder drops it.
   Status DeleteTable(const TableHandle& handle, bool was_fast);
 
   cloud::TieredEnv* env_;
@@ -145,6 +181,8 @@ class LeveledLsm : public ChunkStore {
   uint64_t next_table_id_ = 1;
   uint64_t next_seq_ = 1;
   int compaction_pointer_ = 0;  // round-robin victim index heuristic
+  /// Deletes waiting for a replaced slow-tier table's last reader.
+  std::shared_ptr<DeferredDeletes> deferred_deletes_;
 
   /// Cached observability instruments (null when options_.metrics is null).
   obs::Histogram* h_memflush_us_ = nullptr;

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -271,6 +272,16 @@ class TableReader {
   uint64_t Size() const { return source_->Size(); }
   bool on_slow() const { return options_.on_slow; }
 
+  /// Runs `action` when the reader is destroyed, i.e. once its last holder
+  /// (the version, a query cursor, an in-flight block fetch) dropped it.
+  /// Set by a holder of a reference; see DeferredDeletes.
+  void RunOnRelease(std::function<void()> action) {
+    on_release_ = std::move(action);
+  }
+  ~TableReader() {
+    if (on_release_) on_release_();
+  }
+
  private:
   friend class BlockFetch;
 
@@ -297,6 +308,7 @@ class TableReader {
   std::unique_ptr<TableSource> source_;
   std::shared_ptr<Block> index_block_;
   std::string filter_;
+  std::function<void()> on_release_;
 };
 
 /// Two-level iterator of one table: index block entries -> data block

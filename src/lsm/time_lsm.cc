@@ -53,6 +53,8 @@ TimePartitionedLsm::TimePartitionedLsm(cloud::TieredEnv* env, std::string name,
     trace_ = &options_.metrics->trace();
   }
   read_io_pool_ = std::make_unique<ThreadPool>(kReadIoThreads);
+  deferred_deletes_ = std::make_shared<DeferredDeletes>(
+      [this](uint64_t table_id) { (void)DeleteObject(table_id); });
 }
 
 TimePartitionedLsm::~TimePartitionedLsm() {
@@ -63,6 +65,7 @@ TimePartitionedLsm::~TimePartitionedLsm() {
   if (flush_pool_) flush_pool_->WaitIdle();
   // In-flight block fetches use the tiers and the integrity counters.
   read_io_pool_.reset();
+  deferred_deletes_->Close();
   if (mem_) {
     MemoryTracker::Global().Sub(
         MemCategory::kMemtable,
@@ -659,18 +662,28 @@ Status TimePartitionedLsm::DeleteTable(const TableHandle& handle) {
   // they are idempotent (NotFound is fine) and may fail without harm — a
   // missed delete is an orphan the next open sweeps. The tier comes from
   // the handle itself: a deferred L2 table still lives on the fast tier.
-  Status s;
-  if (handle.on_slow) {
-    cloud::ObjectStore& slow = env_->slow();
-    s = cloud::RunWithRetry(
-        slow.sim().retry, &slow.counters(), "delete table",
-        [&] { return slow.DeleteObject(SlowKey(handle.meta.table_id)); },
-        &shutting_down_);
-  } else {
-    s = env_->fast().DeleteFile(FastName(handle.meta.table_id));
+  if (!handle.on_slow) {
+    // An open reader keeps its file descriptor, so the unlink cannot fail
+    // a query still reading the table.
+    Status s = env_->fast().DeleteFile(FastName(handle.meta.table_id));
+    return s.IsNotFound() ? Status::OK() : s;
   }
-  if (s.IsNotFound()) return Status::OK();
-  return s;
+  if (handle.reader != nullptr) {
+    // The object goes with the reader's last holder: a query or fetch
+    // thread when one outlives this compaction, else this caller once its
+    // copies of the handle drop.
+    DeferredDeletes::DeleteWhenReleased(deferred_deletes_, handle);
+    return Status::OK();
+  }
+  return DeleteObject(handle.meta.table_id);
+}
+
+Status TimePartitionedLsm::DeleteObject(uint64_t table_id) {
+  cloud::ObjectStore& slow = env_->slow();
+  Status s = cloud::RunWithRetry(
+      slow.sim().retry, &slow.counters(), "delete table",
+      [&] { return slow.DeleteObject(SlowKey(table_id)); }, &shutting_down_);
+  return s.IsNotFound() ? Status::OK() : s;
 }
 
 Status TimePartitionedLsm::FlushMemTable(MemTable* mem) {

@@ -458,7 +458,11 @@ class TimePartitionedLsm : public ChunkStore {
   /// is on.
   Status UploadBufferToSlow(uint64_t table_id, const Slice& data,
                             uint32_t expected_crc = 0);
+  /// Deletes a table the manifest no longer references. A slow-tier table
+  /// with an open reader goes when that reader's last holder drops it.
   Status DeleteTable(const TableHandle& handle);
+  /// Deletes a table's slow-tier object now (NotFound is success).
+  Status DeleteObject(uint64_t table_id);
   /// Locates a live handle by id across all levels; caller holds mu_.
   TableHandle* FindTableLocked(uint64_t table_id);
   /// Upper bound on data timestamps table `table_id` may hold, including
@@ -526,6 +530,8 @@ class TimePartitionedLsm : public ChunkStore {
   /// in-flight RunWithRetry backoffs so teardown never waits out a
   /// multi-second retry budget.
   std::atomic<bool> shutting_down_{false};
+  /// Deletes waiting for a replaced slow-tier table's last reader.
+  std::shared_ptr<DeferredDeletes> deferred_deletes_;
   /// See FastBytesGauge(); written under mu_ (UpdateFastResidentGaugeLocked).
   std::atomic<uint64_t> fast_resident_bytes_{0};
   /// Serializes drain passes (maintenance tick vs explicit calls).

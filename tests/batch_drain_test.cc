@@ -26,6 +26,7 @@
 #include "query/sample_batch.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "write_util.h"
 
 namespace tu {
 namespace {
@@ -35,6 +36,9 @@ using cloud::FaultRule;
 using core::DBOptions;
 using core::QueryResult;
 using core::TimeUnionDB;
+using core::WriteAll;
+using core::WriteBatch;
+using core::WriteResult;
 using index::TagMatcher;
 
 uint64_t Bits(double v) {
@@ -133,19 +137,18 @@ TEST_P(BatchDrainDifferentialTest, BatchPathMatchesScalarModel) {
   constexpr int kRounds = 900;
   constexpr int64_t kStepMs = 250;
 
-  uint64_t refs[kSeries] = {0, 0};
   Model models[kSeries];
+  WriteBatch batch;
   for (int s = 0; s < kSeries; ++s) {
-    ASSERT_TRUE(
-        db->Insert({{"m", "s" + std::to_string(s)}}, 0, 0.5 * s, &refs[s])
-            .ok());
+    batch.AddSample(index::Labels{{"m", "s" + std::to_string(s)}}, 0, 0.5 * s);
     models[s][0] = 0.5 * s;
   }
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  ASSERT_TRUE(db->InsertGroup({{"g", "1"}}, {{{"mem", "a"}}, {{"mem", "b"}}},
-                              0, {1.0, 2.0}, &gref, &slots)
-                  .ok());
+  batch.AddGroupRow(index::Labels{{"g", "1"}},
+                    {{{"mem", "a"}}, {{"mem", "b"}}}, 0, {1.0, 2.0});
+  WriteResult written;
+  ASSERT_TRUE(WriteAll(db.get(), batch, &written));
+  const std::vector<uint64_t> refs = written.resolved_refs;
+  const WriteResult::ResolvedGroup group = written.resolved_groups[0];
   Model gmodels[2];
   gmodels[0][0] = 1.0;
   gmodels[1][0] = 2.0;
@@ -157,14 +160,19 @@ TEST_P(BatchDrainDifferentialTest, BatchPathMatchesScalarModel) {
       // suite exists to pin (head-vs-chunk and chunk-vs-chunk).
       if (rng.OneIn(6)) ts = rng.Uniform(i) * kStepMs;
       const double v = rng.NextDouble();
-      ASSERT_TRUE(db->InsertFast(refs[s], ts, v).ok());
+      batch.AddSample(refs[s], ts, v);
       models[s][ts] = v;
     }
+    ASSERT_TRUE(WriteAll(db.get(), batch));
+    batch.Clear();
     const double ga = rng.NextDouble();
     const double gb = rng.NextDouble();
     int64_t gts = i * kStepMs;
     if (rng.OneIn(10)) gts = rng.Uniform(i) * kStepMs;
-    Status gs = db->InsertGroupFast(gref, slots, gts, {ga, gb});
+    // The group row goes alone, so its own outcome decides the model.
+    batch.AddGroupRow(group.group_ref, group.slots, gts, {ga, gb});
+    Status gs = core::WriteRows(db.get(), batch);
+    batch.Clear();
     if (gs.ok()) {
       gmodels[0][gts] = ga;
       gmodels[1][gts] = gb;
@@ -273,15 +281,17 @@ TEST(CompactionRestampTest, SingleRowRewriteIntoCompactedWindowWins) {
   constexpr int64_t kStepMs = 250;
   Random rng(99);
 
-  uint64_t ref = 0;
   Model model;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(index::Labels{{"m", "cpu"}}, 0, 0.0);
   model[0] = 0.0;
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  ASSERT_TRUE(db->InsertGroup({{"g", "1"}}, {{{"mem", "a"}}, {{"mem", "b"}}},
-                              0, {1.0, 2.0}, &gref, &slots)
-                  .ok());
+  batch.AddGroupRow(index::Labels{{"g", "1"}},
+                    {{{"mem", "a"}}, {{"mem", "b"}}}, 0, {1.0, 2.0});
+  WriteResult written;
+  ASSERT_TRUE(WriteAll(db.get(), batch, &written));
+  const uint64_t ref = written.resolved_refs[0];
+  const WriteResult::ResolvedGroup group = written.resolved_groups[0];
+  batch.Clear();
   Model gmodels[2];
   gmodels[0][0] = 1.0;
   gmodels[1][0] = 2.0;
@@ -292,14 +302,20 @@ TEST(CompactionRestampTest, SingleRowRewriteIntoCompactedWindowWins) {
   for (int i = 1; i < kRounds; ++i) {
     const int64_t ts = i * kStepMs;
     const double v = rng.NextDouble();
-    ASSERT_TRUE(db->InsertFast(ref, ts, v).ok());
+    batch.AddSample(ref, ts, v);
     model[ts] = v;
     const double ga = rng.NextDouble(), gb = rng.NextDouble();
-    ASSERT_TRUE(db->InsertGroupFast(gref, slots, ts, {ga, gb}).ok());
+    batch.AddGroupRow(group.group_ref, group.slots, ts, {ga, gb});
     gmodels[0][ts] = ga;
     gmodels[1][ts] = gb;
-    if (i % 200 == 0) ASSERT_TRUE(db->Flush().ok());
+    if (i % 200 == 0) {
+      ASSERT_TRUE(WriteAll(db.get(), batch));
+      batch.Clear();
+      ASSERT_TRUE(db->Flush().ok());
+    }
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch));
+  batch.Clear();
   ASSERT_TRUE(db->Flush().ok());
   const obs::MetricsSnapshot before = db->Metrics();
   ASSERT_GT(before.CounterOr0("lsm.compactions_l0_l1"), 0u)
@@ -311,14 +327,16 @@ TEST(CompactionRestampTest, SingleRowRewriteIntoCompactedWindowWins) {
   for (const int64_t ts : {17 * kStepMs, 203 * kStepMs, 450 * kStepMs,
                            799 * kStepMs, 1024 * kStepMs}) {
     const double v = -1000.0 - static_cast<double>(ts);
-    ASSERT_TRUE(db->InsertFast(ref, ts, v).ok());
+    batch.AddSample(ref, ts, v);
     model[ts] = v;
     const double ga = -2000.0 - static_cast<double>(ts);
     const double gb = -3000.0 - static_cast<double>(ts);
-    ASSERT_TRUE(db->InsertGroupFast(gref, slots, ts, {ga, gb}).ok());
+    batch.AddGroupRow(group.group_ref, group.slots, ts, {ga, gb});
     gmodels[0][ts] = ga;
     gmodels[1][ts] = gb;
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch));
+  batch.Clear();
   ASSERT_TRUE(db->Flush().ok());
 
   // Phase 3: more appends + flushes so the rewritten partitions compact
@@ -326,10 +344,15 @@ TEST(CompactionRestampTest, SingleRowRewriteIntoCompactedWindowWins) {
   for (int i = kRounds; i < kRounds + 600; ++i) {
     const int64_t ts = i * kStepMs;
     const double v = rng.NextDouble();
-    ASSERT_TRUE(db->InsertFast(ref, ts, v).ok());
+    batch.AddSample(ref, ts, v);
     model[ts] = v;
-    if (i % 150 == 0) ASSERT_TRUE(db->Flush().ok());
+    if (i % 150 == 0) {
+      ASSERT_TRUE(WriteAll(db.get(), batch));
+      batch.Clear();
+      ASSERT_TRUE(db->Flush().ok());
+    }
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   EXPECT_GT(db->Metrics().CounterOr0("lsm.compactions_l0_l1"),
             before.CounterOr0("lsm.compactions_l0_l1"))
@@ -381,10 +404,10 @@ TEST(BatchDrainPartialReadTest, BreakerOpenBatchesMatchMaterialized) {
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
   constexpr int kTotal = 2000;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kTotal; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
@@ -440,12 +463,13 @@ TEST(BatchDrainUpperBoundTest, MidDataWindowPrunesAndStaysExact) {
   constexpr int kTotal = 20000;
   uint64_t ref = 0;
   Model model;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  model[0] = 0.0;
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 0.25 * i).ok());
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kTotal; ++i) {
+    batch.AddSample(ref, i * 250LL, 0.25 * i);
     model[i * 250LL] = 0.25 * i;
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
 
   // Reference: the full window touches every block and decodes everything.

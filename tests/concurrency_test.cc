@@ -13,6 +13,7 @@
 #include "lsm/key_format.h"
 #include "lsm/time_lsm.h"
 #include "util/mmap_file.h"
+#include "write_util.h"
 
 namespace tu {
 namespace {
@@ -116,12 +117,13 @@ TEST(ConcurrencyTest, ParallelInsertersThroughDb) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      // One row per Write: the writers race per sample.
+      core::WriteBatch batch;
       for (int i = 0; i < kSamples; ++i) {
         for (int s = 0; s < kSeriesPerThread; ++s) {
-          if (!db->InsertFast(refs[t * kSeriesPerThread + s], i * kMin, t)
-                   .ok()) {
-            ++errors;
-          }
+          batch.Clear();
+          batch.AddSample(refs[t * kSeriesPerThread + s], i * kMin, t);
+          if (!core::WriteAll(db.get(), batch)) ++errors;
         }
       }
     });
@@ -178,12 +180,13 @@ TEST(ConcurrencyTest, MultiWriterDisjointSeriesLosesNothing) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      // One row per Write: the writers race per sample.
+      core::WriteBatch batch;
       for (int i = 0; i < kSamples; ++i) {
         for (int s = 0; s < kSeriesPerThread; ++s) {
-          if (!db->InsertFast(refs[t * kSeriesPerThread + s], i * kMin, t)
-                   .ok()) {
-            ++errors;
-          }
+          batch.Clear();
+          batch.AddSample(refs[t * kSeriesPerThread + s], i * kMin, t);
+          if (!core::WriteAll(db.get(), batch)) ++errors;
         }
       }
     });
@@ -227,9 +230,12 @@ TEST(ConcurrencyTest, MultiWriterSharedSeriesLosesNothing) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      core::WriteBatch batch;
       for (int i = 0; i < kSamplesPerThread; ++i) {
         const int64_t ts = (static_cast<int64_t>(i) * kThreads + t) * kMin;
-        if (!db->InsertFast(ref, ts, 1.0).ok()) ++errors;
+        batch.Clear();
+        batch.AddSample(ref, ts, 1.0);
+        if (!core::WriteAll(db.get(), batch)) ++errors;
       }
     });
   }
@@ -282,13 +288,13 @@ TEST(ConcurrencyTest, QueriesDuringSlowPathRegistration) {
   std::vector<std::thread> writers;
   for (int t = 0; t < kWriters; ++t) {
     writers.emplace_back([&, t] {
+      core::WriteBatch batch;
       for (int i = 0; i < kSeriesPerWriter; ++i) {
-        uint64_t ref = 0;
         const std::string name = std::to_string(t) + "_" + std::to_string(i);
-        if (!db->Insert({{"job", "ingest"}, {"s", name}}, 60'000, 1.0, &ref)
-                 .ok()) {
-          ++errors;
-        }
+        batch.Clear();
+        batch.AddSample(index::Labels{{"job", "ingest"}, {"s", name}}, 60'000,
+                        1.0);
+        if (!core::WriteAll(db.get(), batch)) ++errors;
       }
     });
   }
@@ -337,9 +343,12 @@ TEST(ConcurrencyTest, ConcurrentFlushAndRetentionTicks) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
       // Thread t writes series where s % kThreads == t (disjoint).
+      core::WriteBatch batch;
       for (int i = 0; i < kSamples; ++i) {
         for (int s = t; s < kSeries; s += kThreads) {
-          if (!db->InsertFast(refs[s], i * kMin, t).ok()) ++errors;
+          batch.Clear();
+          batch.AddSample(refs[s], i * kMin, t);
+          if (!core::WriteAll(db.get(), batch)) ++errors;
         }
       }
     });
@@ -456,12 +465,13 @@ TEST(ConcurrencyTest, MultiWriterWithWalSurvivesReopen) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      // One row per Write: the writers race per sample.
+      core::WriteBatch batch;
       for (int i = 0; i < kSamples; ++i) {
         for (int s = 0; s < kSeriesPerThread; ++s) {
-          if (!db->InsertFast(refs[t * kSeriesPerThread + s], i * kMin, t)
-                   .ok()) {
-            ++errors;
-          }
+          batch.Clear();
+          batch.AddSample(refs[t * kSeriesPerThread + s], i * kMin, t);
+          if (!core::WriteAll(db.get(), batch)) ++errors;
         }
       }
     });
@@ -508,20 +518,24 @@ TEST(ConcurrencyTest, MultiWriterGroupFastPath) {
       members.push_back({{"core", std::to_string(m)}});
       row.push_back(m);
     }
-    ASSERT_TRUE(db->InsertGroup({{"host", std::to_string(t)}}, members, 0,
-                                row, &group_refs[t], &slots[t])
-                    .ok());
+    core::WriteBatch batch;
+    core::WriteResult written;
+    batch.AddGroupRow(index::Labels{{"host", std::to_string(t)}}, members, 0,
+                      row);
+    ASSERT_TRUE(core::WriteAll(db.get(), batch, &written));
+    group_refs[t] = written.resolved_groups[0].group_ref;
+    slots[t] = written.resolved_groups[0].slots;
   }
   std::atomic<int> errors{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       std::vector<double> row(kMembers, t);
+      core::WriteBatch batch;
       for (int i = 1; i <= kRows; ++i) {
-        if (!db->InsertGroupFast(group_refs[t], slots[t], i * kMin, row)
-                 .ok()) {
-          ++errors;
-        }
+        batch.Clear();
+        batch.AddGroupRow(group_refs[t], slots[t], i * kMin, row);
+        if (!core::WriteAll(db.get(), batch)) ++errors;
       }
     });
   }
@@ -581,8 +595,11 @@ TEST(ConcurrencyTest, FaultCountersConsistentUnderConcurrentWriters) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      core::WriteBatch batch;
       for (int i = 0; i < kSamples; ++i) {
-        if (!db->InsertFast(refs[t], i * 250LL, 1.0 * i).ok()) ++errors;
+        batch.Clear();
+        batch.AddSample(refs[t], i * 250LL, 1.0 * i);
+        if (!core::WriteAll(db.get(), batch)) ++errors;
       }
     });
   }

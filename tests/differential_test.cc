@@ -11,6 +11,7 @@
 #include "core/timeunion_db.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "write_util.h"
 
 namespace tu::core {
 namespace {
@@ -93,6 +94,7 @@ TEST_P(DifferentialTest, MixedSeriesWorkload) {
   Reference ref;
   std::map<std::string, uint64_t> refs;
   int64_t clock = 0;
+  WriteBatch batch;
 
   for (int op = 0; op < 4000; ++op) {
     const int family = static_cast<int>(rng.Uniform(3));
@@ -114,13 +116,18 @@ TEST_P(DifferentialTest, MixedSeriesWorkload) {
     }
     const double v = rng.NextGaussian(100, 20);
 
+    // One row per Write: label- and ref-addressed rows interleave per op,
+    // and a batch would apply its ref section before its labeled one.
+    batch.Clear();
     auto it = refs.find(key);
     if (it == refs.end() || rng.OneIn(20)) {
-      uint64_t r = 0;
-      ASSERT_TRUE(db->Insert(labels, ts, v, &r).ok());
-      refs[key] = r;
+      batch.AddSample(labels, ts, v);
+      WriteResult written;
+      ASSERT_TRUE(WriteAll(db.get(), batch, &written));
+      refs[key] = written.resolved_refs[0];
     } else {
-      ASSERT_TRUE(db->InsertFast(it->second, ts, v).ok());
+      batch.AddSample(it->second, ts, v);
+      ASSERT_TRUE(WriteAll(db.get(), batch));
     }
     ref.Write(labels, ts, v);
 
@@ -148,9 +155,8 @@ TEST_P(DifferentialTest, MixedGroupWorkload) {
   const int kGroups = 2;
   const int kMaxMembers = 5;
   Reference ref;
-  std::vector<uint64_t> grefs(kGroups, 0);
-  std::vector<std::vector<uint32_t>> slots(kGroups);
   std::vector<int> member_count(kGroups, 2);
+  WriteBatch batch;
   int64_t clock = 0;
 
   auto group_tags = [](int g) {
@@ -191,10 +197,9 @@ TEST_P(DifferentialTest, MixedGroupWorkload) {
       ts = static_cast<int64_t>(rng.Uniform(clock / kMin + 1)) * kMin;
     }
 
-    std::vector<uint32_t> row_slots;
-    ASSERT_TRUE(db->InsertGroup(group_tags(g), present_tags, ts, values,
-                                &grefs[g], &row_slots)
-                    .ok());
+    batch.Clear();
+    batch.AddGroupRow(group_tags(g), std::move(present_tags), ts, values);
+    ASSERT_TRUE(WriteAll(db.get(), batch));
     for (size_t i = 0; i < present.size(); ++i) {
       ref.Write(full_labels(g, present[i]), ts, values[i]);
     }

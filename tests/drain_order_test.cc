@@ -9,7 +9,10 @@
 //     as they got);
 //   - over memtable, L0, L1 and L2 data with out-of-order patches and group
 //     members, on both LSM backends;
-//   - with a flush and an L0->L1 compaction run between open and drain.
+//   - with a flush and an L0->L1 compaction run between open and drain;
+//   - with slow-tier tables replaced between open and drain (a leveled
+//     compaction, a patch merge): their objects stay until the cursor's
+//     last pin drops.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -20,6 +23,7 @@
 #include "core/timeunion_db.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "write_util.h"
 
 namespace tu {
 namespace {
@@ -80,10 +84,11 @@ struct Refs {
 /// One step of the load: every series at step `i` (1-in-8 rewrites of an
 /// earlier step) plus a group row.
 void WriteStep(TimeUnionDB* db, const Refs& refs, Random* rng, int i) {
+  core::WriteBatch batch;
   for (uint64_t ref : refs.series) {
     int64_t ts = i * kStepMs;
     if (i > 0 && rng->OneIn(8)) ts = rng->Uniform(i) * kStepMs;
-    ASSERT_TRUE(db->InsertFast(ref, ts, rng->NextDouble()).ok());
+    batch.AddSample(ref, ts, rng->NextDouble());
   }
   std::vector<double> row(kMembers);
   for (double& v : row) v = rng->NextDouble();
@@ -93,7 +98,9 @@ void WriteStep(TimeUnionDB* db, const Refs& refs, Random* rng, int i) {
     slots.erase(slots.begin() + 2);
     row.erase(row.begin() + 2);
   }
-  ASSERT_TRUE(db->InsertGroupFast(refs.group, slots, i * kStepMs, row).ok());
+  batch.AddGroupRow(refs.group, std::move(slots), i * kStepMs,
+                    std::move(row));
+  ASSERT_TRUE(core::WriteAll(db, batch));
 }
 
 /// Series on three hosts plus a group on h1; in-order steps with rewrites
@@ -114,10 +121,13 @@ Refs Load(TimeUnionDB* db, uint64_t seed) {
   for (int k = 0; k < kMembers; ++k) {
     members.push_back({{"m", "g" + std::to_string(k)}});
   }
-  EXPECT_TRUE(db->InsertGroup({{"g", "1"}, {"host", "h1"}}, members, 0,
-                              std::vector<double>(kMembers, 1.0), &refs.group,
-                              &refs.slots)
-                  .ok());
+  core::WriteBatch batch;
+  core::WriteResult written;
+  batch.AddGroupRow(index::Labels{{"g", "1"}, {"host", "h1"}}, members, 0,
+                    std::vector<double>(kMembers, 1.0));
+  EXPECT_TRUE(core::WriteAll(db, batch, &written));
+  refs.group = written.resolved_groups[0].group_ref;
+  refs.slots = written.resolved_groups[0].slots;
   const int tail = kSteps - 40;
   for (int i = 1; i < tail; ++i) {
     WriteStep(db, refs, &rng, i);
@@ -126,11 +136,13 @@ Refs Load(TimeUnionDB* db, uint64_t seed) {
     }
   }
   EXPECT_TRUE(db->Flush().ok());
+  batch.Clear();
   for (int k = 0; k < 120; ++k) {
     const uint64_t ref = refs.series[rng.Uniform(kSeries)];
     const int64_t ts = rng.Uniform(kSteps / 3) * kStepMs;
-    EXPECT_TRUE(db->InsertFast(ref, ts, rng.NextDouble()).ok());
+    batch.AddSample(ref, ts, rng.NextDouble());
   }
+  EXPECT_TRUE(core::WriteAll(db, batch));
   EXPECT_TRUE(db->Flush().ok());
   for (int i = tail; i < kSteps; ++i) WriteStep(db, refs, &rng, i);
   return refs;
@@ -374,6 +386,72 @@ TEST_P(DrainOrderTest, FlushAndCompactionBetweenOpenAndDrain) {
               compactions_before);
     DrainAndCheck(&iters, Want(q, iters), order, ++seed, "after flush");
   }
+  db.reset();
+  RemoveDirRecursive(ws);
+}
+
+// Iterators opened, then background work replaces slow-tier tables they
+// read: a flush whose compactions rewrite the slow levels (leveled), or a
+// patch merge of an L2 entry (time-partitioned). Every block read of a
+// slow-tier table is a Get by key, so the replaced objects must outlive
+// the cursor's pins, and the reverse drain (last series first, so most
+// blocks are fetched after the merge) must still match Query.
+TEST_P(DrainOrderTest, SlowTablesReplacedBetweenOpenAndDrain) {
+  // Rewrites land in [0, kRewriteEndMs), inside the oldest L2 window.
+  constexpr int64_t kRewriteEndMs = 2000;
+  const bool leveled = GetParam() == DBOptions::Backend::kLeveled;
+  const std::string ws = std::string("/tmp/timeunion_test/drain_replace_") +
+                         (leveled ? "leveled" : "tp");
+  RemoveDirRecursive(ws);
+  std::unique_ptr<TimeUnionDB> db;
+  ASSERT_TRUE(TimeUnionDB::Open(Options(ws, GetParam()), &db).ok());
+  const Refs refs = Load(db.get(), 41);
+  Random rng(41);
+  // The writes below stay out of the read range: the cursor pins the
+  // active memtable, whose later inserts it would see.
+  const query::ReadRequest request = query::ReadRequest::Range(
+      {TagMatcher::Regex("m", ".*")}, kRewriteEndMs, kSpanMs);
+  QueryResult q;
+  ASSERT_TRUE(db->Query(request, &q).ok());
+  std::vector<TimeUnionDB::SeriesIterResult> iters;
+  query::QueryStats stats;
+  ASSERT_TRUE(db->QueryIterators(request, &iters, &stats).ok());
+
+  core::WriteBatch batch;
+  if (leveled) {
+    // New steps past the read range push the slow levels into
+    // compaction.
+    const uint64_t before = db->leveled_lsm()->stats().compactions.load();
+    for (int i = kSteps + 1; i <= kSteps + 300; ++i) {
+      for (uint64_t ref : refs.series) {
+        batch.AddSample(ref, i * kStepMs, rng.NextDouble());
+      }
+    }
+    ASSERT_TRUE(core::WriteAll(db.get(), batch));
+    ASSERT_TRUE(db->Flush().ok());
+    ASSERT_GT(db->leveled_lsm()->stats().compactions.load(), before);
+  } else {
+    // Rewrites into the oldest L2 window (below the read range), one flush
+    // each, until its entry passes the patch threshold and the merge
+    // replaces base and patches, which the read range still covers.
+    lsm::TimePartitionedLsm* tree = db->time_lsm();
+    const uint64_t before = tree->stats().patch_merges.load();
+    for (int round = 0;
+         round < 12 && tree->stats().patch_merges.load() == before; ++round) {
+      batch.Clear();
+      for (uint64_t ref : refs.series) batch.AddSample(ref, 1000 + round, -1.0);
+      ASSERT_TRUE(core::WriteAll(db.get(), batch));
+      ASSERT_TRUE(db->Flush().ok());
+    }
+    ASSERT_GT(tree->stats().patch_merges.load(), before);
+  }
+  DrainAndCheck(&iters, Want(q, iters), Order::kReverse, 7,
+                "after replacing slow tables");
+  // The replaced objects go with the cursor's last pins.
+  const cloud::TierCounters& slow = db->env().slow().counters();
+  const uint64_t deletes_before = slow.delete_ops.load();
+  iters.clear();
+  EXPECT_GT(slow.delete_ops.load(), deletes_before);
   db.reset();
   RemoveDirRecursive(ws);
 }

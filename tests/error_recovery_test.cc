@@ -33,6 +33,7 @@
 #include "core/timeunion_db.h"
 #include "core/wal.h"
 #include "util/mmap_file.h"
+#include "write_util.h"
 
 namespace tu {
 namespace {
@@ -45,6 +46,7 @@ using core::BgErrorScope;
 using core::DbHealth;
 using core::ErrorHandler;
 using core::ErrorHandlerOptions;
+using core::WriteCpuSample;
 
 // -- ErrorHandler state machine ----------------------------------------------
 
@@ -256,9 +258,8 @@ TEST(WalMarkFailureTest, FailedMarkAppendReachesErrorHandler) {
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 50; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(WriteCpuSample(db.get(), i, 250, &ref).ok());
   }
   // The log's disk fills; the LSM's does not. Flush's tables land, and the
   // only WAL append it makes is the memtable's mark record.
@@ -267,13 +268,13 @@ TEST(WalMarkFailureTest, FailedMarkAppendReachesErrorHandler) {
   const obs::MetricsSnapshot snap = db->Metrics();
   EXPECT_GE(snap.CounterOr0("error_handler.errors_by_scope.wal_append"), 1u);
   EXPECT_EQ(db->Health(), DbHealth::kDegradedWrites);
-  EXPECT_TRUE(db->InsertFast(ref, 50 * 250LL, 50.0).IsResourceExhausted());
+  EXPECT_TRUE(WriteCpuSample(db.get(), 50, 250, &ref).IsResourceExhausted());
 
   // Space returns: the resume probe rotates the log and writes flow again.
   ASSERT_GT(fi->ReleaseNoSpace(), 0u);
   ASSERT_TRUE(db->Resume().ok());
   EXPECT_EQ(db->Health(), DbHealth::kHealthy);
-  ASSERT_TRUE(db->InsertFast(ref, 50 * 250LL, 50.0).ok());
+  ASSERT_TRUE(WriteCpuSample(db.get(), 50, 250, &ref).ok());
   db.reset();
   RemoveDirRecursive(ws);
 }
@@ -295,9 +296,8 @@ TEST(TableSyncTest, TablesSyncOnlyUnderPersistedManifest) {
     std::unique_ptr<core::TimeUnionDB> db;
     ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
     uint64_t ref = 0;
-    ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-    for (int i = 1; i < 50; ++i) {
-      ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(WriteCpuSample(db.get(), i, 250, &ref).ok());
     }
     // Table files are "lsm/<8-digit id>.sst"; the manifest is not matched.
     fi->AddRule(FaultRule::NoSpace(FaultOpMask(FaultOp::kSync), "lsm/0"));
@@ -341,15 +341,15 @@ TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {
   ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
 
   uint64_t ref = 0, control_ref = 0;
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-  ASSERT_TRUE(control->Insert({{"metric", "cpu"}}, 0, 0.0, &control_ref).ok());
+  ASSERT_TRUE(WriteCpuSample(db.get(), 0, kStepMs, &ref).ok());
+  ASSERT_TRUE(WriteCpuSample(control.get(), 0, kStepMs, &control_ref).ok());
   int acked = 1;  // samples [0, acked) are in both DBs
 
   // Phase 1 (healthy): several memtables' worth reaches the fast tier.
   for (; acked < 400; ++acked) {
-    ASSERT_TRUE(db->InsertFast(ref, acked * kStepMs, 1.0 * acked).ok());
+    ASSERT_TRUE(WriteCpuSample(db.get(), acked, kStepMs, &ref).ok());
     ASSERT_TRUE(
-        control->InsertFast(control_ref, acked * kStepMs, 1.0 * acked).ok());
+        WriteCpuSample(control.get(), acked, kStepMs, &control_ref).ok());
   }
 
   // Phase 2: the fast tier's disk fills. Background flushes start failing;
@@ -360,13 +360,13 @@ TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {
   Status quiesced;
   while (quiesced.ok() && acked < 100'000 &&
          std::chrono::steady_clock::now() < deadline) {
-    Status s = db->InsertFast(ref, acked * kStepMs, 1.0 * acked);
+    Status s = WriteCpuSample(db.get(), acked, kStepMs, &ref);
     if (!s.ok()) {
       quiesced = s;
       break;
     }
     ASSERT_TRUE(
-        control->InsertFast(control_ref, acked * kStepMs, 1.0 * acked).ok());
+        WriteCpuSample(control.get(), acked, kStepMs, &control_ref).ok());
     ++acked;
   }
   ASSERT_FALSE(quiesced.ok()) << "disk-full never quiesced the write path";
@@ -421,9 +421,9 @@ TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {
   // be byte-identical over the whole history.
   const int total = acked + 300;
   for (; acked < total; ++acked) {
-    ASSERT_TRUE(db->InsertFast(ref, acked * kStepMs, 1.0 * acked).ok());
+    ASSERT_TRUE(WriteCpuSample(db.get(), acked, kStepMs, &ref).ok());
     ASSERT_TRUE(
-        control->InsertFast(control_ref, acked * kStepMs, 1.0 * acked).ok());
+        WriteCpuSample(control.get(), acked, kStepMs, &control_ref).ok());
   }
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_TRUE(control->Flush().ok());
@@ -487,8 +487,7 @@ constexpr int64_t kCrashStepMs = 250;
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   for (int i = 0; i < 100'000; ++i) {
     if (std::chrono::steady_clock::now() >= deadline) std::_Exit(82);
-    Status s = (i == 0) ? db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref)
-                        : db->InsertFast(ref, i * kCrashStepMs, 1.0 * i);
+    Status s = WriteCpuSample(db.get(), i, kCrashStepMs, &ref);
     if (!s.ok()) {
       // Quiesced. The WAL holds every acked sample; die without teardown.
       if (!s.IsResourceExhausted()) std::_Exit(87);

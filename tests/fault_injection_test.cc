@@ -29,6 +29,7 @@
 #include "core/timeunion_db.h"
 #include "util/interval_set.h"
 #include "util/mmap_file.h"
+#include "write_util.h"
 
 namespace tu {
 namespace {
@@ -278,9 +279,8 @@ TEST(FaultInjectionDbTest, TransientSlowTierFaultsAbsorbedByRetries) {
 
   const int n = 2000;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < n; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(core::WriteCpuSample(db.get(), i, 250, &ref).ok());
   }
   ASSERT_TRUE(db->Flush().ok());
   EXPECT_GT(db->time_lsm()->NumL2Partitions(), 0u);
@@ -387,8 +387,7 @@ TEST(OutageLifecycleTest, IngestQueryDeferDrainAcrossSlowTierOutage) {
   auto ingest = [&](core::TimeUnionDB* target, uint64_t* r, int from,
                     int to) {
     for (int i = from; i < to; ++i) {
-      Status s = (i == 0) ? target->Insert({{"metric", "cpu"}}, 0, 0.0, r)
-                          : target->InsertFast(*r, i * kStepMs, 1.0 * i);
+      Status s = core::WriteCpuSample(target, i, kStepMs, r);
       ASSERT_TRUE(s.ok()) << "sample " << i << ": " << s.ToString();
     }
   };
@@ -547,9 +546,8 @@ TEST(FaultInjectionDbTest, TeardownDuringOutageDoesNotWaitOutBackoffs) {
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 2000; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(core::WriteCpuSample(db.get(), i, 250, &ref).ok());
   }
   // Wait until a background upload attempt has actually hit the outage
   // (so teardown races an in-flight retry loop, not an idle pool).
@@ -615,7 +613,7 @@ TEST(FaultInjectionDbTest, BackgroundFlushErrorIsStickyAndObservable) {
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
+  ASSERT_TRUE(core::WriteCpuSample(db.get(), 0, 1, &ref).ok());
   // 1 ms steps and a hard iteration cap keep the virtual time span (and
   // thus the partition/flush backlog teardown must chew through) small
   // even if the callback never fires and the test fails.
@@ -624,7 +622,7 @@ TEST(FaultInjectionDbTest, BackgroundFlushErrorIsStickyAndObservable) {
   int i = 1;
   while (callbacks.load() == 0 && i < 100'000 &&
          std::chrono::steady_clock::now() < deadline) {
-    Status s = db->InsertFast(ref, i, 1.0 * i);
+    Status s = core::WriteCpuSample(db.get(), i, 1, &ref);
     if (!s.ok()) {
       // The error handler may quiesce writes before this loop observes the
       // callback counter; that fail-fast IS the error surfacing.
@@ -653,7 +651,9 @@ TEST(FaultInjectionDbTest, BackgroundFlushErrorIsStickyAndObservable) {
   ASSERT_TRUE(db->Resume().ok());
   EXPECT_EQ(db->Health(), core::DbHealth::kHealthy);
   EXPECT_EQ(*db->Metrics().FindString("db.last_background_error"), "OK");
-  ASSERT_TRUE(db->InsertFast(ref, 200'000, 1.0).ok());
+  core::WriteBatch batch;
+  batch.AddSample(ref, 200'000, 1.0);
+  ASSERT_TRUE(core::WriteAll(db.get(), batch));
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -677,13 +677,12 @@ TEST(FaultInjectionDbTest, AdmissionControlDelaysThenRejectsWrites) {
     std::unique_ptr<core::TimeUnionDB> db;
     ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
     uint64_t ref = 0;
-    ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-    for (int i = 1; i < 200; ++i) {
-      ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(core::WriteCpuSample(db.get(), i, 250, &ref).ok());
     }
     ASSERT_TRUE(db->Flush().ok());  // something now lives on the fast tier
     for (int i = 200; i < 400; ++i) {
-      ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+      ASSERT_TRUE(core::WriteCpuSample(db.get(), i, 250, &ref).ok());
     }
     const obs::MetricsSnapshot health = db->Metrics();
     EXPECT_GT(health.CounterOr0("admission.writers_delayed"), 0u);
@@ -701,10 +700,10 @@ TEST(FaultInjectionDbTest, AdmissionControlDelaysThenRejectsWrites) {
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
+  ASSERT_TRUE(core::WriteCpuSample(db.get(), 0, 250, &ref).ok());
   Status rejected;
   for (int i = 1; i < 400 && rejected.ok(); ++i) {
-    Status s = db->InsertFast(ref, i * 250LL, 1.0 * i);
+    Status s = core::WriteCpuSample(db.get(), i, 250, &ref);
     if (s.IsResourceExhausted()) {
       rejected = s;
       break;
@@ -782,10 +781,9 @@ int ReadAck(const std::string& ws) {
   if (!core::TimeUnionDB::Open(opts, &db).ok()) std::_Exit(81);
   uint64_t ref = 0;
   for (int i = 0; i < kCrashSamples; ++i) {
-    Status s = (i == 0)
-                   ? db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref)
-                   : db->InsertFast(ref, i * kCrashIntervalMs, 1.0 * i);
-    if (!s.ok()) std::_Exit(82);
+    if (!core::WriteCpuSample(db.get(), i, kCrashIntervalMs, &ref).ok()) {
+      std::_Exit(82);
+    }
     if (!db->SyncWal().ok()) std::_Exit(83);
     WriteAck(ws, i + 1);  // sample i is now acknowledged
     if ((i + 1) % 16 == 0 && !db->Flush().ok()) std::_Exit(84);
@@ -901,26 +899,28 @@ TEST(TooOldFlushMarkTest, OpenChunkSamplesSurviveCrash) {
     if (!core::TimeUnionDB::Open(child, &db).ok()) std::_Exit(81);
     // Per series and per group: four samples in the open chunk (one L0
     // partition), then a too-old one.
-    uint64_t ref = 0, group = 0;
-    std::vector<uint32_t> slots;
-    const std::vector<index::Labels> members = {{{"metric", "mem"}}};
-    if (!db->Insert({{"metric", "cpu"}}, 10'000, 1.0, &ref).ok() ||
-        !db->InsertGroup({{"host", "h"}}, members, 10'000, {1.0}, &group,
-                         &slots)
-             .ok()) {
-      std::_Exit(82);
-    }
+    // One row per Write, the series row before the group row.
+    core::WriteBatch series_row, group_row;
+    core::WriteResult written;
+    series_row.AddSample(index::Labels{{"metric", "cpu"}}, 10'000, 1.0);
+    if (!core::WriteRows(db.get(), series_row, &written).ok()) std::_Exit(82);
+    const uint64_t ref = written.resolved_refs[0];
+    group_row.AddGroupRow(index::Labels{{"host", "h"}},
+                          {{{"metric", "mem"}}}, 10'000, {1.0});
+    if (!core::WriteRows(db.get(), group_row, &written).ok()) std::_Exit(82);
+    const core::WriteResult::ResolvedGroup group = written.resolved_groups[0];
+    auto write_both = [&](int64_t ts, double v) {
+      series_row.Clear();
+      series_row.AddSample(ref, ts, v);
+      group_row.Clear();
+      group_row.AddGroupRow(group.group_ref, group.slots, ts, {v});
+      return core::WriteRows(db.get(), series_row).ok() &&
+             core::WriteRows(db.get(), group_row).ok();
+    };
     for (int k = 1; k < 4; ++k) {
-      if (!db->InsertFast(ref, 10'000 + 250 * k, 1.0 + k).ok() ||
-          !db->InsertGroupFast(group, slots, 10'000 + 250 * k, {1.0 + k})
-               .ok()) {
-        std::_Exit(82);
-      }
+      if (!write_both(10'000 + 250 * k, 1.0 + k)) std::_Exit(82);
     }
-    if (!db->InsertFast(ref, 0, -1.0).ok() ||
-        !db->InsertGroupFast(group, slots, 0, {-1.0}).ok()) {
-      std::_Exit(82);
-    }
+    if (!write_both(0, -1.0)) std::_Exit(82);
     if (!db->SyncWal().ok()) std::_Exit(83);
     std::_Exit(cloud::kFaultCrashExitCode);  // crash: the open chunk is lost
   }

@@ -9,6 +9,7 @@
 #include "core/timeunion_db.h"
 #include "tsbs/devops.h"
 #include "util/mmap_file.h"
+#include "write_util.h"
 
 namespace tu {
 namespace {
@@ -16,6 +17,9 @@ namespace {
 using core::DBOptions;
 using core::QueryResult;
 using core::TimeUnionDB;
+using core::WriteAll;
+using core::WriteBatch;
+using core::WriteResult;
 using index::Labels;
 using index::TagMatcher;
 
@@ -36,10 +40,10 @@ TEST(TuLdbBackendTest, SameApiSameAnswers) {
     EXPECT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
     uint64_t ref = 0;
-    EXPECT_TRUE(db->Insert({{"m", "cpu"}, {"h", "a"}}, 0, 0.0, &ref).ok());
-    for (int i = 1; i < 12 * 60; ++i) {
-      EXPECT_TRUE(db->InsertFast(ref, i * kMin, 1.0 * i).ok());
-    }
+    EXPECT_TRUE(db->RegisterSeries({{"m", "cpu"}, {"h", "a"}}, &ref).ok());
+    WriteBatch batch;
+    for (int i = 0; i < 12 * 60; ++i) batch.AddSample(ref, i * kMin, 1.0 * i);
+    EXPECT_TRUE(WriteAll(db.get(), batch));
     EXPECT_TRUE(db->Flush().ok());
 
     QueryResult result;
@@ -70,16 +74,18 @@ TEST(TuLdbBackendTest, GroupsWorkOnLeveledBackend) {
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
-  uint64_t gref;
-  std::vector<uint32_t> slots;
-  ASSERT_TRUE(db->InsertGroup({{"host", "h"}},
-                              {{{"m", "a"}}, {{"m", "b"}}}, 0, {1.0, 2.0},
-                              &gref, &slots)
-                  .ok());
+  WriteBatch batch;
+  WriteResult written;
+  batch.AddGroupRow(Labels{{"host", "h"}}, {{{"m", "a"}}, {{"m", "b"}}}, 0,
+                    {1.0, 2.0});
+  ASSERT_TRUE(WriteAll(db.get(), batch, &written));
+  const WriteResult::ResolvedGroup group = written.resolved_groups[0];
+  batch.Clear();
   for (int i = 1; i < 200; ++i) {
-    ASSERT_TRUE(
-        db->InsertGroupFast(gref, slots, i * kMin, {1.0 + i, 2.0 + i}).ok());
+    batch.AddGroupRow(group.group_ref, group.slots, i * kMin,
+                      {1.0 + i, 2.0 + i});
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   QueryResult result;
   ASSERT_TRUE(db->Query(query::ReadRequest::Range({TagMatcher::Equal("m", "b")},
@@ -176,6 +182,60 @@ TEST(EndToEndTest, TimeUnionRemoteFastAndGroupModes) {
     ASSERT_EQ(result.size(), 1u);
     EXPECT_EQ(result[0].timestamps.size(), 100u);
     EXPECT_EQ(result[0].values[50], 51.0);
+
+    // A new member joins by tags (its row and the next one in the same
+    // request); the next request names it and goes by ref.
+    std::vector<baseline::TimeUnionRemote::GroupRow> rows(3);
+    for (int i = 0; i < 3; ++i) {
+      rows[i].group_key = 1;
+      rows[i].group_tags = reg_row.group_tags;
+      rows[i].ts = (100 + i) * kMin;
+    }
+    rows[0].member_tags = {{{"m", "a"}}, {{"m", "b"}}, {{"m", "c"}}};
+    rows[0].values = {101.0, 102.0, 103.0};
+    rows[1].member_tags = {{{"m", "c"}}};
+    rows[1].values = {113.0};
+    rows[2].member_tags = {{{"m", "c"}}};
+    rows[2].values = {123.0};
+    ASSERT_TRUE(remote.RemoteWriteGroups({rows[0], rows[1]}).ok());
+    ASSERT_TRUE(remote.RemoteWriteGroups({rows[2]}).ok());
+    ASSERT_TRUE(remote.QueryRange({TagMatcher::Equal("m", "c")}, 0,
+                                  200 * kMin, &result)
+                    .ok());
+    ASSERT_EQ(result.size(), 1u);
+    EXPECT_EQ(result[0].values, (std::vector<double>{103.0, 113.0, 123.0}));
+    EXPECT_EQ(remote.db().NumGroups(), 1u);
+    RemoveDirRecursive(db_opts.workspace);
+  }
+  // Labeled samples through RemoteWrite in fast mode: a series goes by
+  // labels until a request resolves its ref, and by ref after. A request
+  // is one Write.
+  {
+    DBOptions db_opts;
+    db_opts.workspace = "/tmp/timeunion_test/int_remote_labels";
+    RemoveDirRecursive(db_opts.workspace);
+    baseline::TimeUnionRemote remote(
+        db_opts, baseline::RpcCosts{},
+        baseline::TimeUnionRemote::Mode::kFastPath);
+    ASSERT_TRUE(remote.Open().ok());
+    for (int request = 0; request < 2; ++request) {
+      std::vector<baseline::RemoteSample> batch;
+      for (int i = request * 10; i < request * 10 + 10; ++i) {
+        batch.push_back({Labels{{"metric", "mem"}, {"host", i % 2 ? "a" : "b"}},
+                         i * kMin, 1.0 * i});
+      }
+      ASSERT_TRUE(remote.RemoteWrite(batch).ok());
+    }
+    EXPECT_EQ(remote.db().NumSeries(), 2u);
+    core::QueryResult result;
+    ASSERT_TRUE(remote.QueryRange({TagMatcher::Equal("host", "a")}, 0,
+                                  20 * kMin, &result)
+                    .ok());
+    ASSERT_EQ(result.size(), 1u);
+    ASSERT_EQ(result[0].values.size(), 10u);
+    for (size_t k = 0; k < 10; ++k) {
+      EXPECT_EQ(result[0].values[k], 2.0 * k + 1);
+    }
     RemoveDirRecursive(db_opts.workspace);
   }
 }
@@ -236,23 +296,28 @@ TEST(DevOpsIntegration, FullPipelineSmall) {
   gen_opts.duration_ms = 3 * kHour;
   tsbs::DevOpsGenerator gen(gen_opts);
 
-  std::vector<uint64_t> refs(gen.num_series());
-  for (uint64_t step = 0; step < gen.num_steps(); ++step) {
+  // The first step goes by labels and resolves the refs; the rest go by
+  // ref.
+  WriteBatch batch;
+  WriteResult written;
+  for (uint64_t h = 0; h < 2; ++h) {
+    for (int s = 0; s < 101; ++s) {
+      batch.AddSample(gen.SeriesLabels(h, s), gen.start_ts(),
+                      gen.Value(h, s, gen.start_ts()));
+    }
+  }
+  ASSERT_TRUE(WriteAll(db.get(), batch, &written));
+  const std::vector<uint64_t> refs = written.resolved_refs;
+  batch.Clear();
+  for (uint64_t step = 1; step < gen.num_steps(); ++step) {
     const int64_t ts = gen.start_ts() + step * gen.interval_ms();
     for (uint64_t h = 0; h < 2; ++h) {
       for (int s = 0; s < 101; ++s) {
-        if (step == 0) {
-          ASSERT_TRUE(db->Insert(gen.SeriesLabels(h, s), ts,
-                                 gen.Value(h, s, ts), &refs[h * 101 + s])
-                          .ok());
-        } else {
-          ASSERT_TRUE(db->InsertFast(refs[h * 101 + s], ts,
-                                     gen.Value(h, s, ts))
-                          .ok());
-        }
+        batch.AddSample(refs[h * 101 + s], ts, gen.Value(h, s, ts));
       }
     }
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   EXPECT_EQ(db->NumSeries(), 202u);
 

@@ -36,6 +36,7 @@
 #include "lsm/table_reader.h"
 #include "util/interval_set.h"
 #include "util/mmap_file.h"
+#include "write_util.h"
 
 namespace tu {
 namespace {
@@ -106,9 +107,8 @@ constexpr int64_t kStepMs = 250;
 
 void IngestWorkload(core::TimeUnionDB* db) {
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kSamples; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * kStepMs, 1.0 * i).ok());
+  for (int i = 0; i < kSamples; ++i) {
+    ASSERT_TRUE(core::WriteCpuSample(db, i, kStepMs, &ref).ok());
   }
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
@@ -249,9 +249,8 @@ TEST(CorruptionMatrixTest, CorruptWalRecordDetectedAndPrefixSalvaged) {
     std::unique_ptr<core::TimeUnionDB> db;
     ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
     uint64_t ref = 0;
-    ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-    for (int i = 1; i < 200; ++i) {
-      ASSERT_TRUE(db->InsertFast(ref, i * kStepMs, 1.0 * i).ok());
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(core::WriteCpuSample(db.get(), i, kStepMs, &ref).ok());
     }
     ASSERT_TRUE(db->SyncWal().ok());
     // No Flush: every sample lives only in the WAL.

@@ -6,6 +6,7 @@
 
 #include "core/timeunion_db.h"
 #include "util/mmap_file.h"
+#include "write_util.h"
 
 namespace tu::core {
 namespace {
@@ -91,10 +92,10 @@ TEST(DbMaintenanceTest, BackgroundRetentionPurgesOldData) {
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 1.0, &ref).ok());
-  for (int i = 1; i < 28 * 60; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 60'000LL, 1.0).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < 28 * 60; ++i) batch.AddSample(ref, i * 60'000LL, 1.0);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   now->store(30 * kHour);
 

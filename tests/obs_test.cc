@@ -26,6 +26,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "util/mmap_file.h"
+#include "write_util.h"
 
 namespace tu {
 namespace {
@@ -33,6 +34,9 @@ namespace {
 using core::DBOptions;
 using core::QueryResult;
 using core::TimeUnionDB;
+using core::WriteAll;
+using core::WriteBatch;
+using core::WriteResult;
 using index::TagMatcher;
 
 // -- Histogram ----------------------------------------------------------------
@@ -253,6 +257,23 @@ DBOptions SmallPartitionOptions(const std::string& ws) {
   return opts;
 }
 
+/// Writes samples 0..n-1 of series m=cpu (ts i*250 ms, value i) one row
+/// per Write, as a per-sample client does: the first by labels, the rest
+/// by the resolved ref. The counts checked below (wal.appends, sampled
+/// latencies) count these calls.
+void WriteCpuSamples(TimeUnionDB* db, int n, uint64_t* ref) {
+  WriteBatch batch;
+  WriteResult written;
+  batch.AddSample(index::Labels{{"m", "cpu"}}, 0, 0.0);
+  ASSERT_TRUE(WriteAll(db, batch, &written));
+  *ref = written.resolved_refs[0];
+  for (int i = 1; i < n; ++i) {
+    batch.Clear();
+    batch.AddSample(*ref, i * 250LL, 1.0 * i);
+    ASSERT_TRUE(WriteAll(db, batch));
+  }
+}
+
 TEST(DbMetricsTest, SnapshotCoversWholePipeline) {
   const std::string ws = "/tmp/timeunion_test/obs_pipeline";
   RemoveDirRecursive(ws);
@@ -261,10 +282,7 @@ TEST(DbMetricsTest, SnapshotCoversWholePipeline) {
 
   constexpr int kTotal = 2000;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_NO_FATAL_FAILURE(WriteCpuSamples(db.get(), kTotal, &ref));
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
@@ -340,11 +358,10 @@ TEST(DbMetricsTest, WalInstrumentsSurfaceInJsonAndPrometheus) {
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 500; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
-  ASSERT_TRUE(db->InsertFast(ref, 500 * 250LL, 500.0).ok());  // stays open
+  ASSERT_NO_FATAL_FAILURE(WriteCpuSamples(db.get(), 500, &ref));
+  WriteBatch batch;
+  batch.AddSample(ref, 500 * 250LL, 500.0);  // stays open
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
 
   const obs::MetricsSnapshot snap = db->Metrics();
@@ -384,10 +401,7 @@ TEST(DbMetricsTest, CompactionStageInstrumentsSurfaceInJsonAndPrometheus) {
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(SmallPartitionOptions(ws), &db).ok());
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 2000; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_NO_FATAL_FAILURE(WriteCpuSamples(db.get(), 2000, &ref));
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
@@ -449,10 +463,7 @@ TEST(DbMetricsTest, QueryFetchInstrumentsSurfaceInJsonAndPrometheus) {
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 2000; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_NO_FATAL_FAILURE(WriteCpuSamples(db.get(), 2000, &ref));
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
@@ -509,10 +520,7 @@ TEST(DbMetricsTest, IntrospectionNamesPresentAfterWorkload) {
   ASSERT_TRUE(TimeUnionDB::Open(SmallPartitionOptions(ws), &db).ok());
 
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 500; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_NO_FATAL_FAILURE(WriteCpuSamples(db.get(), 500, &ref));
   ASSERT_TRUE(db->Flush().ok());
   QueryResult result;
   ASSERT_TRUE(db->Query(query::ReadRequest::Range(
@@ -657,8 +665,9 @@ TEST(DbMetricsTest, MaintenanceEmitsMetricsJsonl) {
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 1.0, &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(index::Labels{{"m", "cpu"}}, 0, 1.0);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
 
   const std::string path = ws + "/metrics.jsonl";
   std::string line;

@@ -32,6 +32,7 @@
 #include "lsm/table_reader.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "write_util.h"
 
 namespace tu {
 namespace {
@@ -41,6 +42,8 @@ using cloud::FaultRule;
 using core::DBOptions;
 using core::QueryResult;
 using core::TimeUnionDB;
+using core::WriteAll;
+using core::WriteBatch;
 using index::TagMatcher;
 
 constexpr int64_t kStepMs = 250;
@@ -104,38 +107,45 @@ void Load(TimeUnionDB* db, uint64_t seed, std::vector<uint64_t>* ids = nullptr,
   for (int k = 0; k < kMembers; ++k) {
     members.push_back({{"m", "g" + std::to_string(k)}});
   }
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  ASSERT_TRUE(db->InsertGroup({{"g", "1"}, {"host", "h1"}}, members, 0,
-                              std::vector<double>(kMembers, 1.0), &gref,
-                              &slots)
-                  .ok());
+  WriteBatch batch;
+  core::WriteResult written;
+  batch.AddGroupRow(index::Labels{{"g", "1"}, {"host", "h1"}}, members, 0,
+                    std::vector<double>(kMembers, 1.0));
+  ASSERT_TRUE(WriteAll(db, batch, &written));
+  const core::WriteResult::ResolvedGroup group = written.resolved_groups[0];
+  batch.Clear();
   for (int i = 0; i < kSteps; ++i) {
     for (int s = 0; s < kSeries; ++s) {
       int64_t ts = i * kStepMs;
       if (i > 0 && rng.OneIn(8)) ts = rng.Uniform(i) * kStepMs;
-      ASSERT_TRUE(db->InsertFast(refs[s], ts, rng.NextDouble()).ok());
+      batch.AddSample(refs[s], ts, rng.NextDouble());
     }
     if (i > 0) {
       std::vector<double> row(kMembers);
       for (double& v : row) v = rng.NextDouble();
-      ASSERT_TRUE(db->InsertGroupFast(gref, slots, i * kStepMs, row).ok());
+      batch.AddGroupRow(group.group_ref, group.slots, i * kStepMs,
+                        std::move(row));
     }
     if (i % 200 == 199) {
+      ASSERT_TRUE(WriteAll(db, batch));
+      batch.Clear();
       ASSERT_TRUE(db->Flush().ok());
     }
   }
+  ASSERT_TRUE(WriteAll(db, batch));
+  batch.Clear();
   ASSERT_TRUE(db->Flush().ok());
   // Out-of-order writes into the first half, long since in L2.
   for (int k = 0; k < 150; ++k) {
     const int s = static_cast<int>(rng.Uniform(kSeries));
     const int64_t ts = rng.Uniform(kSteps / 2) * kStepMs;
-    ASSERT_TRUE(db->InsertFast(refs[s], ts, rng.NextDouble()).ok());
+    batch.AddSample(refs[s], ts, rng.NextDouble());
   }
+  ASSERT_TRUE(WriteAll(db, batch));
   ASSERT_TRUE(db->Flush().ok());
   if (ids != nullptr) {
     *ids = refs;
-    ids->push_back(gref);
+    ids->push_back(group.group_ref);
   }
   if (fast_only) {
     for (const auto& t : db->time_lsm()->ListTables()) {
@@ -591,8 +601,12 @@ TEST(PrefetchLifetimeTest, DroppedIteratorsRaceRetentionAndCompaction) {
     }
     std::thread churn([&] {
       EXPECT_TRUE(db->ApplyRetention(watermark).ok());
+      // One row per Write, racing the dropped iterators' fetches.
+      WriteBatch row;
       for (const auto& [s, ts] : rewrites) {
-        EXPECT_TRUE(db->InsertFast(refs[s], ts, 1.0).ok());
+        row.Clear();
+        row.AddSample(refs[s], ts, 1.0);
+        EXPECT_TRUE(WriteAll(db.get(), row));
       }
       EXPECT_TRUE(db->Flush().ok());
     });

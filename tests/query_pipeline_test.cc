@@ -31,6 +31,7 @@
 #include "util/interval_set.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "write_util.h"
 
 namespace tu {
 namespace {
@@ -40,6 +41,9 @@ using cloud::FaultRule;
 using core::DBOptions;
 using core::QueryResult;
 using core::TimeUnionDB;
+using core::WriteAll;
+using core::WriteBatch;
+using core::WriteResult;
 using index::TagMatcher;
 
 // Tiny partitions so modest workloads span head + L0/L1 + slow-tier L2.
@@ -124,8 +128,9 @@ TEST(QueryValidationTest, RejectsInvertedRangeAndEmptyMatchers) {
   opts.workspace = ws;
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 1.0, &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(index::Labels{{"m", "cpu"}}, 0, 1.0);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
 
   QueryResult result;
   std::vector<TimeUnionDB::SeriesIterResult> iters;
@@ -169,32 +174,35 @@ TEST_P(QueryDifferentialTest, RandomWorkloadIdenticalAcrossEntryPoints) {
 
   // Individual series share dc=east with the group below, so one matcher
   // exercises both head kinds; out-of-order rewrites land in older chunks.
-  uint64_t refs[kSeries] = {0, 0, 0};
+  WriteBatch batch;
   for (int s = 0; s < kSeries; ++s) {
-    ASSERT_TRUE(db->Insert({{"dc", "east"}, {"m", "s" + std::to_string(s)}},
-                           0, 0.0, &refs[s])
-                    .ok());
+    batch.AddSample(
+        index::Labels{{"dc", "east"}, {"m", "s" + std::to_string(s)}}, 0,
+        0.0);
   }
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  ASSERT_TRUE(db->InsertGroup({{"dc", "east"}, {"g", "1"}},
-                              {{{"mem", "a"}}, {{"mem", "b"}}}, 0, {0.0, 0.0},
-                              &gref, &slots)
-                  .ok());
+  batch.AddGroupRow(index::Labels{{"dc", "east"}, {"g", "1"}},
+                    {{{"mem", "a"}}, {{"mem", "b"}}}, 0, {0.0, 0.0});
+  WriteResult written;
+  ASSERT_TRUE(WriteAll(db.get(), batch, &written));
+  const std::vector<uint64_t> refs = written.resolved_refs;
+  const WriteResult::ResolvedGroup group = written.resolved_groups[0];
 
+  batch.Clear();
   for (int i = 1; i < kSamplesPerSeries; ++i) {
     for (int s = 0; s < kSeries; ++s) {
       int64_t ts = i * kStepMs;
       if (rng.OneIn(8)) ts = rng.Uniform(i) * kStepMs;
-      ASSERT_TRUE(db->InsertFast(refs[s], ts, rng.NextDouble()).ok());
+      batch.AddSample(refs[s], ts, rng.NextDouble());
     }
-    ASSERT_TRUE(db->InsertGroupFast(gref, slots, i * kStepMs,
-                                    {rng.NextDouble(), rng.NextDouble()})
-                    .ok());
+    batch.AddGroupRow(group.group_ref, group.slots, i * kStepMs,
+                      {rng.NextDouble(), rng.NextDouble()});
     if (i == kSamplesPerSeries / 2 && GetParam() % 2) {
+      ASSERT_TRUE(WriteAll(db.get(), batch));
+      batch.Clear();
       ASSERT_TRUE(db->Flush().ok());
     }
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   if (GetParam() % 3 == 0) ASSERT_TRUE(db->Flush().ok());
 
   // Several windows, including ones cutting through chunk boundaries.
@@ -251,10 +259,10 @@ TEST(QueryDifferentialTest, BreakerOpenPartialReadsIdentical) {
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
   constexpr int kTotal = 2000;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kTotal; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
@@ -306,16 +314,18 @@ TEST(QueryPruningTest, FastWindowQueryFetchesNothingFromSlowTier) {
   constexpr int kRecent = 100;
   constexpr int64_t kStepMs = 250;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kOld; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * kStepMs, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kOld; ++i) batch.AddSample(ref, i * kStepMs, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
   // Recent samples land after the flush and stay on the fast tier.
+  batch.Clear();
   for (int i = kOld; i < kOld + kRecent; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * kStepMs, 1.0 * i).ok());
+    batch.AddSample(ref, i * kStepMs, 1.0 * i);
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch));
 
   const auto matcher = TagMatcher::Equal("m", "cpu");
   const cloud::TierCounters& slow = db->env().slow().counters();
@@ -367,10 +377,10 @@ TEST(BlockCacheSurfacingTest, HitsAndMissesReachReports) {
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 2000; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < 2000; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
@@ -412,10 +422,10 @@ TEST(BlockCacheSurfacingTest, TinyCacheReportsEvictions) {
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 2000; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < 2000; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
 
   QueryResult result;
@@ -443,10 +453,10 @@ TEST(BlockCacheSurfacingTest, ZeroBytesDisablesCaching) {
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 2000; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < 2000; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 

@@ -34,6 +34,7 @@
 #include "tsbs/devops.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "write_util.h"
 
 namespace tu {
 namespace {
@@ -44,6 +45,9 @@ using compress::RollupBucket;
 using core::DBOptions;
 using core::QueryResult;
 using core::TimeUnionDB;
+using core::WriteAll;
+using core::WriteBatch;
+using core::WriteResult;
 using index::TagMatcher;
 using query::AggFn;
 using query::AggPoint;
@@ -298,8 +302,9 @@ TEST(RollupValidationTest, AggregateQueryRejectsBadArgs) {
   RemoveDirRecursive(ws);
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(RollupOptions(ws), &db).ok());
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 1.0, &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(index::Labels{{"m", "cpu"}}, 0, 1.0);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
 
   TimeUnionDB::AggregateResult out;
   const auto matcher = TagMatcher::Equal("m", "cpu");
@@ -331,38 +336,47 @@ TEST_P(RollupDifferentialTest, RandomWorkloadMatchesRawDrain) {
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
-  Random rng(GetParam());
   constexpr int kSeries = 2;
   constexpr int kSamplesPerSeries = 1500;
   constexpr int64_t kStepMs = 250;
 
-  uint64_t refs[kSeries] = {0, 0};
-  for (int s = 0; s < kSeries; ++s) {
-    ASSERT_TRUE(db->Insert({{"dc", "east"}, {"m", "s" + std::to_string(s)}},
-                           0, 0.0, &refs[s])
-                    .ok());
-  }
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  ASSERT_TRUE(db->InsertGroup({{"dc", "east"}, {"g", "1"}},
-                              {{{"mem", "a"}}, {{"mem", "b"}}}, 0, {0.0, 0.0},
-                              &gref, &slots)
-                  .ok());
-
-  for (int i = 1; i < kSamplesPerSeries; ++i) {
+  // The same seeded load for this DB and the rollup-free control below:
+  // two series and a two-member group under dc=east.
+  auto load = [&](TimeUnionDB* target) {
+    Random rng(GetParam());
+    WriteBatch batch;
     for (int s = 0; s < kSeries; ++s) {
-      int64_t ts = i * kStepMs;
-      // Out-of-order rewrites land inside windows that may already be
-      // compacted and rolled up — those buckets must invalidate.
-      if (rng.OneIn(8)) ts = rng.Uniform(i) * kStepMs;
-      ASSERT_TRUE(db->InsertFast(refs[s], ts, rng.NextDouble()).ok());
+      batch.AddSample(
+          index::Labels{{"dc", "east"}, {"m", "s" + std::to_string(s)}}, 0,
+          0.0);
     }
-    ASSERT_TRUE(db->InsertGroupFast(gref, slots, i * kStepMs,
-                                    {rng.NextDouble(), rng.NextDouble()})
-                    .ok());
-    if (i == kSamplesPerSeries / 2) ASSERT_TRUE(db->Flush().ok());
-  }
-  if (GetParam() % 2) ASSERT_TRUE(db->Flush().ok());
+    batch.AddGroupRow(index::Labels{{"dc", "east"}, {"g", "1"}},
+                      {{{"mem", "a"}}, {{"mem", "b"}}}, 0, {0.0, 0.0});
+    WriteResult written;
+    ASSERT_TRUE(WriteAll(target, batch, &written));
+    const std::vector<uint64_t> refs = written.resolved_refs;
+    const WriteResult::ResolvedGroup group = written.resolved_groups[0];
+    batch.Clear();
+    for (int i = 1; i < kSamplesPerSeries; ++i) {
+      for (int s = 0; s < kSeries; ++s) {
+        int64_t ts = i * kStepMs;
+        // Out-of-order rewrites land inside windows that may already be
+        // compacted and rolled up — those buckets must invalidate.
+        if (rng.OneIn(8)) ts = rng.Uniform(i) * kStepMs;
+        batch.AddSample(refs[s], ts, rng.NextDouble());
+      }
+      batch.AddGroupRow(group.group_ref, group.slots, i * kStepMs,
+                        {rng.NextDouble(), rng.NextDouble()});
+      if (i == kSamplesPerSeries / 2) {
+        ASSERT_TRUE(WriteAll(target, batch));
+        batch.Clear();
+        ASSERT_TRUE(target->Flush().ok());
+      }
+    }
+    ASSERT_TRUE(WriteAll(target, batch));
+    if (GetParam() % 2) ASSERT_TRUE(target->Flush().ok());
+  };
+  load(db.get());
 
   const int64_t span = kSamplesPerSeries * kStepMs;
   const auto matcher = TagMatcher::Equal("dc", "east");
@@ -391,37 +405,7 @@ TEST_P(RollupDifferentialTest, RandomWorkloadMatchesRawDrain) {
   control_opts.lsm.rollup_granularities_ms.clear();
   std::unique_ptr<TimeUnionDB> control;
   ASSERT_TRUE(TimeUnionDB::Open(control_opts, &control).ok());
-  {
-    Random rng2(GetParam());
-    uint64_t crefs[kSeries] = {0, 0};
-    for (int s = 0; s < kSeries; ++s) {
-      ASSERT_TRUE(
-          control
-              ->Insert({{"dc", "east"}, {"m", "s" + std::to_string(s)}}, 0,
-                       0.0, &crefs[s])
-              .ok());
-    }
-    uint64_t cgref = 0;
-    std::vector<uint32_t> cslots;
-    ASSERT_TRUE(control
-                    ->InsertGroup({{"dc", "east"}, {"g", "1"}},
-                                  {{{"mem", "a"}}, {{"mem", "b"}}}, 0,
-                                  {0.0, 0.0}, &cgref, &cslots)
-                    .ok());
-    for (int i = 1; i < kSamplesPerSeries; ++i) {
-      for (int s = 0; s < kSeries; ++s) {
-        int64_t ts = i * kStepMs;
-        if (rng2.OneIn(8)) ts = rng2.Uniform(i) * kStepMs;
-        ASSERT_TRUE(control->InsertFast(crefs[s], ts, rng2.NextDouble()).ok());
-      }
-      ASSERT_TRUE(control
-                      ->InsertGroupFast(cgref, cslots, i * kStepMs,
-                                        {rng2.NextDouble(), rng2.NextDouble()})
-                      .ok());
-      if (i == kSamplesPerSeries / 2) ASSERT_TRUE(control->Flush().ok());
-    }
-    if (GetParam() % 2) ASSERT_TRUE(control->Flush().ok());
-  }
+  load(control.get());
   for (const AggFn fn : {AggFn::kMin, AggFn::kMax, AggFn::kCount}) {
     TimeUnionDB::AggregateResult with_rollups, without;
     ASSERT_TRUE(
@@ -469,10 +453,11 @@ TEST(RollupPlannerTest, InteriorFromRollupsEdgesRawFewerSlowGets) {
   constexpr int kTotal = 4000;
   constexpr int64_t kStepMs = 250;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.5, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * kStepMs, 0.25 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(ref, 0, 0.5);
+  for (int i = 1; i < kTotal; ++i) batch.AddSample(ref, i * kStepMs, 0.25 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
   ASSERT_GT(db->time_lsm()->NumRollupTables(), 0u);
@@ -536,10 +521,10 @@ TEST(RollupDirtyTest, OooRewriteInvalidatesThenMaintenanceRederives) {
   constexpr int kTotal = 2000;
   constexpr int64_t kStepMs = 250;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * kStepMs, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kTotal; ++i) batch.AddSample(ref, i * kStepMs, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumRollupTables(), 0u);
   ASSERT_EQ(db->time_lsm()->NumDirtyRollupPartitions(), 0u);
@@ -550,9 +535,11 @@ TEST(RollupDirtyTest, OooRewriteInvalidatesThenMaintenanceRederives) {
 
   // Rewrite a handful of timestamps deep inside compacted, rolled-up
   // windows: the touched buckets go stale and must stop serving.
+  batch.Clear();
   for (int64_t ts : {10'000LL, 10'250LL, 123'456LL, 300'017LL}) {
-    ASSERT_TRUE(db->InsertFast(ref, ts, 1e6).ok());
+    batch.AddSample(ref, ts, 1e6);
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumDirtyRollupPartitions(), 0u);
 
@@ -614,16 +601,18 @@ TEST(RollupPartialReadTest, BreakerOpenMissingRangesMatchRawQuery) {
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
   constexpr int kTotal = 2000;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kTotal; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumRollupTables(), 0u);
   // Keep fresh samples on the fast tier so the partial read is non-empty.
+  batch.Clear();
   for (int i = kTotal; i < kTotal + 64; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+    batch.AddSample(ref, i * 250LL, 1.0 * i);
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch));
 
   FaultRule outage;
   outage.ops = cloud::kAllFaultOps;
@@ -679,13 +668,15 @@ TEST(RollupPersistenceTest, ReopenPreservesRollupsAndDirtySpans) {
 
   constexpr int kTotal = 2000;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kTotal; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
   // Dirty one compacted window, flush so the rewrite reaches L2.
-  ASSERT_TRUE(db->InsertFast(ref, 10'000, 1e6).ok());
+  batch.Clear();
+  batch.AddSample(ref, 10'000, 1e6);
+  ASSERT_TRUE(WriteAll(db.get(), batch));
   ASSERT_TRUE(db->Flush().ok());
 
   const size_t tables = db->time_lsm()->NumRollupTables();

@@ -5,6 +5,7 @@
 #include "core/timeunion_db.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "write_util.h"
 
 namespace tu::core {
 namespace {
@@ -47,11 +48,11 @@ class SampleIteratorTest : public ::testing::Test {
 
 TEST_F(SampleIteratorTest, StreamsMatchMaterializedQuery) {
   uint64_t ref = 0;
-  ASSERT_TRUE(db_->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
+  ASSERT_TRUE(db_->RegisterSeries({{"m", "cpu"}}, &ref).ok());
   const int n = 26 * 60;  // spans head + L0/L1 + L2
-  for (int i = 1; i < n; ++i) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 1.0 * i).ok());
-  }
+  WriteBatch batch;
+  for (int i = 0; i < n; ++i) batch.AddSample(ref, i * kMin, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   ASSERT_TRUE(db_->Flush().ok());
 
   QueryResult materialized;
@@ -73,10 +74,10 @@ TEST_F(SampleIteratorTest, StreamsMatchMaterializedQuery) {
 
 TEST_F(SampleIteratorTest, TimeBoundsRespected) {
   uint64_t ref = 0;
-  ASSERT_TRUE(db_->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 500; ++i) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db_->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < 500; ++i) batch.AddSample(ref, i * kMin, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   std::vector<TimeUnionDB::SeriesIterResult> streaming;
   ASSERT_TRUE(db_->QueryIterators(query::ReadRequest::Range(
       {TagMatcher::Equal("m", "cpu")}, 2 * kHour, 3 * kHour), &streaming)
@@ -89,14 +90,13 @@ TEST_F(SampleIteratorTest, TimeBoundsRespected) {
 
 TEST_F(SampleIteratorTest, NewestWinsAcrossOverlappingChunks) {
   uint64_t ref = 0;
-  ASSERT_TRUE(db_->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 300; ++i) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 1.0).ok());
-  }
+  ASSERT_TRUE(db_->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(ref, 0, 0.0);
+  for (int i = 1; i < 300; ++i) batch.AddSample(ref, i * kMin, 1.0);
   // Out-of-order overwrites landing in separate chunks.
-  for (int i = 10; i < 50; i += 5) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 99.0).ok());
-  }
+  for (int i = 10; i < 50; i += 5) batch.AddSample(ref, i * kMin, 99.0);
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   ASSERT_TRUE(db_->Flush().ok());
 
   std::vector<TimeUnionDB::SeriesIterResult> streaming;
@@ -111,16 +111,18 @@ TEST_F(SampleIteratorTest, NewestWinsAcrossOverlappingChunks) {
 }
 
 TEST_F(SampleIteratorTest, GroupMemberStreaming) {
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  ASSERT_TRUE(db_->InsertGroup({{"host", "h"}},
-                               {{{"m", "a"}}, {{"m", "b"}}}, 0, {1.0, 2.0},
-                               &gref, &slots)
-                  .ok());
+  WriteBatch batch;
+  WriteResult written;
+  batch.AddGroupRow(index::Labels{{"host", "h"}}, {{{"m", "a"}}, {{"m", "b"}}},
+                    0, {1.0, 2.0});
+  ASSERT_TRUE(WriteAll(db_.get(), batch, &written));
+  const WriteResult::ResolvedGroup group = written.resolved_groups[0];
+  batch.Clear();
   for (int i = 1; i < 200; ++i) {
-    ASSERT_TRUE(
-        db_->InsertGroupFast(gref, slots, i * kMin, {1.0 + i, 2.0 + i}).ok());
+    batch.AddGroupRow(group.group_ref, group.slots, i * kMin,
+                      {1.0 + i, 2.0 + i});
   }
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   ASSERT_TRUE(db_->Flush().ok());
 
   std::vector<TimeUnionDB::SeriesIterResult> streaming;
@@ -134,8 +136,9 @@ TEST_F(SampleIteratorTest, GroupMemberStreaming) {
 }
 
 TEST_F(SampleIteratorTest, EmptyRangeIsImmediatelyInvalid) {
-  uint64_t ref = 0;
-  ASSERT_TRUE(db_->Insert({{"m", "cpu"}}, 0, 1.0, &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(index::Labels{{"m", "cpu"}}, 0, 1.0);
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   std::vector<TimeUnionDB::SeriesIterResult> streaming;
   ASSERT_TRUE(db_->QueryIterators(query::ReadRequest::Range(
       {TagMatcher::Equal("m", "cpu")}, 5 * kHour, 6 * kHour), &streaming)
@@ -146,12 +149,12 @@ TEST_F(SampleIteratorTest, EmptyRangeIsImmediatelyInvalid) {
 }
 
 TEST_F(SampleIteratorTest, ListTagValues) {
-  uint64_t ref = 0;
+  WriteBatch batch;
   for (const char* host : {"web-01", "web-02", "db-01"}) {
-    ASSERT_TRUE(
-        db_->Insert({{"hostname", host}, {"metric", "cpu"}}, 0, 1.0, &ref)
-            .ok());
+    batch.AddSample(index::Labels{{"hostname", host}, {"metric", "cpu"}}, 0,
+                    1.0);
   }
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   std::vector<std::string> values;
   ASSERT_TRUE(db_->ListTagValues("hostname", &values).ok());
   EXPECT_EQ(values,
@@ -166,12 +169,15 @@ class IteratorPropertyTest : public SampleIteratorTest,
 TEST_P(IteratorPropertyTest, RandomWorkloadStreamEqualsMaterialized) {
   Random rng(GetParam());
   uint64_t ref = 0;
-  ASSERT_TRUE(db_->Insert({{"m", "x"}}, 0, 0.0, &ref).ok());
+  ASSERT_TRUE(db_->RegisterSeries({{"m", "x"}}, &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(ref, 0, 0.0);
   for (int i = 0; i < 2000; ++i) {
     int64_t ts = (i / 2) * kMin;
     if (rng.OneIn(8)) ts = rng.Uniform(i + 1) * kMin / 2;
-    ASSERT_TRUE(db_->InsertFast(ref, ts, rng.NextDouble()).ok());
+    batch.AddSample(ref, ts, rng.NextDouble());
   }
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   if (GetParam() % 2) ASSERT_TRUE(db_->Flush().ok());
 
   QueryResult materialized;

@@ -6,6 +6,7 @@
 
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "write_util.h"
 
 namespace tu::core {
 namespace {
@@ -49,11 +50,11 @@ class TimeUnionDBTest : public ::testing::Test {
 };
 
 TEST_F(TimeUnionDBTest, InsertAndQuerySingleSeries) {
-  uint64_t ref = 0;
+  WriteBatch batch;
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(
-        db_->Insert(SeriesLabels(1, "cpu"), i * kMin, 1.0 * i, &ref).ok());
+    batch.AddSample(SeriesLabels(1, "cpu"), i * kMin, 1.0 * i);
   }
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   EXPECT_EQ(db_->NumSeries(), 1u);
 
   QueryResult result;
@@ -69,11 +70,14 @@ TEST_F(TimeUnionDBTest, InsertAndQuerySingleSeries) {
 }
 
 TEST_F(TimeUnionDBTest, FastPathMatchesSlowPath) {
-  uint64_t ref = 0;
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "mem"), 0, 1.0, &ref).ok());
-  for (int i = 1; i < 200; ++i) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 1.0 + i).ok());
-  }
+  WriteBatch batch;
+  WriteResult written;
+  batch.AddSample(SeriesLabels(1, "mem"), 0, 1.0);
+  ASSERT_TRUE(WriteAll(db_.get(), batch, &written));
+  const uint64_t ref = written.resolved_refs[0];
+  batch.Clear();
+  for (int i = 1; i < 200; ++i) batch.AddSample(ref, i * kMin, 1.0 + i);
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   QueryResult result;
   ASSERT_TRUE(
       db_->Query(query::ReadRequest::Range({TagMatcher::Equal("metric", "mem")},
@@ -83,21 +87,117 @@ TEST_F(TimeUnionDBTest, FastPathMatchesSlowPath) {
   EXPECT_EQ(result[0].timestamps.size(), 200u);
 }
 
-TEST_F(TimeUnionDBTest, InsertFastUnknownRefFails) {
-  EXPECT_TRUE(db_->InsertFast(999, 0, 1.0).IsNotFound());
+TEST_F(TimeUnionDBTest, UnknownRefRowIsRejected) {
+  WriteBatch batch;
+  batch.AddSample(999, 0, 1.0);
+  WriteResult result;
+  // A row failure leaves the call OK; the row outcome carries it.
+  ASSERT_TRUE(db_->Write(batch, &result).ok());
+  EXPECT_EQ(result.appended, 0u);
+  EXPECT_EQ(result.rejected, 1u);
+  EXPECT_TRUE(result.first_error.IsNotFound());
+}
+
+// Write's row semantics: one batch with all four sections and a bad row in
+// three of them. Each bad row is counted and reported, every other row
+// applies, and the call itself stays OK.
+TEST_F(TimeUnionDBTest, WriteReportsRowOutcomesPerSection) {
+  uint64_t ref = 0;
+  ASSERT_TRUE(db_->RegisterSeries(SeriesLabels(1, "cpu"), &ref).ok());
+  const Labels group_tags{{"hostname", "g"}};
+  WriteBatch batch;
+  WriteResult written;
+  batch.AddGroupRow(group_tags, {{{"metric", "a"}}, {{"metric", "b"}}}, 0,
+                    {1.0, 2.0});
+  ASSERT_TRUE(WriteAll(db_.get(), batch, &written));
+  const WriteResult::ResolvedGroup group = written.resolved_groups[0];
+  ASSERT_EQ(group.slots, (std::vector<uint32_t>{0, 1}));
+
+  batch.Clear();
+  batch.AddSample(ref, kMin, 10.0);
+  batch.AddSample(999'999, kMin, 11.0);  // unknown ref
+  batch.AddSample(ref, 2 * kMin, 12.0);
+  batch.AddSample(SeriesLabels(2, "mem"), kMin, 20.0);      // registers
+  batch.AddSample(SeriesLabels(1, "cpu"), 3 * kMin, 13.0);  // resolves
+  batch.AddGroupRow(group.group_ref, group.slots, kMin, {1.5, 2.5});
+  batch.AddGroupRow(group.group_ref, {0, 7}, 2 * kMin,
+                    {1.6, 2.6});  // slot out of range
+  batch.AddGroupRow(group_tags, {{{"metric", "a"}}, {{"metric", "c"}}},
+                    3 * kMin, {1.7, 3.7});  // member c joins
+  batch.AddGroupRow(Labels{{"hostname", "h"}}, {{{"metric", "a"}}}, kMin,
+                    {1.0, 2.0});  // member/value count mismatch
+  WriteResult result;
+  ASSERT_TRUE(db_->Write(batch, &result).ok());
+  EXPECT_EQ(result.appended, 6u);
+  EXPECT_EQ(result.rejected, 3u);
+  // Sections apply in order (ref, labeled, group by ref, group by tags), so
+  // the first failure is the unknown ref.
+  EXPECT_TRUE(result.first_error.IsNotFound())
+      << result.first_error.ToString();
+  ASSERT_EQ(result.resolved_refs.size(), 2u);
+  EXPECT_NE(result.resolved_refs[0], 0u);
+  EXPECT_NE(result.resolved_refs[0], ref);
+  EXPECT_EQ(result.resolved_refs[1], ref);
+  ASSERT_EQ(result.resolved_groups.size(), 2u);
+  EXPECT_EQ(result.resolved_groups[0].group_ref, group.group_ref);
+  EXPECT_EQ(result.resolved_groups[0].slots, (std::vector<uint32_t>{0, 2}));
+  // The failed row resolves nothing and registers no group.
+  EXPECT_EQ(result.resolved_groups[1].group_ref, 0u);
+  EXPECT_TRUE(result.resolved_groups[1].slots.empty());
+  EXPECT_EQ(db_->NumSeries(), 2u);
+  EXPECT_EQ(db_->NumGroups(), 1u);
+
+  // The good rows read back; the rejected ones left nothing behind.
+  const auto count = [&](std::vector<TagMatcher> matchers) {
+    QueryResult q;
+    EXPECT_TRUE(
+        db_->Query(query::ReadRequest::Range(matchers, 0, kHour), &q).ok());
+    std::vector<size_t> sizes;
+    for (const SeriesResult& series : q) {
+      sizes.push_back(series.timestamps.size());
+    }
+    return sizes;
+  };
+  EXPECT_EQ(count({TagMatcher::Equal("metric", "cpu")}),
+            (std::vector<size_t>{3}));
+  EXPECT_EQ(count({TagMatcher::Equal("metric", "mem")}),
+            (std::vector<size_t>{1}));
+  EXPECT_EQ(count({TagMatcher::Equal("hostname", "g"),
+                   TagMatcher::Equal("metric", "a")}),
+            (std::vector<size_t>{3}));
+  EXPECT_EQ(count({TagMatcher::Equal("hostname", "g"),
+                   TagMatcher::Equal("metric", "b")}),
+            (std::vector<size_t>{2}));
+  EXPECT_EQ(count({TagMatcher::Equal("hostname", "g"),
+                   TagMatcher::Equal("metric", "c")}),
+            (std::vector<size_t>{1}));
+
+  // Ref columns of different lengths reject the whole batch, labeled rows
+  // included, before any row applies.
+  WriteBatch skewed;
+  skewed.AddSample(ref, 4 * kMin, 14.0);
+  skewed.sample_ts.push_back(5 * kMin);
+  skewed.AddSample(SeriesLabels(3, "disk"), kMin, 1.0);
+  EXPECT_TRUE(db_->Write(skewed, &result).IsInvalidArgument());
+  EXPECT_TRUE(result.first_error.IsInvalidArgument());
+  EXPECT_EQ(result.appended, 0u);
+  EXPECT_EQ(result.rejected, skewed.NumRows());
+  EXPECT_EQ(db_->NumSeries(), 2u);
+  EXPECT_EQ(count({TagMatcher::Equal("metric", "cpu")}),
+            (std::vector<size_t>{3}));
 }
 
 TEST_F(TimeUnionDBTest, MultipleSeriesSelectors) {
-  uint64_t ref = 0;
+  WriteBatch batch;
   for (int host = 0; host < 4; ++host) {
     for (const char* metric : {"cpu", "mem", "disk"}) {
       for (int i = 0; i < 10; ++i) {
-        ASSERT_TRUE(db_->Insert(SeriesLabels(host, metric), i * kMin,
-                                host + i * 0.1, &ref)
-                        .ok());
+        batch.AddSample(SeriesLabels(host, metric), i * kMin,
+                        host + i * 0.1);
       }
     }
   }
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   EXPECT_EQ(db_->NumSeries(), 12u);
 
   QueryResult result;
@@ -132,11 +232,11 @@ TEST_F(TimeUnionDBTest, MultipleSeriesSelectors) {
 TEST_F(TimeUnionDBTest, LongRangeSpillsToLsmAndQueriesBack) {
   // 26 hours, 1-minute interval: data flows through L0/L1 into L2.
   uint64_t ref = 0;
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "cpu"), 0, 0.0, &ref).ok());
+  ASSERT_TRUE(db_->RegisterSeries(SeriesLabels(1, "cpu"), &ref).ok());
   const int n = 26 * 60;
-  for (int i = 1; i < n; ++i) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 1.0 * i).ok());
-  }
+  WriteBatch batch;
+  for (int i = 0; i < n; ++i) batch.AddSample(ref, i * kMin, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   ASSERT_TRUE(db_->Flush().ok());
   EXPECT_GT(db_->time_lsm()->NumL2Partitions(), 0u);
 
@@ -160,15 +260,16 @@ TEST_F(TimeUnionDBTest, LongRangeSpillsToLsmAndQueriesBack) {
 
 TEST_F(TimeUnionDBTest, OutOfOrderSamples) {
   uint64_t ref = 0;
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "cpu"), 0, 0.0, &ref).ok());
-  for (int i = 1; i < 240; ++i) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 1.0).ok());
-  }
+  ASSERT_TRUE(db_->RegisterSeries(SeriesLabels(1, "cpu"), &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(ref, 0, 0.0);
+  for (int i = 1; i < 240; ++i) batch.AddSample(ref, i * kMin, 1.0);
   // In-open-chunk out-of-order + duplicate overwrite.
-  ASSERT_TRUE(db_->InsertFast(ref, 239 * kMin - 30000, 5.0).ok());
-  ASSERT_TRUE(db_->InsertFast(ref, 238 * kMin, 7.0).ok());
+  batch.AddSample(ref, 239 * kMin - 30000, 5.0);
+  batch.AddSample(ref, 238 * kMin, 7.0);
   // Far-in-the-past out-of-order (older than the open chunk).
-  ASSERT_TRUE(db_->InsertFast(ref, 10 * kMin, 9.0).ok());
+  batch.AddSample(ref, 10 * kMin, 9.0);
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
 
   QueryResult result;
   ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
@@ -194,19 +295,18 @@ TEST_F(TimeUnionDBTest, GroupInsertAndQuery) {
       {{"metric", "cpu"}, {"core", "1"}},
       {{"metric", "mem"}},
   };
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  for (int i = 0; i < 50; ++i) {
-    const std::vector<double> values = {1.0 * i, 2.0 * i, 3.0 * i};
-    if (i == 0) {
-      ASSERT_TRUE(db_->InsertGroup(group_tags, members, i * kMin, values,
-                                   &gref, &slots)
-                      .ok());
-      ASSERT_EQ(slots.size(), 3u);
-    } else {
-      ASSERT_TRUE(db_->InsertGroupFast(gref, slots, i * kMin, values).ok());
-    }
+  WriteBatch batch;
+  WriteResult written;
+  batch.AddGroupRow(group_tags, members, 0, {0.0, 0.0, 0.0});
+  ASSERT_TRUE(WriteAll(db_.get(), batch, &written));
+  const WriteResult::ResolvedGroup group = written.resolved_groups[0];
+  ASSERT_EQ(group.slots.size(), 3u);
+  batch.Clear();
+  for (int i = 1; i < 50; ++i) {
+    batch.AddGroupRow(group.group_ref, group.slots, i * kMin,
+                      {1.0 * i, 2.0 * i, 3.0 * i});
   }
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   EXPECT_EQ(db_->NumGroups(), 1u);
 
   // Query one member by its unique tags.
@@ -235,24 +335,17 @@ TEST_F(TimeUnionDBTest, GroupInsertAndQuery) {
 
 TEST_F(TimeUnionDBTest, GroupMissingAndNewMembers) {
   const Labels group_tags{{"hostname", "host_5"}};
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
+  WriteBatch batch;
   // Round 0: members A, B.
-  ASSERT_TRUE(db_->InsertGroup(group_tags,
-                               {{{"metric", "a"}}, {{"metric", "b"}}}, 0,
-                               {1.0, 2.0}, &gref, &slots)
-                  .ok());
+  batch.AddGroupRow(group_tags, {{{"metric", "a"}}, {{"metric", "b"}}}, 0,
+                    {1.0, 2.0});
   // Round 1: only A reports (B missing -> NULL).
-  ASSERT_TRUE(db_->InsertGroup(group_tags, {{{"metric", "a"}}}, kMin, {1.5},
-                               &gref, &slots)
-                  .ok());
+  batch.AddGroupRow(group_tags, {{{"metric", "a"}}}, kMin, {1.5});
   // Round 2: new member C joins (backfilled NULLs for rounds 0-1).
-  ASSERT_TRUE(db_->InsertGroup(group_tags,
-                               {{{"metric", "a"}},
-                                {{"metric", "b"}},
-                                {{"metric", "c"}}},
-                               2 * kMin, {1.7, 2.7, 3.7}, &gref, &slots)
-                  .ok());
+  batch.AddGroupRow(group_tags,
+                    {{{"metric", "a"}}, {{"metric", "b"}}, {{"metric", "c"}}},
+                    2 * kMin, {1.7, 2.7, 3.7});
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
 
   QueryResult result;
   ASSERT_TRUE(db_->Query(query::ReadRequest::Range(
@@ -277,20 +370,20 @@ TEST_F(TimeUnionDBTest, GroupLongRangeThroughLsm) {
   for (int m = 0; m < 5; ++m) {
     members.push_back(Labels{{"metric", "m" + std::to_string(m)}});
   }
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
   const int n = 26 * 60;
-  for (int i = 0; i < n; ++i) {
+  WriteBatch batch;
+  WriteResult written;
+  batch.AddGroupRow(group_tags, members, 0, {0.0, 1.0, 2.0, 3.0, 4.0});
+  ASSERT_TRUE(WriteAll(db_.get(), batch, &written));
+  const WriteResult::ResolvedGroup group = written.resolved_groups[0];
+  batch.Clear();
+  for (int i = 1; i < n; ++i) {
     std::vector<double> values;
     for (int m = 0; m < 5; ++m) values.push_back(m + i * 0.001);
-    if (i == 0) {
-      ASSERT_TRUE(db_->InsertGroup(group_tags, members, 0, values, &gref,
-                                   &slots)
-                      .ok());
-    } else {
-      ASSERT_TRUE(db_->InsertGroupFast(gref, slots, i * kMin, values).ok());
-    }
+    batch.AddGroupRow(group.group_ref, group.slots, i * kMin,
+                      std::move(values));
   }
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   ASSERT_TRUE(db_->Flush().ok());
 
   QueryResult result;
@@ -303,10 +396,10 @@ TEST_F(TimeUnionDBTest, GroupLongRangeThroughLsm) {
 }
 
 TEST_F(TimeUnionDBTest, RetentionPurgesSeries) {
-  uint64_t ref_old = 0, ref_new = 0;
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "old"), 0, 1.0, &ref_old).ok());
-  ASSERT_TRUE(
-      db_->Insert(SeriesLabels(1, "new"), 10 * kHour, 1.0, &ref_new).ok());
+  WriteBatch batch;
+  batch.AddSample(SeriesLabels(1, "old"), 0, 1.0);
+  batch.AddSample(SeriesLabels(1, "new"), 10 * kHour, 1.0);
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   ASSERT_TRUE(db_->Flush().ok());
   ASSERT_TRUE(db_->ApplyRetention(5 * kHour).ok());
 
@@ -328,16 +421,12 @@ TEST_F(TimeUnionDBTest, WalRecoveryRestoresUnflushedData) {
   Recreate(opts);
 
   uint64_t ref = 0;
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "cpu"), 0, 42.0, &ref).ok());
-  for (int i = 1; i < 10; ++i) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 42.0 + i).ok());
-  }
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  ASSERT_TRUE(db_->InsertGroup({{"hostname", "h"}},
-                               {{{"metric", "g1"}}, {{"metric", "g2"}}}, 0,
-                               {7.0, 8.0}, &gref, &slots)
-                  .ok());
+  ASSERT_TRUE(db_->RegisterSeries(SeriesLabels(1, "cpu"), &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < 10; ++i) batch.AddSample(ref, i * kMin, 42.0 + i);
+  batch.AddGroupRow({{"hostname", "h"}},
+                    {{{"metric", "g1"}}, {{"metric", "g2"}}}, 0, {7.0, 8.0});
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   // Simulate a crash: drop the DB without Flush(); reopen on the same
   // workspace.
   db_.reset();
@@ -357,8 +446,11 @@ TEST_F(TimeUnionDBTest, WalRecoveryRestoresUnflushedData) {
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].values[0], 8.0);
 
-  // The fast path still works against recovered state.
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "cpu"), 10 * kMin, 99.0, &ref).ok());
+  // Writes still work against recovered state.
+  batch.Clear();
+  batch.AddSample(SeriesLabels(1, "cpu"), 10 * kMin, 99.0);
+  batch.AddSample(ref, 11 * kMin, 100.0);
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
 }
 
 TEST_F(TimeUnionDBTest, WalRecoverySkipsFlushedData) {
@@ -368,10 +460,10 @@ TEST_F(TimeUnionDBTest, WalRecoverySkipsFlushedData) {
 
   uint64_t ref = 0;
   const int n = 26 * 60;
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "cpu"), 0, 0.0, &ref).ok());
-  for (int i = 1; i < n; ++i) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db_->RegisterSeries(SeriesLabels(1, "cpu"), &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < n; ++i) batch.AddSample(ref, i * kMin, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
   ASSERT_TRUE(db_->Flush().ok());
   db_.reset();
   Recreate(opts, /*wipe=*/false);
@@ -390,8 +482,7 @@ class DBPropertyTest : public TimeUnionDBTest,
 TEST_P(DBPropertyTest, RandomWorkloadMatchesReference) {
   Random rng(GetParam());
   std::map<std::string, std::map<int64_t, double>> reference;
-  std::map<std::string, uint64_t> refs;
-
+  WriteBatch batch;
   for (int i = 0; i < 3000; ++i) {
     const int host = static_cast<int>(rng.Uniform(5));
     const char* metrics[] = {"cpu", "mem", "net"};
@@ -402,11 +493,11 @@ TEST_P(DBPropertyTest, RandomWorkloadMatchesReference) {
     const double v = rng.NextGaussian(50, 10);
     const Labels labels = SeriesLabels(host, metric);
     const std::string key = index::LabelsKey(labels);
-    uint64_t ref = 0;
-    ASSERT_TRUE(db_->Insert(labels, ts, v, &ref).ok());
+    batch.AddSample(labels, ts, v);
     reference[key][ts] = v;  // newest write wins, like the DB
-    refs[key] = ref;
   }
+  // Rows apply in batch order, so one batch replays the same history.
+  ASSERT_TRUE(WriteAll(db_.get(), batch));
 
   for (const auto& [key, samples] : reference) {
     // key format: hostname$host_X,metric$Y,region$tokyo

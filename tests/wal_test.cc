@@ -26,6 +26,7 @@
 
 #include "core/timeunion_db.h"
 #include "util/mmap_file.h"
+#include "write_util.h"
 
 namespace tu::core {
 namespace {
@@ -483,11 +484,16 @@ TEST(WalDbTest, LiveLogBudgetForcesFlush) {
   {
     std::unique_ptr<TimeUnionDB> db;
     ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
-    uint64_t idle = 0, busy = 0;
-    ASSERT_TRUE(db->Insert({{"metric", "idle"}}, 0, 42.0, &idle).ok());
+    uint64_t busy = 0;
+    core::WriteBatch batch;
+    batch.AddSample(index::Labels{{"metric", "idle"}}, 0, 42.0);
+    ASSERT_TRUE(core::WriteAll(db.get(), batch));
     ASSERT_TRUE(db->RegisterSeries({{"metric", "busy"}}, &busy).ok());
+    // One row per Write: the budget is checked after each call.
     for (int i = 1; i <= 4000; ++i) {
-      ASSERT_TRUE(db->InsertFast(busy, i * 1000LL, 0.1 * i).ok());
+      batch.Clear();
+      batch.AddSample(busy, i * 1000LL, 0.1 * i);
+      ASSERT_TRUE(core::WriteAll(db.get(), batch));
     }
     const obs::MetricsSnapshot snap = db->Metrics();
     EXPECT_GE(snap.CounterOr0("wal.forced_flushes"), 1u);
@@ -518,10 +524,10 @@ TEST(WalDbTest, FlushRetiresEverySegment) {
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
   uint64_t ref = 0;
-  // 1001 samples: the last one is still in the open chunk when Flush runs.
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i <= 1000; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  // 1001 samples, one Write each: the last one is still in the open chunk
+  // when Flush runs.
+  for (int i = 0; i <= 1000; ++i) {
+    ASSERT_TRUE(core::WriteCpuSample(db.get(), i, 250, &ref).ok());
   }
   ASSERT_TRUE(db->Flush().ok());
   const obs::MetricsSnapshot snap = db->Metrics();
@@ -530,7 +536,7 @@ TEST(WalDbTest, FlushRetiresEverySegment) {
   EXPECT_GT(snap.CounterOr0("wal.segments_deleted"), 0u);
   EXPECT_EQ(snap.CounterOr0("wal.appends"), 1001u);
   EXPECT_EQ(snap.CounterOr0("wal.forced_flushes"), 0u);
-  // Every batch append is timed (one InsertFast = one batch).
+  // Every batch append is timed (one Write = one batch).
   const obs::HistogramSnapshot* append = snap.FindHistogram("wal.append_us");
   ASSERT_NE(append, nullptr);
   EXPECT_EQ(append->count, 1001u);
